@@ -52,7 +52,6 @@ from .spaces import (
     MatSpace,
     format_spacefile,
     parse_spacefile,
-    space_from_span,
 )
 from .survey import (
     DEFAULT_SEED,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Mat, Vec, kernel_basis, span_rows
+from .errors import TheoremViolationError
+from .linalg import Vec, kernel_basis, row_dot, span_rows
 from .spaces import MatSpace
 
 
@@ -99,7 +100,8 @@ def hyperplane_functional(field, vectors):
     if len(rows) != n - 1:
         raise ValueError(f"expected an (n-1)-dimensional span, got dimension {len(rows)}")
     normals = kernel_basis(list(rows), field)
-    assert len(normals) == 1
+    if len(normals) != 1:
+        raise TheoremViolationError("hyperplane has no unique normal line")
     lead = next(i for i, e in enumerate(normals[0]) if e)
     inv = field.inv(normals[0][lead])
     return tuple(field.mul(inv, e) for e in normals[0])
@@ -113,7 +115,7 @@ def kernel_constrained(space: MatSpace, vectors) -> MatSpace:
         for i in range(n):
             rows.append(
                 tuple(
-                    _row_dot(b, i, v, F)
+                    row_dot(b, i, v, F)
                     for b in space.basis
                 )
             )
@@ -123,14 +125,6 @@ def kernel_constrained(space: MatSpace, vectors) -> MatSpace:
     return MatSpace.from_span(
         [space.combination(c) for c in coeff_vectors], field=F, n=n
     )
-
-
-def _row_dot(mat: Mat, i, v, F):
-    acc = 0
-    for j, vj in enumerate(v):
-        if vj:
-            acc = F.add(acc, F.mul(mat.entry(i, j), vj))
-    return acc
 
 
 def is_adapted_hyperplane(space: MatSpace, spanning) -> bool:

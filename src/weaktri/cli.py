@@ -23,7 +23,7 @@ from .errors import (
     SpaceFileError,
     TheoremViolationError,
 )
-from .flags import flag_space, recover_flag
+from .flags import recover_flag
 from .gf import parse_field
 from .linalg import Mat
 from .spaces import DEFAULT_BUDGET, format_spacefile, parse_spacefile

@@ -29,6 +29,7 @@ from .linalg import (
     Vec,
     invert,
     kernel_basis,
+    row_dot,
     row_space_contains,
     rref,
     rref_solve,
@@ -98,7 +99,8 @@ def flag_space(flag: Flag) -> MatSpace:
         for j in range(i, n)
     ]
     space = MatSpace.from_span(mats, field=F, n=n)
-    assert space.dim == n * (n + 1) // 2
+    if space.dim != n * (n + 1) // 2:
+        raise TheoremViolationError("flag space has the wrong dimension")
     return space
 
 
@@ -126,19 +128,11 @@ def _rows_invariant(space, rows):
     for b in space.basis:
         for v in rows:
             image = tuple(
-                _dot_row(b, i, v, F) for i in range(space.n)
+                row_dot(b, i, v, F) for i in range(space.n)
             )
             if not row_space_contains(list(rows), image, F):
                 return False
     return True
-
-
-def _dot_row(mat, i, v, F):
-    acc = 0
-    for j, vj in enumerate(v):
-        if vj:
-            acc = F.add(acc, F.mul(mat.entry(i, j), vj))
-    return acc
 
 
 def is_chain(subspaces, field) -> bool:
@@ -448,8 +442,10 @@ def _recover_into(space, trace, scan_reverse):
             ambient[c] = v
         vec = Vec(F, ambient)
         lift = vec - pi.apply(vec)
-        assert project(lift.entries) == f.entries
-        assert pi.apply(lift).is_zero
+        if project(lift.entries) != f.entries:
+            _violate("lifted vector does not project to its quotient vector", trace)
+        if not pi.apply(lift).is_zero:
+            _violate("lifted vector is outside the idempotent's kernel", trace)
         lifted.append(lift)
 
     try:

@@ -11,11 +11,14 @@ capped at 2^16 for k > 1; prime fields have no such cap.
 
 from __future__ import annotations
 
+import functools
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _EXT_TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 10
+_SPLIT_MEMO_SIZE = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -466,19 +469,28 @@ def splits_over(f: Poly, field: FieldCtx | None = None) -> bool:
     """True iff f factors into linear factors over its field.
 
     Decided by whether the squarefree part of f divides t^q - t, the product
-    of all monic linear polynomials.
+    of all monic linear polynomials.  Verdicts are memoized on
+    (field, coefficients) in a least-recently-used cache of fixed size
+    ``_SPLIT_MEMO_SIZE``, so sweeps that meet few distinct characteristic
+    polynomials decide each one once while large fields stay bounded.
     """
     if field is not None and field != f.field:
         raise ValueError("polynomial does not live over the given field")
     if f.is_zero:
         raise ValueError("the zero polynomial has no splitting verdict")
+    return _splits(f.field, f.coeffs)
+
+
+@functools.lru_cache(maxsize=_SPLIT_MEMO_SIZE)
+def _splits(field, coeffs):
+    f = Poly(field, coeffs)
     rad = radical(f)
     if rad.degree <= 0:
         return True
-    if rad.degree > f.field.q:
+    if rad.degree > field.q:
         return False
-    x = Poly.x(f.field)
-    return x.pow_mod(f.field.q, rad) == x % rad
+    x = Poly.x(field)
+    return x.pow_mod(field.q, rad) == x % rad
 
 
 def roots_with_multiplicity(f: Poly) -> list[tuple[int, int]]:

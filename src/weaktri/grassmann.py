@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, TheoremViolationError
 from .linalg import span_rows
 from .spaces import DEFAULT_BUDGET
 
@@ -23,7 +23,8 @@ def grassmann_count(m: int, k: int, q: int) -> int:
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
     count, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise TheoremViolationError(f"Gaussian binomial {num}/{den} is not an integer")
     return count
 
 
@@ -90,10 +91,17 @@ def enumerate_subspaces(m, k, field, must_contain=(), budget=None):
     pivots = [next(i for i, e in enumerate(row) if e) for row in reduced]
     section = [c for c in range(m) if c not in pivots]
     for sub in _enumerate_plain(m - r, k - r, field):
-        lifted = []
-        for qrow in sub:
-            full = [0] * m
-            for c, v in zip(section, qrow):
-                full[c] = v
-            lifted.append(tuple(full))
-        yield span_rows(list(reduced) + lifted, field)
+        yield lift_quotient_rows(reduced, section, sub, field)
+
+
+def lift_quotient_rows(constraint_rows, section_cols, quotient_rows, field):
+    """Canonical basis of the subspace spanned by the RREF constraint rows and
+    the quotient rows placed on the section (non-pivot) columns."""
+    m = len(constraint_rows) + len(section_cols)
+    lifted = []
+    for qrow in quotient_rows:
+        full = [0] * m
+        for c, v in zip(section_cols, qrow):
+            full[c] = v
+        lifted.append(tuple(full))
+    return span_rows(list(constraint_rows) + lifted, field)

@@ -8,7 +8,7 @@ same representation for the public API.
 
 from __future__ import annotations
 
-from .gf import FieldCtx, Poly
+from .gf import Poly
 
 
 class Vec:
@@ -19,10 +19,6 @@ class Vec:
     def __init__(self, field, entries):
         self.field = field
         self.entries = tuple(field.coerce(e) for e in entries)
-
-    @classmethod
-    def zeros(cls, field, n):
-        return cls(field, (0,) * n)
 
     @classmethod
     def unit(cls, field, n, i):
@@ -60,13 +56,6 @@ class Vec:
     def scale(self, c):
         F = self.field
         return Vec(F, tuple(F.mul(c, a) for a in self.entries))
-
-    def dot(self, other):
-        F = self.field
-        acc = 0
-        for a, b in zip(self.entries, other.entries):
-            acc = F.add(acc, F.mul(a, b))
-        return acc
 
     def __eq__(self, other):
         return (
@@ -297,24 +286,13 @@ def kernel_basis(a_rows, field):
 
 
 def invert(m: Mat):
-    """Inverse matrix, or None when singular."""
+    """Inverse matrix, or None when singular: Gauss-Jordan on [M | I]."""
     F, n = m.field, m.n
-    aug = [list(m.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = F.inv(aug[r][c])
-        if inv != 1:
-            aug[r] = [F.mul(inv, e) for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return Mat(F, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+    aug = [m.row(i) + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    reduced, pivots = rref(aug, F)
+    if pivots != list(range(n)):
+        return None
+    return Mat._wrap(F, n, tuple(e for row in reduced for e in row[n:]))
 
 
 def det(m: Mat):
@@ -344,7 +322,7 @@ def char_poly(m: Mat) -> Poly:
             t.append(F.neg(acc))
             # v <- A_{size-1} v using the leading principal block
             v = [
-                _dot_block(m, i, v, F)
+                row_dot(m, i, v, F)
                 for i in range(size - 1)
             ]
         nxt = []
@@ -358,7 +336,9 @@ def char_poly(m: Mat) -> Poly:
     return Poly(F, tuple(reversed(c)))
 
 
-def _dot_block(m, i, v, F):
+def row_dot(m: Mat, i, v, F):
+    """Row i of m times the vector v (its length may be below m.n, which
+    restricts the row to its leading entries)."""
     acc = 0
     base = i * m.n
     for j, vj in enumerate(v):

@@ -8,10 +8,8 @@ basis sequences and can be hashed, deduplicated, and diffed.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import BudgetExceededError, SpaceFileError
-from .gf import FieldCtx, parse_field
+from .gf import parse_field
 from .linalg import Mat, invert, kernel_basis, rref
 
 DEFAULT_BUDGET = 2**28
@@ -178,10 +176,6 @@ class MatSpace:
         return MatSpace.from_span(out, field=self.field, n=n)
 
 
-def space_from_span(mats, field=None, n=None) -> MatSpace:
-    return MatSpace.from_span(mats, field=field, n=n)
-
-
 # -- space files ----------------------------------------------------------------
 
 
@@ -219,6 +213,8 @@ def parse_spacefile(text: str, strict=False, exploratory=False) -> MatSpace:
                 raise SpaceFileError(str(exc), line=lineno) from None
         elif key == "n":
             n = _parse_int(rest, lineno, "n")
+            if n < 1:
+                raise SpaceFileError(f"matrix size n must be >= 1, got {n}", line=lineno)
         elif key == "dim":
             declared_dim = _parse_int(rest, lineno, "dim")
         elif key == "mat":

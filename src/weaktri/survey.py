@@ -8,12 +8,14 @@ exhaustive re-check, identity membership, flag recovery, and structure-map
 extraction.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
-bases row by row, bottom row first.  A quotient class is marked bad when some
-lift of it over the constraint span has a non-split characteristic
-polynomial; any candidate whose partial span hits a bad class is rejected
-together with its entire subtree (all such candidates contain that same bad
-element), with skipped counts tracked exactly.  Badness is invariant under
-scalars, so only one representative per new projective point is tested.
+bases row by row, bottom row first.  A goodness table holds one flag per
+quotient class: the class is bad when some lift of it over the constraint
+span has a characteristic polynomial that ``gf.splits_over`` rejects (the one
+split decision of the package).  Any candidate whose partial span hits a bad
+class is rejected together with its entire subtree (all such candidates
+contain that same bad element), with skipped counts tracked exactly.  Badness
+is invariant under scalars, so only one representative per new projective
+point is tested.
 """
 
 from __future__ import annotations
@@ -27,21 +29,19 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .flags import extract_structure_maps, recover_flag
-from .gf import FieldCtx, Poly, splits_over
+from .gf import FieldCtx, splits_over
 from .grassmann import (
     enumerate_subspaces,
-    free_positions,
     grassmann_count,
+    lift_quotient_rows,
     pattern_size,
     pivot_patterns,
 )
-from .linalg import Mat, char_poly, invert, rref, span_rows
+from .linalg import Mat, char_poly, rref
 from .spaces import DEFAULT_BUDGET, MatSpace, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
-
-WITNESS_SWEEP_CAP = 100_000
 
 
 # -- named families -------------------------------------------------------------
@@ -128,7 +128,8 @@ def count_flags(n, field) -> int:
     formula = 1
     for i in range(2, n + 1):
         step, rem = divmod(q**i - 1, q - 1)
-        assert rem == 0
+        if rem:
+            raise TheoremViolationError(f"q - 1 does not divide q^{i} - 1")
         formula *= step
     if n <= 3:
         direct = _count_chains(n, field)
@@ -170,7 +171,6 @@ class CampaignSpec:
     budget: int | None = None
     journal: str | None = None
     resume: bool = False
-    collect_witnesses: bool = False
 
     def summary_line(self):
         names = "+".join(
@@ -210,7 +210,6 @@ class CampaignReport:
     hits: list = dc_field(default_factory=list)
     alarms: list = dc_field(default_factory=list)
     shard_stats: list = dc_field(default_factory=list)
-    witnesses: list = dc_field(default_factory=list)
     elapsed: float = 0.0
 
     @property
@@ -263,22 +262,13 @@ class _Reduction:
         if len(reduced) != len(rows):
             raise PreconditionError("constraint matrices are linearly dependent")
         self.rows = reduced
-        self.pivots = pivots
         self.section_cols = [c for c in range(self.m) if c not in pivots]
         self.quotient_dim = self.m - len(reduced)
 
-    def lift_rows(self, quotient_rows):
-        """Full-space canonical basis of the candidate with these quotient rows."""
-        lifted = []
-        for qrow in quotient_rows:
-            full = [0] * self.m
-            for c, v in zip(self.section_cols, qrow):
-                full[c] = v
-            lifted.append(tuple(full))
-        return span_rows(list(self.rows) + lifted, self.field)
-
     def space_from(self, quotient_rows) -> MatSpace:
-        rows = self.lift_rows(quotient_rows)
+        """The candidate space with these quotient rows, lifted over the
+        constraint span."""
+        rows = lift_quotient_rows(self.rows, self.section_cols, quotient_rows, self.field)
         return MatSpace.from_span(
             [Mat(self.field, self.n, r) for r in rows], field=self.field, n=self.n
         )
@@ -295,24 +285,14 @@ class _Reduction:
             yield tuple(acc)
 
 
-def _split_table(field, n):
-    """Boolean table over packed monic degree-n coefficient vectors."""
-    q = field.q
-    table = [False] * (q**n)
-    for tail in itertools.product(field.elements(), repeat=n):
-        poly = Poly(field, tail + (1,))
-        idx = 0
-        for c in reversed(tail):
-            idx = idx * q + c
-        table[idx] = splits_over(poly)
-    return table
-
-
 def _goodness_table(reduction: _Reduction):
-    """good[packed class] == every lift over the constraint span splits."""
+    """good[packed class] == every lift over the constraint span splits.
+
+    Class 0 lifts to exactly the constraint span, so good[0] is False when
+    some constraint combination has a non-split characteristic polynomial.
+    """
     field, n, m = reduction.field, reduction.n, reduction.m
     q = field.q
-    split = _split_table(field, n)
     span = list(reduction.constraint_span_elements())
     size = q**reduction.quotient_dim
     good = [True] * size
@@ -326,11 +306,7 @@ def _goodness_table(reduction: _Reduction):
             base[c] = v
         for z in span:
             entries = [field.add(a, b) for a, b in zip(base, z)] if any(z) else base
-            poly = char_poly(Mat(field, n, entries))
-            pidx = 0
-            for c in reversed(poly.coeffs[:-1]):
-                pidx = pidx * q + c
-            if not split[pidx]:
+            if not splits_over(char_poly(Mat(field, n, entries))):
                 good[idx] = False
                 break
     return good
@@ -531,8 +507,10 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run the sweep described by ``spec`` and fully verify every hit."""
     started = time.time()
     field, n = spec.field, spec.n
-    if spec.dim < len(spec.constraints):
-        raise PreconditionError("target dimension below the constraint count")
+    if not len(spec.constraints) <= spec.dim <= n * n:
+        raise PreconditionError(
+            f"target dimension {spec.dim} outside [{len(spec.constraints)}, {n * n}]"
+        )
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
@@ -559,20 +537,9 @@ def _run_exhaustive(spec, reduction, sub_dim):
         )
     report = CampaignReport(spec.summary_line(), 0, expected)
 
-    if spec.collect_witnesses:
-        if expected > WITNESS_SWEEP_CAP:
-            raise BudgetExceededError(
-                f"witness sweeps are capped at {WITNESS_SWEEP_CAP} candidates"
-            )
-        return _run_witness_sweep(spec, reduction, sub_dim, report)
-
-    # a bad element inside the constraint span dooms every candidate at once
-    span_bad = None
-    for z in reduction.constraint_span_elements():
-        if not splits_over(char_poly(Mat(field, reduction.n, z))):
-            span_bad = z
-            break
-    if span_bad is not None:
+    good = _goodness_table(reduction)
+    if not good[0]:
+        # a bad element inside the constraint span dooms every candidate
         report.total = expected
         report.shard_stats.append(
             {"idx": 0, "lo": 0, "hi": 0, "total": expected, "hits": 0}
@@ -580,7 +547,6 @@ def _run_exhaustive(spec, reduction, sub_dim):
         _verify_hits(spec, report)
         return report
 
-    good = _goodness_table(reduction)
     patterns = pivot_patterns(reduction.quotient_dim, sub_dim)
     sizes = [pattern_size(p, reduction.quotient_dim, q) for p in patterns]
     ranges = _shard_ranges(sizes, spec.shards)
@@ -589,7 +555,9 @@ def _run_exhaustive(spec, reduction, sub_dim):
     journal_has_header = False
     if spec.journal and spec.resume:
         done = _load_journal(spec.journal, spec)
-        journal_has_header = os.path.exists(spec.journal)
+        journal_has_header = (
+            os.path.exists(spec.journal) and os.path.getsize(spec.journal) > 0
+        )
 
     jobs = []
     for idx, (lo, hi) in enumerate(ranges):
@@ -655,31 +623,6 @@ def _run_exhaustive(spec, reduction, sub_dim):
         )
     merged.sort(key=lambda s: s.key())
     report.hits = [HitRecord(space=s) for s in merged]
-    _verify_hits(spec, report)
-    return report
-
-
-def _run_witness_sweep(spec, reduction, sub_dim, report):
-    """Naive per-candidate sweep retaining a witness for every rejection."""
-    field = spec.field
-    total = 0
-    hits = []
-    for rows in enumerate_subspaces(
-        reduction.quotient_dim, sub_dim, field, budget=WITNESS_SWEEP_CAP
-    ):
-        total += 1
-        space = reduction.space_from(rows)
-        verdict = space_weakly_triangularizable(space, budget=spec.budget)
-        if verdict:
-            hits.append(space)
-        else:
-            report.witnesses.append((space.key(), verdict.witness.entries))
-    report.total = total
-    report.shard_stats.append(
-        {"idx": 0, "lo": 0, "hi": 0, "total": total, "hits": len(hits)}
-    )
-    hits.sort(key=lambda s: s.key())
-    report.hits = [HitRecord(space=s) for s in hits]
     _verify_hits(spec, report)
     return report
 

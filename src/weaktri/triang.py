@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolationError
 from .gf import roots_with_multiplicity, splits_over
 from .linalg import Mat, char_poly, invert, kernel_basis
 from .spaces import MatSpace
@@ -32,7 +32,8 @@ def triangularize(m: Mat) -> Mat:
         raise PreconditionError("matrix has a non-split characteristic polynomial")
     p = _triangularize(m)
     got = invert(p) * m * p
-    assert got.is_upper_triangular(), "triangularize postcondition failed"
+    if not got.is_upper_triangular():
+        raise TheoremViolationError("triangularize postcondition failed")
     return p
 
 
@@ -48,7 +49,8 @@ def _triangularize(m: Mat) -> Mat:
     cols = [v] + [tuple(int(r == j) for r in range(n)) for j in range(n) if j != pivot]
     q = Mat(F, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
     inner = invert(q) * m * q
-    assert all(inner.entry(i, 0) == 0 for i in range(1, n))
+    if any(inner.entry(i, 0) for i in range(1, n)):
+        raise TheoremViolationError("eigenvector basis does not fix the eigenline")
     sub = Mat(F, n - 1, tuple(inner.entry(i, j) for i in range(1, n) for j in range(1, n)))
     p_sub = _triangularize(sub)
     block = [[0] * n for _ in range(n)]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaktri import gf
 from weaktri.gf import (
     FieldCtx,
     Poly,
@@ -167,11 +168,16 @@ class TestSplitsOver:
         with pytest.raises(ValueError):
             splits_over(Poly(gf3, (1, 1)), gf5)
 
-    def test_matches_root_count_all_monic_deg_le_3(self, gf3, gf5):
-        for field in (gf3, gf5):
+    def test_matches_root_count_all_monic_deg_le_3(self, gf3, gf5, gf9):
+        # the second call is answered by the memo, the first (after clearing
+        # it) by the radical test
+        gf._splits.cache_clear()
+        for field in (gf3, gf5, gf9):
             for degree in range(1, 4):
                 for f in monic_polys(field, degree):
-                    assert splits_over(f) == splits_by_root_count(f), f
+                    want = splits_by_root_count(f)
+                    assert splits_over(f) == want, f
+                    assert splits_over(Poly(field, f.coeffs)) == want, f
 
 
 class TestRoots:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from weaktri.cli import main
 from weaktri.errors import BudgetExceededError, SpaceFileError
 from weaktri.linalg import Mat, invert
 from weaktri.spaces import MatSpace, format_spacefile, parse_spacefile
@@ -221,6 +222,17 @@ class TestSpaceFiles:
     def test_missing_header(self):
         with pytest.raises(SpaceFileError):
             parse_spacefile("mat 1 0 0 1\n")
+
+    def test_nonpositive_n_rejected(self):
+        for n in (0, -2):
+            with pytest.raises(SpaceFileError, match="line 2: matrix size"):
+                parse_spacefile(f"field GF(3)\nn {n}\ndim 0\n")
+
+    def test_cli_check_rejects_empty_space(self, tmp_path, capsys):
+        path = tmp_path / "empty.space"
+        path.write_text("field GF(3)\nn 0\ndim 0\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_unknown_directive(self):
         with pytest.raises(SpaceFileError, match="unknown directive"):
