@@ -174,7 +174,6 @@ def cmd_campaign(args):
         shards=args.shards,
         budget=_resolve_budget(args),
         journal=args.journal,
-        resume=args.resume,
     )
     started = time.time()
     report = run_campaign(spec)
@@ -263,9 +262,11 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--contains-identity", action="store_true")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--journal", default=None)
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--shards", type=int, default=1,
+                   help="worker processes for the scan; the report does not depend on it")
+    p.add_argument("--journal", default=None, metavar="FILE",
+                   help="record each decided pivot pattern; a rerun on the same journal "
+                        "resumes from it (delete it to start from scratch)")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="random mode: check COUNT seeded samples instead")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

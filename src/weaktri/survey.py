@@ -16,14 +16,22 @@ class is rejected together with its entire subtree (all such candidates
 contain that same bad element), with skipped counts tracked exactly.  Badness
 is invariant under scalars, so only one representative per new projective
 point is tested.
+
+The pivot pattern is the unit of work.  Each pattern's candidates are decided
+in one call, in process or on a pool of ``shards`` worker processes; the
+worker count never changes the report.  With a journal, each pattern's count
+and hits are appended (and fsynced) as soon as they arrive, and the journal
+is the resume state: rerunning the same campaign on it skips the patterns it
+has already decided.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
-import time
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -42,6 +50,10 @@ from .spaces import DEFAULT_BUDGET, MatSpace, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
+
+# count_flags enumerates the chains to confirm the closed form only up to
+# this many flags (about 10 us per chain)
+_CHAIN_CHECK_LIMIT = 10**5
 
 
 # -- named families -------------------------------------------------------------
@@ -122,7 +134,8 @@ def count_flags(n, field) -> int:
     """Number of complete flags of F^n.
 
     Product formula, cross-checked against direct chain enumeration for
-    n <= 3 (both must agree).
+    n <= 3 when it counts at most ``_CHAIN_CHECK_LIMIT`` flags (both must
+    agree).
     """
     q = field.q
     formula = 1
@@ -131,7 +144,7 @@ def count_flags(n, field) -> int:
         if rem:
             raise TheoremViolationError(f"q - 1 does not divide q^{i} - 1")
         formula *= step
-    if n <= 3:
+    if n <= 3 and formula <= _CHAIN_CHECK_LIMIT:
         direct = _count_chains(n, field)
         if direct != formula:
             raise TheoremViolationError(
@@ -170,7 +183,6 @@ class CampaignSpec:
     shards: int = 1
     budget: int | None = None
     journal: str | None = None
-    resume: bool = False
 
     def summary_line(self):
         names = "+".join(
@@ -179,7 +191,7 @@ class CampaignSpec:
         )
         return (
             f"n={self.n} field={self.field.descriptor()} dim={self.dim} "
-            f"constraints={names or 'none'} mode={self.mode} shards={self.shards}"
+            f"constraints={names or 'none'} mode={self.mode}"
         )
 
 
@@ -188,7 +200,6 @@ class HitRecord:
     space: MatSpace
     contains_identity: bool = False
     recovered: bool = False
-    chain: tuple | None = None
     extraction_ok: bool | None = None
     alarm: str | None = None
 
@@ -209,8 +220,6 @@ class CampaignReport:
     expected_total: int | None
     hits: list = dc_field(default_factory=list)
     alarms: list = dc_field(default_factory=list)
-    shard_stats: list = dc_field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def hit_count(self):
@@ -231,10 +240,6 @@ class CampaignReport:
         ]
         for alarm in self.alarms:
             lines.append(f"# alarm: {alarm}")
-        for stat in self.shard_stats:
-            lines.append(
-                "# shard {idx} range {lo}..{hi} total {total} hits {hits}".format(**stat)
-            )
         for i, hit in enumerate(self.hits):
             lines.append(f"hit {i}")
             lines.append(
@@ -315,188 +320,155 @@ def _goodness_table(reduction: _Reduction):
 # -- the pruned scan --------------------------------------------------------------
 
 
-def _scan_patterns(field_sig, m, patterns, good):
-    """Exhaustively decide all candidates whose RREF pivots lie in
-    ``patterns``; returns (candidates_decided, hit_row_lists).
+def _scan_pattern(field, m, good, pattern):
+    """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
+    returns (candidates_decided, hit_row_lists).
 
     Rows are assigned bottom-up.  A bad projective point among the
     combinations involving the newest row rejects the row together with every
     completion of the remaining rows above it.
     """
-    field = FieldCtx(*field_sig)
+    k = len(pattern)
+    if k == 0:
+        return 1, [()]
     q = field.q
     elements = tuple(field.elements())
     add_tab = [[field.add(a, b) for b in elements] for a in elements]
     mul_tab = [[field.mul(a, b) for b in elements] for a in elements]
     pows = [q**i for i in range(m)]
-    decided = 0
+    pivot_set = set(pattern)
+    frees = [
+        [c for c in range(pattern[i] + 1, m) if c not in pivot_set]
+        for i in range(k)
+    ]
+    skip = [1] * k
+    for i in range(1, k):
+        skip[i] = skip[i - 1] * q ** len(frees[i - 1])
+    templates = []
+    for i in range(k):
+        t = [0] * m
+        t[pattern[i]] = 1
+        templates.append(t)
+    chosen = [None] * k
+    bad_total = 0
     hits = []
-    for pattern in patterns:
-        k = len(pattern)
-        if k == 0:
-            decided += 1
-            hits.append(())
-            continue
-        pivot_set = set(pattern)
-        frees = [
-            [c for c in range(pattern[i] + 1, m) if c not in pivot_set]
-            for i in range(k)
-        ]
-        skip = [1] * k
-        for i in range(1, k):
-            skip[i] = skip[i - 1] * q ** len(frees[i - 1])
-        templates = []
-        for i in range(k):
-            t = [0] * m
-            t[pattern[i]] = 1
-            templates.append(t)
-        chosen = [None] * k
-        bad_total = 0
-        pattern_hits = []
 
-        def rec(i, combos):
-            nonlocal bad_total
-            frees_i = frees[i]
-            skip_i = skip[i]
-            template = templates[i]
-            for values in itertools.product(elements, repeat=len(frees_i)):
-                row = template[:]
-                for pos, v in zip(frees_i, values):
-                    row[pos] = v
-                ok = True
+    def rec(i, combos):
+        nonlocal bad_total
+        frees_i = frees[i]
+        skip_i = skip[i]
+        template = templates[i]
+        for values in itertools.product(elements, repeat=len(frees_i)):
+            row = template[:]
+            for pos, v in zip(frees_i, values):
+                row[pos] = v
+            ok = True
+            for w in combos:
+                idx = 0
+                for a, b, pw in zip(row, w, pows):
+                    idx += add_tab[a][b] * pw
+                if not good[idx]:
+                    ok = False
+                    break
+            if not ok:
+                bad_total += skip_i
+                continue
+            chosen[i] = tuple(row)
+            if i == 0:
+                hits.append(tuple(chosen))
+                continue
+            grown = list(combos)
+            for c in elements[1:]:
+                crow = [mul_tab[c][v] for v in row]
                 for w in combos:
-                    idx = 0
-                    for a, b, pw in zip(row, w, pows):
-                        idx += add_tab[a][b] * pw
-                    if not good[idx]:
-                        ok = False
-                        break
-                if not ok:
-                    bad_total += skip_i
-                    continue
-                chosen[i] = tuple(row)
-                if i == 0:
-                    pattern_hits.append(tuple(chosen))
-                    continue
-                grown = list(combos)
-                for c in elements[1:]:
-                    crow = [mul_tab[c][v] for v in row]
-                    for w in combos:
-                        grown.append(tuple(add_tab[a][b] for a, b in zip(crow, w)))
-                rec(i - 1, grown)
+                    grown.append(tuple(add_tab[a][b] for a, b in zip(crow, w)))
+            rec(i - 1, grown)
 
-        rec(k - 1, [(0,) * m])
-        expected = pattern_size(pattern, m, q)
-        got = bad_total + len(pattern_hits)
-        if got != expected:
-            raise TheoremViolationError(
-                f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
-            )
-        decided += expected
-        hits.extend(pattern_hits)
-    return decided, hits
+    rec(k - 1, [(0,) * m])
+    expected = pattern_size(pattern, m, q)
+    got = bad_total + len(hits)
+    if got != expected:
+        raise TheoremViolationError(
+            f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
+        )
+    return expected, hits
 
 
-def _scan_shard(args):
-    (field_sig, m, patterns, good, idx, lo, hi) = args
-    decided, hits = _scan_patterns(field_sig, m, patterns, good)
-    return {"idx": idx, "lo": lo, "hi": hi, "total": decided, "hits": hits}
-
-
-def _field_sig(field):
-    return (field.p, field.k, field.modulus, field.exploratory)
-
-
-def _shard_ranges(sizes, shards):
-    """Contiguous index ranges with roughly balanced candidate counts."""
-    total = sum(sizes)
-    shards = max(1, min(shards, len(sizes))) if sizes else 1
-    ranges = []
-    start = 0
-    acc = 0
-    target = total / shards if shards else 1
-    for idx in range(len(sizes)):
-        acc += sizes[idx]
-        if acc >= target * (len(ranges) + 1) and len(ranges) < shards - 1:
-            ranges.append((start, idx + 1))
-            start = idx + 1
-    ranges.append((start, len(sizes)))
-    return [r for r in ranges if r[0] < r[1]] or [(0, 0)]
+def _in_pattern_order(scan, patterns, shards):
+    """``map(scan, patterns)``, on a process pool when more than one worker
+    is asked for and can be used."""
+    workers = min(shards, len(patterns), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(scan, patterns)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(scan, patterns)
 
 
 # -- journal ----------------------------------------------------------------------
+
+_JOURNAL_ENTRY = re.compile(r"pattern ([0-9,]*) total ([0-9]+) hits ([0-9]+)")
 
 
 def _journal_header(spec):
     return f"# campaign journal: {spec.summary_line()}"
 
 
-def _write_journal_entry(path, spec, stat, hit_spaces, new_file):
-    mode = "w" if new_file else "a"
-    with open(path, mode) as fh:
-        if new_file:
-            fh.write(_journal_header(spec) + "\n")
-        fh.write(
-            "shard {idx} range {lo}..{hi} total {total} hits {hits}\n".format(**stat)
-        )
-        for space in hit_spaces:
-            fh.write(format_spacefile(space))
+def _append_to_journal(path, text):
+    with open(path, "a") as fh:
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
 
 
-def _load_journal(path, spec):
-    """Completed shard stats and their hit spaces, keyed by shard index."""
-    if not os.path.exists(path):
-        return {}
-    done = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _append_journal_entry(path, pattern, total, hit_spaces):
+    _append_to_journal(
+        path,
+        f"pattern {','.join(map(str, pattern))} total {total} hits {len(hit_spaces)}\n"
+        + "".join(format_spacefile(space) for space in hit_spaces),
+    )
+
+
+def _open_journal(spec, patterns):
+    """The patterns this campaign's journal has decided, as
+    {pattern: (total, hit spaces)}.  A missing or empty journal gets the
+    header; a journal of another campaign is refused."""
+    path = spec.journal
+    lines = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     if not lines:
+        _append_to_journal(path, _journal_header(spec) + "\n")
         return {}
     if lines[0] != _journal_header(spec):
         raise PreconditionError(
             "journal belongs to a different campaign; refuse to resume"
         )
-    current = None
-    block = []
-
-    def close_block():
-        if current is None:
-            return
-        spaces = []
+    entries = []
+    for line in lines[1:]:
+        if line.startswith("pattern "):
+            entry = _JOURNAL_ENTRY.fullmatch(line)
+            if entry is None:
+                raise PreconditionError(f"unreadable journal line {line!r}")
+            entries.append((entry, []))
+        elif entries and line.strip() and not line.startswith("#"):
+            entries[-1][1].append(line)
+    known = set(patterns)
+    done = {}
+    for entry, block in entries:
+        pattern = tuple(int(c) for c in entry[1].split(",") if c)
+        if pattern not in known or pattern in done:
+            raise PreconditionError(f"journal entry for pattern {pattern} does not fit")
         # hit blocks start on their "field" header lines
         starts = [i for i, line in enumerate(block) if line.startswith("field ")]
-        for si, start in enumerate(starts):
-            end = starts[si + 1] if si + 1 < len(starts) else len(block)
-            spaces.append(
-                parse_spacefile(
-                    "\n".join(block[start:end]),
-                    exploratory=spec.field.exploratory,
-                )
-            )
-        if len(spaces) != current["hits"]:
+        spaces = [
+            parse_spacefile("\n".join(block[a:b]), exploratory=spec.field.exploratory)
+            for a, b in zip(starts, starts[1:] + [len(block)])
+        ]
+        if len(spaces) != int(entry[3]):
             raise PreconditionError("journal is truncated; delete it and rerun")
-        done[current["idx"]] = (current, spaces)
-
-    for line in lines[1:]:
-        if line.startswith("shard "):
-            close_block()
-            parts = line.split()
-            lo, _, hi = parts[3].partition("..")
-            current = {
-                "idx": int(parts[1]),
-                "lo": int(lo),
-                "hi": int(hi),
-                "total": int(parts[5]),
-                "hits": int(parts[7]),
-            }
-            block = []
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
-            block.append(line)
-    close_block()
+        done[pattern] = (int(entry[2]), spaces)
     return done
 
 
@@ -505,129 +477,62 @@ def _load_journal(path, spec):
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run the sweep described by ``spec`` and fully verify every hit."""
-    started = time.time()
     field, n = spec.field, spec.n
     if not len(spec.constraints) <= spec.dim <= n * n:
         raise PreconditionError(
             f"target dimension {spec.dim} outside [{len(spec.constraints)}, {n * n}]"
         )
+    if spec.shards < 1:
+        raise PreconditionError(f"need at least one shard, got {spec.shards}")
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
     reduction = _Reduction(field, n, spec.constraints)
     sub_dim = spec.dim - len(spec.constraints)
     if spec.mode == "exhaustive":
-        report = _run_exhaustive(spec, reduction, sub_dim)
-    elif spec.mode == "random":
-        report = _run_random(spec, reduction, sub_dim)
-    else:
-        raise ValueError(f"unknown campaign mode {spec.mode!r}")
-    report.elapsed = time.time() - started
-    return report
+        return _run_exhaustive(spec, reduction, sub_dim)
+    if spec.mode == "random":
+        return _run_random(spec, reduction, sub_dim)
+    raise ValueError(f"unknown campaign mode {spec.mode!r}")
 
 
 def _run_exhaustive(spec, reduction, sub_dim):
-    field = spec.field
-    q = field.q
     limit = DEFAULT_BUDGET if spec.budget is None else spec.budget
-    expected = grassmann_count(reduction.quotient_dim, sub_dim, q)
+    expected = grassmann_count(reduction.quotient_dim, sub_dim, spec.field.q)
     if expected > limit:
         raise BudgetExceededError(
             f"{expected} candidates exceed the campaign budget {limit}"
         )
     report = CampaignReport(spec.summary_line(), 0, expected)
+    patterns = pivot_patterns(reduction.quotient_dim, sub_dim)
+    done = _open_journal(spec, patterns) if spec.journal else {}
 
     good = _goodness_table(reduction)
     if not good[0]:
         # a bad element inside the constraint span dooms every candidate
         report.total = expected
-        report.shard_stats.append(
-            {"idx": 0, "lo": 0, "hi": 0, "total": expected, "hits": 0}
-        )
-        _verify_hits(spec, report)
         return report
 
-    patterns = pivot_patterns(reduction.quotient_dim, sub_dim)
-    sizes = [pattern_size(p, reduction.quotient_dim, q) for p in patterns]
-    ranges = _shard_ranges(sizes, spec.shards)
-
-    done = {}
-    journal_has_header = False
-    if spec.journal and spec.resume:
-        done = _load_journal(spec.journal, spec)
-        journal_has_header = (
-            os.path.exists(spec.journal) and os.path.getsize(spec.journal) > 0
-        )
-
-    jobs = []
-    for idx, (lo, hi) in enumerate(ranges):
-        if idx in done:
-            continue
-        jobs.append(
-            (
-                _field_sig(field),
-                reduction.quotient_dim,
-                patterns[lo:hi],
-                good,
-                idx,
-                lo,
-                hi,
-            )
-        )
-
-    results = {}
-    if jobs:
-        if spec.shards > 1 and len(jobs) > 1:
-            workers = min(len(jobs), spec.shards, os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for out in pool.map(_scan_shard, jobs):
-                    results[out["idx"]] = out
-        else:
-            for job in jobs:
-                out = _scan_shard(job)
-                results[out["idx"]] = out
-
-    hit_spaces = {}
-    for idx in sorted(results):
-        out = results[idx]
-        spaces = [reduction.space_from(rows) for rows in out["hits"]]
-        hit_spaces[idx] = spaces
-        stat = {
-            "idx": idx,
-            "lo": out["lo"],
-            "hi": out["hi"],
-            "total": out["total"],
-            "hits": len(spaces),
-        }
-        results[idx]["stat"] = stat
+    todo = [p for p in patterns if p not in done]
+    scan = functools.partial(_scan_pattern, spec.field, reduction.quotient_dim, good)
+    for pattern, (decided, rows) in zip(todo, _in_pattern_order(scan, todo, spec.shards)):
+        spaces = [reduction.space_from(r) for r in rows]
         if spec.journal:
-            _write_journal_entry(
-                spec.journal, spec, stat, spaces, new_file=not journal_has_header
-            )
-            journal_has_header = True
+            _append_journal_entry(spec.journal, pattern, decided, spaces)
+        done[pattern] = (decided, spaces)
 
-    merged = []
-    for idx in sorted(set(done) | set(results)):
-        if idx in done:
-            stat, spaces = done[idx]
-            report.shard_stats.append(stat)
-            merged.extend(spaces)
-        else:
-            report.shard_stats.append(results[idx]["stat"])
-            merged.extend(hit_spaces[idx])
-
-    report.total = sum(stat["total"] for stat in report.shard_stats)
+    report.total = sum(decided for decided, _ in done.values())
     if report.total != expected:
         report.alarms.append(
             f"candidate count {report.total} disagrees with the Gaussian binomial {expected}"
         )
-    merged.sort(key=lambda s: s.key())
-    report.hits = [HitRecord(space=s) for s in merged]
+    hits = sorted((s for _, spaces in done.values() for s in spaces), key=lambda s: s.key())
+    report.hits = [HitRecord(space=s) for s in hits]
     _verify_hits(spec, report)
     return report
 
 
-def _run_random(spec, reduction, sub_dim, *_):
+def _run_random(spec, reduction, sub_dim):
     """Seeded random search; returns hits found among `count` samples."""
     field = spec.field
     rng = random.Random(spec.seed)
@@ -674,7 +579,6 @@ def _verify_hits(spec, report):
         try:
             flag, _trace = recover_flag(space, assume_weakly_triangularizable=True)
             hit.recovered = True
-            hit.chain = flag.chain()
             if n >= 3:
                 extraction = extract_structure_maps(space, flag)
                 hit.extraction_ok = extraction.all_checks_pass()
