@@ -15,21 +15,17 @@ from .linalg import Vec, kernel_basis, row_dot, span_rows
 from .spaces import MatSpace
 
 
-def projective_reps(field, n, reverse=False):
+def projective_reps(field, n):
     """Normalized projective representatives of F^n in lexicographic order.
 
     Each line is represented by its unique vector with first nonzero
     coordinate 1; tuples compare lexicographically, so representatives with
-    later leading index come first.
+    later leading index come first.  Generated lazily: a scan that stops early
+    never touches the q^(n-1) representatives with leading index 0.
     """
-    reps = []
     for lead in range(n - 1, -1, -1):
-        tail_len = n - lead - 1
-        for tail in itertools.product(field.elements(), repeat=tail_len):
-            reps.append(Vec(field, (0,) * lead + (1,) + tail))
-    if reverse:
-        reps.reverse()
-    return reps
+        for tail in itertools.product(field.elements(), repeat=n - lead - 1):
+            yield Vec(field, (0,) * lead + (1,) + tail)
 
 
 def _normalize(x: Vec) -> Vec:
@@ -83,9 +79,9 @@ def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
     return constrained.basis[0].trace() != 0
 
 
-def find_adapted_vector(space: MatSpace, reverse=False):
+def find_adapted_vector(space: MatSpace):
     """First adapted projective representative in scan order, or None."""
-    for x in projective_reps(space.field, space.n, reverse=reverse):
+    for x in projective_reps(space.field, space.n):
         if is_adapted_vector(space, x):
             return x
     return None

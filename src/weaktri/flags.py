@@ -4,9 +4,13 @@ invariant flag of an optimal weakly triangularizable matrix space.
 The recovery algorithm is inductive: pick an adapted vector x as the last
 basis vector, pass to the induced space on V/F.x, recover a flag there, and
 lift its adapted basis into the kernel of the unique rank-1 idempotent with
-range F.x.  The runtime correctness gate is the exact equality
-flag_space(result) == input; the structure-map extraction re-derives the
-block-pattern uniqueness and vanishing facts as post-hoc diagnostics.
+range F.x.  Each level computes the line {u in S : im(u) <= F.x} once and
+reads the idempotent off it.  One line quotient (stabilizer of F.x, induced
+space on V/F.x, projection) serves both recovery, at the adapted x, and the
+descent of the structure-map extraction, at x = e_n.  The runtime
+correctness gate is the exact equality flag_space(result) == input; the
+structure-map extraction re-derives the block-pattern uniqueness and
+vanishing facts as post-hoc diagnostics.
 
 Every internal assertion whose truth is guaranteed by the theory raises
 TheoremViolationError when it fails; such an alarm is never swallowed and
@@ -88,17 +92,14 @@ class Flag:
 def flag_space(flag: Flag) -> MatSpace:
     """All endomorphisms leaving every flag subspace invariant.
 
-    Upper-triangular in the flag basis, so the dimension is n(n+1)/2.
+    Upper-triangular in the flag basis, so the dimension is n(n+1)/2.  The
+    one construction of the span of the P E_ij P^-1, i <= j.
     """
     F, n = flag.field, flag.n
-    p = flag.basis_matrix()
-    p_inv = invert(p)
-    mats = [
-        p * Mat.unit(F, n, i, j) * p_inv
-        for i in range(n)
-        for j in range(i, n)
-    ]
-    space = MatSpace.from_span(mats, field=F, n=n)
+    upper = MatSpace.from_span(
+        [Mat.unit(F, n, i, j) for i in range(n) for j in range(i, n)], field=F, n=n
+    )
+    space = upper.conjugate(flag.basis_matrix())
     if space.dim != n * (n + 1) // 2:
         raise TheoremViolationError("flag space has the wrong dimension")
     return space
@@ -224,21 +225,55 @@ def find_rank1_idempotent(space: MatSpace, x: Vec) -> Mat:
     For an optimal space and adapted x this is a rank-1 idempotent with range
     exactly F.x; anything else is a theorem-violation alarm.
     """
-    constrained = range_constrained(space, x)
-    if constrained.dim == 0:
-        _violate("no trace-1 element with range in the given line", None)
-    if constrained.dim > 1:
-        _violate("trace-1 element with range in the given line is not unique", None)
-    gen = constrained.basis[0]
+    return _idempotent_of_line(range_constrained(space, x), x, None)
+
+
+def _idempotent_of_line(line, x, trace):
+    """The trace-1 element of ``line`` = {u in S : im(u) <= F.x}, checked to
+    be an idempotent fixing x; alarms carry ``trace``."""
+    if line.dim == 0:
+        _violate("no trace-1 element with range in the given line", trace)
+    if line.dim > 1:
+        _violate("trace-1 element with range in the given line is not unique", trace)
+    gen = line.basis[0]
     t = gen.trace()
     if t == 0:
-        _violate("no trace-1 element with range in the given line", None)
-    pi = gen.scale(space.field.inv(t))
+        _violate("no trace-1 element with range in the given line", trace)
+    pi = gen.scale(x.field.inv(t))
     if pi * pi != pi:
-        _violate("trace-1 candidate is not idempotent", None)
+        _violate("trace-1 candidate is not idempotent", trace)
     if pi.apply(x) != x:
-        _violate("idempotent does not fix its range generator", None)
+        _violate("idempotent does not fix its range generator", trace)
     return pi
+
+
+def _line_quotient(space, x):
+    """The stabilizer {u in S : u(x) in F.x}, the space it induces on
+    F^n / F.x, and the projection F^n -> F^(n-1) onto that quotient.
+
+    x must have leading coordinate 1; the quotient keeps the other
+    coordinates, so for x = e_n the induced maps are the leading blocks.
+    """
+    F, n = space.field, space.n
+    lead = next(i for i, e in enumerate(x.entries) if e)
+    qcols = [i for i in range(n) if i != lead]
+    images = [b.apply(x) for b in space.basis]
+    stab_coeffs = kernel_basis(
+        [tuple(F.sub(img[i], F.mul(img[lead], x[i])) for img in images) for i in qcols],
+        F,
+    )
+    stabilizer = MatSpace.from_span(
+        [space.combination(c) for c in stab_coeffs], field=F, n=n
+    )
+
+    def project(v):
+        return tuple(F.sub(v[i], F.mul(v[lead], x[i])) for i in qcols)
+
+    # u induces the map whose columns are the projected u(e_j), j != lead
+    induced = [
+        Mat.from_rows(F, zip(*(project(u.col(j)) for j in qcols))) for u in stabilizer.basis
+    ]
+    return stabilizer, MatSpace.from_span(induced, field=F, n=n - 1), project
 
 
 # -- base cases ---------------------------------------------------------------
@@ -250,20 +285,12 @@ def base_case_n2(space: MatSpace, budget=None):
     The complement of an optimal 3-dimensional space is one trace-zero line
     F.v0; in the basis (v0(j), j) for any j with (j, v0(j)) independent, v0
     is an off-diagonal companion-like matrix whose lower-left entry must be
-    zero, which exhibits the space as the upper-triangular matrices.
+    zero, which exhibits the space as the upper-triangular matrices.  This is
+    ``recover_flag`` restricted to n = 2; its trace is the one base2 level.
     """
     if space.n != 2:
         raise PreconditionError("base case needs 2x2 matrices")
-    if space.dim != 3:
-        raise PreconditionError(f"expected dimension 3, got {space.dim}")
-    verdict = space_weakly_triangularizable(space, budget=budget)
-    if not verdict:
-        raise PreconditionError(
-            f"space is not weakly triangularizable; witness {verdict.witness!r}"
-        )
-    trace = RecoveryTrace(2, space.field.descriptor())
-    flag = _base_case_n2_into(space, trace)
-    return flag, trace
+    return recover_flag(space, budget=budget)
 
 
 def _base_case_n2_into(space, trace):
@@ -316,13 +343,7 @@ def _base_case_n2_into(space, trace):
 # -- main recovery ------------------------------------------------------------
 
 
-def recover_flag(
-    space: MatSpace,
-    *,
-    scan_reverse=False,
-    budget=None,
-    assume_weakly_triangularizable=False,
-):
+def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable=False):
     """Recover the unique complete flag F with flag_space(F) == space.
 
     The input must be optimal (dimension n(n+1)/2) and weakly
@@ -349,11 +370,11 @@ def recover_flag(
                 f"space is not weakly triangularizable; witness {verdict.witness!r}"
             )
     trace = RecoveryTrace(n, F.descriptor())
-    flag = _recover_into(space, trace, scan_reverse)
+    flag = _recover_into(space, trace)
     return flag, trace
 
 
-def _recover_into(space, trace, scan_reverse):
+def _recover_into(space, trace):
     F, n = space.field, space.n
     if n == 1:
         rec = LevelRecord(n=1, kind="base1")
@@ -369,7 +390,7 @@ def _recover_into(space, trace, scan_reverse):
     rec = LevelRecord(n=n, kind="inductive")
     trace.levels.append(rec)
 
-    x = find_adapted_vector(space, reverse=scan_reverse)
+    x = find_adapted_vector(space)
     rec.checks["adapted_vector_found"] = x is not None
     if x is None:
         _violate("weakly triangularizable space has no adapted vector", trace)
@@ -378,69 +399,33 @@ def _recover_into(space, trace, scan_reverse):
     line = range_constrained(space, x)
     rec.range_line_dim = line.dim
     rec.checks["range_line_dim"] = line.dim == 1
-    if line.dim != 1:
-        _violate("rank-one slice through the adapted line has wrong dimension", trace)
-    try:
-        pi = find_rank1_idempotent(space, x)
-    except TheoremViolationError as exc:
-        exc.trace = trace
-        raise
+    pi = _idempotent_of_line(line, x, trace)
     rec.idempotent = pi.entries
 
-    lead = next(i for i, e in enumerate(x.entries) if e)
-
-    # stabilizer of the line: u(x) must fall back into F.x
-    stab_rows = []
-    images = [b.apply(x) for b in space.basis]
-    for i in range(n):
-        if i == lead:
-            continue
-        stab_rows.append(
-            tuple(F.sub(img[i], F.mul(img[lead], x[i])) for img in images)
-        )
-    stab_coeffs = kernel_basis(stab_rows, F)
-    stabilizer = MatSpace.from_span(
-        [space.combination(c) for c in stab_coeffs], field=F, n=n
-    )
+    stabilizer, quotient_space, project = _line_quotient(space, x)
     rec.stabilizer_dim = stabilizer.dim
     rec.checks["stabilizer_dim"] = stabilizer.dim == space.dim - (n - 1)
     if not rec.checks["stabilizer_dim"]:
         _violate("line stabilizer has wrong dimension", trace)
 
     # orbit of x spans everything
-    orbit_rows, _ = rref([img.entries for img in images], F)
+    orbit_rows, _ = rref([b.apply(x).entries for b in space.basis], F)
     rec.checks["orbit_spans"] = len(orbit_rows) == n
     if not rec.checks["orbit_spans"]:
         _violate("orbit of the adapted vector does not span the space", trace)
 
-    qcols = [i for i in range(n) if i != lead]
-
-    def project(v):
-        c = v[lead]
-        if c:
-            return tuple(F.sub(v[i], F.mul(c, x[i])) for i in qcols)
-        return tuple(v[i] for i in qcols)
-
-    induced = []
-    for u in stabilizer.basis:
-        cols = [project(u.col(src)) for src in qcols]
-        induced.append(
-            Mat(F, n - 1, tuple(cols[j][i] for i in range(n - 1) for j in range(n - 1)))
-        )
-    quotient_space = MatSpace.from_span(induced, field=F, n=n - 1)
     rec.quotient_dim = quotient_space.dim
     rec.checks["quotient_optimal"] = quotient_space.dim == (n - 1) * n // 2
     if not rec.checks["quotient_optimal"]:
         _violate("induced space on the quotient is not optimal", trace)
 
-    sub_flag = _recover_into(quotient_space, trace, scan_reverse)
+    sub_flag = _recover_into(quotient_space, trace)
 
+    # lift into ker(pi) the quotient vectors, embedded with 0 at x's lead
+    lead = next(i for i, e in enumerate(x.entries) if e)
     lifted = []
     for f in sub_flag.basis:
-        ambient = [0] * n
-        for c, v in zip(qcols, f.entries):
-            ambient[c] = v
-        vec = Vec(F, ambient)
+        vec = Vec(F, f.entries[:lead] + (0,) + f.entries[lead:])
         lift = vec - pi.apply(vec)
         if project(lift.entries) != f.entries:
             _violate("lifted vector does not project to its quotient vector", trace)
@@ -477,22 +462,11 @@ def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
         raise PreconditionError("flag does not generate the given space")
     F = space.field
     trace = RecoveryTrace(space.n, F.descriptor())
-    p = flag.basis_matrix()
-    level = space.conjugate(invert(p))
-    n = space.n
-    while n >= 3:
+    level = space.conjugate(invert(flag.basis_matrix()))
+    while level.n >= 3:
         _extract_level(level, trace)
-        # descend: members mapping the last coordinate line into itself,
-        # induced on the quotient F^(n-1)
-        _, stabilizer = _affine_members(
-            level, {(i, n - 1): 0 for i in range(n - 1)}
-        )
-        induced = [
-            Mat(F, n - 1, tuple(m.entry(i, j) for i in range(n - 1) for j in range(n - 1)))
-            for m in stabilizer
-        ]
-        level = MatSpace.from_span(induced, field=F, n=n - 1)
-        n -= 1
+        # descend to the space induced on F^n / F.e_n
+        _, level, _ = _line_quotient(level, Vec.unit(F, level.n, level.n - 1))
     return trace
 
 

@@ -3,9 +3,13 @@ Grassmannian of matrix subspaces.
 
 A campaign sweeps every candidate subspace of the target dimension (optionally
 constrained to contain given matrices, e.g. the identity), decides weak
-triangularizability for each, and fully verifies every hit: independent
-exhaustive re-check, identity membership, flag recovery, and structure-map
-extraction.
+triangularizability for each, and verifies every hit by one policy, whatever
+the mode.  Each hit gets an independent exhaustive element sweep.  Weakly
+triangularizable spaces have dimension at most t_n = n(n+1)/2, so a hit of
+dimension t_n must also be a flag space: its flag is recovered (the gate
+flag_space(flag) == hit also implies I in the hit) and, for n >= 3, its
+structure maps are extracted.  Below t_n the sweep is the whole check; above
+t_n a hit is a theorem-violation alarm.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
 bases row by row, bottom row first.  A goodness table holds one flag per
@@ -36,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .flags import extract_structure_maps, recover_flag
+from .flags import Flag, extract_structure_maps, flag_space, recover_flag
 from .gf import FieldCtx, splits_over
 from .grassmann import (
     enumerate_subspaces,
@@ -60,15 +64,11 @@ _CHAIN_CHECK_LIMIT = 10**5
 
 
 def gen_triangular(n, field, conjugate_by=None) -> MatSpace:
-    """Upper-triangular matrices, optionally conjugated by an invertible P."""
-    space = MatSpace.from_span(
-        [Mat.unit(field, n, i, j) for i in range(n) for j in range(i, n)],
-        field=field,
-        n=n,
-    )
-    if conjugate_by is not None:
-        space = space.conjugate(conjugate_by)
-    return space
+    """Upper-triangular matrices, optionally conjugated by an invertible P:
+    the flag space of the standard flag, or of the flag of P's columns."""
+    if conjugate_by is None:
+        return flag_space(Flag.standard(field, n))
+    return flag_space(Flag(field, [conjugate_by.col(j) for j in range(n)]))
 
 
 def gen_sym(n, field) -> MatSpace:
@@ -198,19 +198,7 @@ class CampaignSpec:
 @dataclass
 class HitRecord:
     space: MatSpace
-    contains_identity: bool = False
-    recovered: bool = False
-    extraction_ok: bool | None = None
     alarm: str | None = None
-
-    @property
-    def ok(self):
-        return (
-            self.contains_identity
-            and self.recovered
-            and self.alarm is None
-            and self.extraction_ok is not False
-        )
 
 
 @dataclass
@@ -227,7 +215,7 @@ class CampaignReport:
 
     @property
     def all_hits_ok(self):
-        return all(h.ok for h in self.hits)
+        return all(h.alarm is None for h in self.hits)
 
     def to_text(self):
         lines = [
@@ -242,10 +230,6 @@ class CampaignReport:
             lines.append(f"# alarm: {alarm}")
         for i, hit in enumerate(self.hits):
             lines.append(f"hit {i}")
-            lines.append(
-                f"  verified: identity={hit.contains_identity} recovered={hit.recovered} "
-                f"extraction={'n/a' if hit.extraction_ok is None else hit.extraction_ok}"
-            )
             for raw in format_spacefile(hit.space).splitlines():
                 lines.append("  " + raw)
         return "\n".join(lines) + "\n"
@@ -408,6 +392,9 @@ def _in_pattern_order(scan, patterns, shards):
 # -- journal ----------------------------------------------------------------------
 
 _JOURNAL_ENTRY = re.compile(r"pattern ([0-9,]*) total ([0-9]+) hits ([0-9]+)")
+_ENTRY_START = re.compile(r"^pattern ", re.MULTILINE)
+# each hit is a spacefile block starting on its "field" line
+_HIT_BLOCK = re.compile(r"^(?=field )", re.MULTILINE)
 
 
 def _journal_header(spec):
@@ -432,44 +419,61 @@ def _append_journal_entry(path, pattern, total, hit_spaces):
 def _open_journal(spec, patterns):
     """The patterns this campaign's journal has decided, as
     {pattern: (total, hit spaces)}.  A missing or empty journal gets the
-    header; a journal of another campaign is refused."""
+    header; a journal of another campaign is refused.
+
+    Entries are appended one write each, so a kill tears at most the final
+    entry (no final newline, an unreadable line, or missing hit blocks); the
+    file is cut back to where it starts and its pattern is scanned again.  A
+    malformed earlier entry is refused.
+    """
     path = spec.journal
-    lines = []
+    header = _journal_header(spec) + "\n"
+    text = ""
     if os.path.exists(path):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    if not lines:
-        _append_to_journal(path, _journal_header(spec) + "\n")
+        with open(path, newline="") as fh:
+            text = fh.read()
+    if not text:
+        _append_to_journal(path, header)
         return {}
-    if lines[0] != _journal_header(spec):
+    if not text.startswith(header):
         raise PreconditionError(
             "journal belongs to a different campaign; refuse to resume"
         )
-    entries = []
-    for line in lines[1:]:
-        if line.startswith("pattern "):
-            entry = _JOURNAL_ENTRY.fullmatch(line)
-            if entry is None:
-                raise PreconditionError(f"unreadable journal line {line!r}")
-            entries.append((entry, []))
-        elif entries and line.strip() and not line.startswith("#"):
-            entries[-1][1].append(line)
+    whole = text.rfind("\n") + 1
+    starts = [m.start() for m in _ENTRY_START.finditer(text, len(header), whole)]
     known = set(patterns)
     done = {}
-    for entry, block in entries:
-        pattern = tuple(int(c) for c in entry[1].split(",") if c)
+    for start, end in zip(starts, starts[1:] + [whole]):
+        try:
+            pattern, total, spaces = _read_journal_entry(text[start:end], spec.field)
+        except ValueError:
+            if end < whole:
+                raise
+            whole = start
+            break
         if pattern not in known or pattern in done:
             raise PreconditionError(f"journal entry for pattern {pattern} does not fit")
-        # hit blocks start on their "field" header lines
-        starts = [i for i, line in enumerate(block) if line.startswith("field ")]
-        spaces = [
-            parse_spacefile("\n".join(block[a:b]), exploratory=spec.field.exploratory)
-            for a, b in zip(starts, starts[1:] + [len(block)])
-        ]
-        if len(spaces) != int(entry[3]):
-            raise PreconditionError("journal is truncated; delete it and rerun")
-        done[pattern] = (int(entry[2]), spaces)
+        done[pattern] = (total, spaces)
+    if whole < len(text):
+        os.truncate(path, len(text[:whole].encode()))
     return done
+
+
+def _read_journal_entry(text, field):
+    """(pattern, candidates decided, hit spaces) of one journal entry, which
+    must read back exactly as it is written."""
+    head, _, body = text.partition("\n")
+    entry = _JOURNAL_ENTRY.fullmatch(head)
+    if entry is None:
+        raise PreconditionError(f"unreadable journal line {head!r}")
+    spaces = [
+        parse_spacefile(block, exploratory=field.exploratory)
+        for block in _HIT_BLOCK.split(body)[1:]
+    ]
+    # a block cut after its "n" line still parses, hence the exact comparison
+    if len(spaces) != int(entry[3]) or "".join(map(format_spacefile, spaces)) != body:
+        raise PreconditionError(f"journal entry {head!r} is incomplete")
+    return tuple(int(c) for c in entry[1].split(",") if c), int(entry[2]), spaces
 
 
 # -- campaign driver ---------------------------------------------------------------
@@ -489,11 +493,13 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
             raise PreconditionError("constraint matrix in the wrong ambient space")
     reduction = _Reduction(field, n, spec.constraints)
     sub_dim = spec.dim - len(spec.constraints)
-    if spec.mode == "exhaustive":
-        return _run_exhaustive(spec, reduction, sub_dim)
-    if spec.mode == "random":
-        return _run_random(spec, reduction, sub_dim)
-    raise ValueError(f"unknown campaign mode {spec.mode!r}")
+    run = {"exhaustive": _run_exhaustive, "random": _run_random}.get(spec.mode)
+    if run is None:
+        raise ValueError(f"unknown campaign mode {spec.mode!r}")
+    report, spaces = run(spec, reduction, sub_dim)
+    report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]
+    _verify_hits(spec, report)
+    return report
 
 
 def _run_exhaustive(spec, reduction, sub_dim):
@@ -511,7 +517,7 @@ def _run_exhaustive(spec, reduction, sub_dim):
     if not good[0]:
         # a bad element inside the constraint span dooms every candidate
         report.total = expected
-        return report
+        return report, []
 
     todo = [p for p in patterns if p not in done]
     scan = functools.partial(_scan_pattern, spec.field, reduction.quotient_dim, good)
@@ -526,14 +532,11 @@ def _run_exhaustive(spec, reduction, sub_dim):
         report.alarms.append(
             f"candidate count {report.total} disagrees with the Gaussian binomial {expected}"
         )
-    hits = sorted((s for _, spaces in done.values() for s in spaces), key=lambda s: s.key())
-    report.hits = [HitRecord(space=s) for s in hits]
-    _verify_hits(spec, report)
-    return report
+    return report, [s for _, spaces in done.values() for s in spaces]
 
 
 def _run_random(spec, reduction, sub_dim):
-    """Seeded random search; returns hits found among `count` samples."""
+    """Seeded random search: the report and the hits among `count` samples."""
     field = spec.field
     rng = random.Random(spec.seed)
     report = CampaignReport(spec.summary_line(), 0, None)
@@ -555,35 +558,25 @@ def _run_random(spec, reduction, sub_dim):
         seen.add(space.key())
         if space_weakly_triangularizable(space, budget=spec.budget):
             hits.append(space)
-    hits.sort(key=lambda s: s.key())
-    report.hits = [HitRecord(space=s) for s in hits]
-    _verify_hits(spec, report)
-    return report
+    return report, hits
 
 
 def _verify_hits(spec, report):
-    field, n = spec.field, spec.n
-    identity = Mat.identity(field, n)
+    """The one verification policy; see the module docstring."""
+    n = spec.n
+    optimal = n * (n + 1) // 2
     for hit in report.hits:
         space = hit.space
-        verdict = space_weakly_triangularizable(space, budget=spec.budget)
-        if not verdict:
+        if not space_weakly_triangularizable(space, budget=spec.budget):
             hit.alarm = "scan accepted a space with a non-split element"
-            report.alarms.append(hit.alarm)
-            continue
-        hit.contains_identity = space.contains(identity)
-        if not hit.contains_identity:
-            hit.alarm = "weakly triangularizable hit misses the identity"
-            report.alarms.append(hit.alarm)
-            continue
-        try:
-            flag, _trace = recover_flag(space, assume_weakly_triangularizable=True)
-            hit.recovered = True
-            if n >= 3:
-                extraction = extract_structure_maps(space, flag)
-                hit.extraction_ok = extraction.all_checks_pass()
-            else:
-                hit.extraction_ok = None
-        except TheoremViolationError as exc:
-            hit.alarm = f"recovery alarm: {exc}"
+        elif space.dim > optimal:
+            hit.alarm = f"weakly triangularizable hit of dimension {space.dim} > n(n+1)/2"
+        elif space.dim == optimal:
+            try:
+                flag, _trace = recover_flag(space, assume_weakly_triangularizable=True)
+                if n >= 3:
+                    extract_structure_maps(space, flag)
+            except TheoremViolationError as exc:
+                hit.alarm = f"recovery alarm: {exc}"
+        if hit.alarm is not None:
             report.alarms.append(hit.alarm)

@@ -8,6 +8,7 @@ from weaktri.adapted import (
     projective_reps,
     range_constrained,
 )
+from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, Vec, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 
@@ -20,10 +21,13 @@ class TestProjectiveReps:
         reps = projective_reps(gf3, 2)
         assert [r.entries for r in reps] == [(0, 1), (1, 0), (1, 1), (1, 2)]
 
-    def test_reverse(self, gf3):
-        fwd = projective_reps(gf3, 3)
-        assert projective_reps(gf3, 3, reverse=True) == list(reversed(fwd))
-        assert len(fwd) == (27 - 1) // 2
+    def test_count(self, gf3):
+        assert len(list(projective_reps(gf3, 3))) == (27 - 1) // 2
+
+    def test_streamed(self):
+        # the first representatives come without building the q^2 others
+        reps = projective_reps(FieldCtx(1000003), 3)
+        assert [next(reps).entries for _ in range(3)] == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
     def test_normalized(self, gf5):
         for rep in projective_reps(gf5, 3):

@@ -52,3 +52,53 @@ def test_campaign_stdout_does_not_depend_on_shards(capsys):
 def test_flags_of_a_large_field_exit_0(capsys):
     assert main(["flags", "--n", "3", "--field", "GF(1000003)"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1000011000041000052"
+
+
+@pytest.fixture
+def t3(tmp_path, capsys):
+    """Upper-triangular 3x3 matrices over GF(3)."""
+    assert main(["gen", "--kind", "triangular", "--n", "3", "--field", "GF(3)"]) == 0
+    path = tmp_path / "t3.space"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+def test_recover_prints_the_flag_and_the_trace(t3, tmp_path, capsys):
+    assert main(["recover", t3]) == 0
+    out = capsys.readouterr().out
+    head = "# space: n=3 dim=6 field=GF(3)\n# recovered: yes\ne1 1 0 0\ne2 0 1 0\ne3 0 0 1\n"
+    assert out.startswith(head + "# trace ambient: 3\n")
+    assert "level 1: n=3 kind=inductive\n" in out and "level 2: n=2 kind=base2\n" in out
+    trace_file = tmp_path / "t3.trace"
+    assert main(["recover", t3, "--trace", str(trace_file)]) == 0
+    assert capsys.readouterr().out == head + f"# trace_file: {trace_file}\n"
+    assert trace_file.read_text() == out[len(head):]
+
+
+def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):
+    assert main(["gen", "--kind", "triangular", "--n", "2", "--field", "GF(3)"]) == 0
+    path = tmp_path / "t2.space"
+    path.write_text(capsys.readouterr().out)
+    assert main(["adapted", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "adapted 0 1"
+
+
+def test_lemma31_over_gf5(capsys):
+    assert main(["lemma31", "--field", "GF(5)", "--degree", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3125 pairs, 75 with split pencils, 0 violations"
+
+
+@pytest.mark.parametrize(
+    "extra, n, dim",
+    [
+        (["--kind", "sym", "--n", "3"], 3, 6),
+        (["--kind", "sl", "--n", "3"], 3, 8),
+        (["--kind", "random", "--n", "3", "--dim", "4"], 3, 4),
+        (["--kind", "joint", "--blocks", "1,2"], 3, 7),
+    ],
+)
+def test_gen_kinds(extra, n, dim, capsys):
+    assert main(["gen", "--field", "GF(3)"] + extra) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["field GF(3)", f"n {n}", f"dim {dim}"]
+    assert len(lines) == 3 + dim

@@ -1,5 +1,7 @@
 import pytest
 
+import weaktri.flags
+from weaktri.adapted import range_constrained
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
     Flag,
@@ -11,9 +13,10 @@ from weaktri.flags import (
     is_chain,
     recover_flag,
 )
+from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, Vec, span_rows
 from weaktri.spaces import MatSpace
-from weaktri.survey import gen_sym
+from weaktri.survey import gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import full_space, random_invertible, seeded, triangular_space
@@ -167,16 +170,31 @@ class TestRecoverFlag:
                 assert flag.chain() == conjugate_chain(p, field, n)
                 assert flag_space(flag) == space
 
-    def test_scan_order_invariance(self, gf3):
-        rng = seeded(13)
-        for _ in range(5):
-            p = random_invertible(gf3, 3, rng)
-            space = triangular_space(gf3, 3).conjugate(p)
-            fwd, _ = recover_flag(space, assume_weakly_triangularizable=True)
-            rev, _ = recover_flag(
-                space, scan_reverse=True, assume_weakly_triangularizable=True
-            )
-            assert fwd.chain() == rev.chain()
+    def test_one_range_line_per_level(self, gf3, monkeypatch):
+        # the adapted scan aside, each inductive level computes its line once
+        calls = []
+
+        def counted(space, x):
+            calls.append(space.n)
+            return range_constrained(space, x)
+
+        monkeypatch.setattr(weaktri.flags, "range_constrained", counted)
+        p = random_invertible(gf3, 5, seeded(23))
+        space = triangular_space(gf3, 5).conjugate(p)
+        _, trace = recover_flag(space, assume_weakly_triangularizable=True)
+        assert [rec.n for rec in trace.levels if rec.kind == "inductive"] == [5, 4, 3]
+        assert calls == [5, 4, 3]
+
+    def test_large_prime_field(self):
+        # the adapted scan streams, so it stops at the first adapted vector
+        # instead of listing all q^2 + q + 1 lines
+        field = FieldCtx(1000003)
+        p = random_invertible(field, 3, seeded(29))
+        space = gen_triangular(3, field, conjugate_by=p)
+        flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
+        assert flag.chain() == conjugate_chain(p, field, 3)
+        assert flag_space(flag) == space
+        assert trace.all_checks_pass()
 
     def test_wrong_dimension_rejected(self, gf3):
         with pytest.raises(PreconditionError, match="dimension"):

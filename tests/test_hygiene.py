@@ -2,10 +2,13 @@
 
 Theorem-guaranteed facts must raise TheoremViolationError: ``python -O``
 strips bare ``assert`` statements.  Imports must be used; the package
-``__init__`` is exempt because its imports are the public re-exports.
+``__init__`` is exempt because its imports are the public re-exports.  A
+module-level private (``_``-prefixed) function, class or constant must be
+referenced somewhere in the package outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,47 @@ def _imported_names(tree):
     return names
 
 
+def _private_definitions(tree):
+    """{name: node} of the module-level ``_name`` functions, classes and
+    constants (dunders excluded)."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node
+    return found
+
+
+def _references(node):
+    """Counter of the names a subtree loads, reads as attributes or imports."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def _unreferenced_privates(trees):
+    everywhere = sum((_references(tree) for tree in trees), Counter())
+    return sorted(
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree).items()
+        if everywhere[name] == _references(node)[name]
+    )
+
+
 def test_modules_found():
     assert {"gf.py", "linalg.py", "survey.py"} <= {p.name for p in MODULES}
 
@@ -50,6 +94,17 @@ def test_no_unused_imports(path):
         name: line for name, line in _imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_unreferenced_private_definitions():
+    unused = _unreferenced_privates([_tree(path) for path in MODULES])
+    assert not unused, f"module-level privates referenced nowhere: {unused}"
+
+
+def test_detects_unreferenced_private():
+    one = ast.parse("_LIMIT = 3\n_KEPT = 4\ndef _rec(k):\n    return _rec(k - 1)\n")
+    other = ast.parse("from .one import _KEPT\n")
+    assert _unreferenced_privates([one, other]) == ["_LIMIT", "_rec"]
 
 
 def test_detects_assert_and_unused_import():

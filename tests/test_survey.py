@@ -1,5 +1,7 @@
 import pytest
 
+import weaktri.survey
+
 from weaktri.cli import main
 from weaktri.errors import PreconditionError
 from weaktri.gf import FieldCtx
@@ -106,3 +108,66 @@ def test_journal_of_another_campaign_refused(gf3, gf5, tmp_path):
     with pytest.raises(PreconditionError, match="different campaign"):
         run_campaign(identity_spec(gf5, journal=str(journal)))
     assert journal.read_text() == before
+
+
+# byte offsets into the n=2 GF(5) journal: inside its first pattern line, after
+# that line, after a hit block's "n" line, inside a "dim" line, one byte short
+# of the first entry's end, inside the second pattern line, and one byte
+# short of the end
+@pytest.mark.parametrize("cut", [83, 100, 107, 239, 240, 300, 338, 350, 508])
+def test_torn_journal_tail_is_rescanned(gf5, tmp_path, cut):
+    whole = tmp_path / "whole.journal"
+    fresh = run_campaign(identity_spec(gf5, journal=str(whole))).to_text()
+    assert len(whole.read_bytes()) == 509
+    torn = tmp_path / "torn.journal"
+    torn.write_bytes(whole.read_bytes()[:cut])
+    assert run_campaign(identity_spec(gf5, journal=str(torn))).to_text() == fresh
+    assert torn.read_bytes() == whole.read_bytes()
+
+
+def test_malformed_entry_before_the_last_refused(gf5, tmp_path):
+    journal = tmp_path / "campaign.journal"
+    run_campaign(identity_spec(gf5, journal=str(journal)))
+    broken = journal.read_text().replace("total 25 hits 4", "total 25 hits 5")
+    journal.write_text(broken)
+    with pytest.raises(PreconditionError, match="incomplete"):
+        run_campaign(identity_spec(gf5, journal=str(journal)))
+    assert journal.read_text() == broken
+
+
+def test_campaign_below_the_optimal_dimension(gf3):
+    # hits of dimension < n(n+1)/2 get the element sweep only
+    with_identity = run_campaign(CampaignSpec(n=2, field=gf3, dim=2, constraints=(Mat.identity(gf3, 2),)))
+    assert (with_identity.total, with_identity.hit_count) == (13, 10)
+    anywhere = run_campaign(CampaignSpec(n=2, field=gf3, dim=2))
+    assert (anywhere.total, anywhere.hit_count) == (130, 46)
+    for report in (with_identity, anywhere):
+        assert report.all_hits_ok and not report.alarms
+
+
+def test_hit_above_the_optimal_dimension_is_an_alarm(gf3, monkeypatch):
+    # no weakly triangularizable space exceeds n(n+1)/2, so make both the
+    # scan and the element sweep accept everything
+    monkeypatch.setattr(weaktri.survey, "_goodness_table", lambda r: [True] * r.field.q**r.quotient_dim)
+    monkeypatch.setattr(weaktri.survey, "space_weakly_triangularizable", lambda *a, **k: True)
+    report = run_campaign(CampaignSpec(n=2, field=gf3, dim=4))
+    assert (report.total, report.hit_count) == (1, 1)
+    assert report.alarms == ["weakly triangularizable hit of dimension 4 > n(n+1)/2"]
+    assert "# hits_verified: NO\n" in report.to_text()
+
+
+@pytest.mark.parametrize("q, hits", [(3, 4), (5, 6)])
+def test_random_campaign_verifies_its_hits(q, hits, capsys):
+    argv = ["campaign", "--n", "2", "--field", f"GF({q})", "--dim", "3",
+            "--contains-identity", "--random", "200"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "# total: 200\n" in out
+    assert f"# hits: {hits}\n# hits_verified: yes\n# alarms: 0\n" in out
+
+
+def test_n3_hits_are_exactly_the_flags(gf3):
+    report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
+    assert report.total == 25_095_280
+    assert report.hit_count == count_flags(3, gf3) == 52
+    assert report.all_hits_ok and not report.alarms
