@@ -458,11 +458,16 @@ def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
     """
     if flag.n < 3:
         raise PreconditionError("structure-map extraction needs n >= 3")
-    if flag_space(flag) != space:
+    F, n = space.field, space.n
+    if flag.field != F or flag.n != n:
         raise PreconditionError("flag does not generate the given space")
-    F = space.field
-    trace = RecoveryTrace(space.n, F.descriptor())
+    # the flag generates the space iff, in the flag basis, the space is
+    # upper triangular and of full dimension n(n+1)/2
     level = space.conjugate(invert(flag.basis_matrix()))
+    upper = all(b.is_upper_triangular() for b in level.basis)
+    if level.dim != n * (n + 1) // 2 or not upper:
+        raise PreconditionError("flag does not generate the given space")
+    trace = RecoveryTrace(n, F.descriptor())
     while level.n >= 3:
         _extract_level(level, trace)
         # descend to the space induced on F^n / F.e_n

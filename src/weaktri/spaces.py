@@ -106,28 +106,81 @@ class MatSpace:
         Prefix sums are shared across the sweep, so each element costs one
         scaled vector addition instead of a full combination.
         """
+        self._check_sweep_budget(budget)
+        for _rank, m in self._sweep(range(self.dim), (0,) * (self.n * self.n), 0):
+            yield m
+
+    def enumerate_classes(self, budget=None):
+        """Yield (rank, element) for one element per class of M ~ cM, c != 0,
+        and, when I is in the space, also M ~ M + lambda I.
+
+        Both moves keep a characteristic polynomial split or non-split, so a
+        split decision over the classes decides every element.  The element
+        is the first of its class in ``enumerate_elements`` order and
+        ``rank`` is its position there: the zero element, or the element
+        whose leading coefficient is 1 and whose coefficient is 0 at the
+        leading coordinate of I's coefficient vector.  Classes come in rank
+        order, so the first class with some property holds the first
+        element with it.  The budget bounds the q^d elements swept.
+        """
+        self._check_sweep_budget(budget)
+        d, q = self.dim, self.field.q
+        pinned = self._identity_lead()
+        yield 0, Mat.zeros(self.field, self.n)
+        for lead in reversed(range(d)):
+            if lead != pinned:
+                rest = [i for i in range(lead + 1, d) if i != pinned]
+                yield from self._sweep(rest, self.basis[lead].entries, q ** (d - 1 - lead))
+
+    def enumerate_modulo_identity(self, budget=None):
+        """Yield one element per coset of F.I in the space, in
+        ``enumerate_elements`` order: those whose coefficient is 0 at the
+        leading coordinate of I's coefficient vector (every element when I
+        is outside the space)."""
+        self._check_sweep_budget(budget)
+        pinned = self._identity_lead()
+        rest = [i for i in range(self.dim) if i != pinned]
+        for _rank, m in self._sweep(rest, (0,) * (self.n * self.n), 0):
+            yield m
+
+    def _identity_lead(self):
+        """Index of the first nonzero coefficient of I over the basis, or None
+        when I is outside the space."""
+        coords = self.coords_of(Mat.identity(self.field, self.n))
+        if coords is None:
+            return None
+        return next(i for i, c in enumerate(coords) if c)
+
+    def _check_sweep_budget(self, budget):
         limit = DEFAULT_BUDGET if budget is None else budget
         if self.element_count() > limit:
             raise BudgetExceededError(
                 f"{self.element_count()} elements exceed the sweep budget {limit}"
             )
+
+    def _sweep(self, positions, start, rank):
+        """Yield (rank, start + sum c_i basis[i]) over every choice of the
+        coefficients c_i at ``positions``, in lexicographic order; the rank of
+        an element is its position in ``enumerate_elements``."""
         F, n, d = self.field, self.n, self.dim
         add, mul = F.add, F.mul
-        elements = tuple(F.elements())
-        rows = [b.entries for b in self.basis]
+        nonzero = tuple(enumerate(F.elements()))[1:]
+        rows = [(self.basis[i].entries, F.q ** (d - 1 - i)) for i in positions]
 
-        def rec(idx, acc):
-            if idx == d:
-                yield Mat._wrap(F, n, tuple(acc))
+        def rec(idx, acc, rank):
+            if idx == len(rows):
+                yield rank, Mat._wrap(F, n, tuple(acc))
                 return
-            row = rows[idx]
-            yield from rec(idx + 1, acc)
-            for c in elements[1:]:
+            row, weight = rows[idx]
+            yield from rec(idx + 1, acc, rank)
+            for pos, c in nonzero:
                 yield from rec(
-                    idx + 1, [add(a, mul(c, e)) for a, e in zip(acc, row)]
+                    idx + 1,
+                    [add(a, mul(c, e)) for a, e in zip(acc, row)],
+                    rank + pos * weight,
                 )
 
-        yield from rec(0, [0] * (n * n))
+        yield from rec(0, start, rank)
 
     # -- transformed spaces -------------------------------------------------------
 

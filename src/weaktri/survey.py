@@ -9,17 +9,23 @@ triangularizable spaces have dimension at most t_n = n(n+1)/2, so a hit of
 dimension t_n must also be a flag space: its flag is recovered (the gate
 flag_space(flag) == hit also implies I in the hit) and, for n >= 3, its
 structure maps are extracted.  Below t_n the sweep is the whole check; above
-t_n a hit is a theorem-violation alarm.
+t_n a hit is a theorem-violation alarm.  The theorem needs odd
+characteristic: over characteristic 2 (exploratory fields) a hit of
+dimension t_n whose flag cannot be recovered is a non-flag hit, counted in
+its own report line, not an alarm.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
 bases row by row, bottom row first.  A goodness table holds one flag per
 quotient class: the class is bad when some lift of it over the constraint
 span has a characteristic polynomial that ``gf.splits_over`` rejects (the one
-split decision of the package).  Any candidate whose partial span hits a bad
-class is rejected together with its entire subtree (all such candidates
-contain that same bad element), with skipped counts tracked exactly.  Badness
-is invariant under scalars, so only one representative per new projective
-point is tested.
+split decision of the package).  Badness is invariant under nonzero scalars,
+so only classes whose top nonzero digit is 1 are decided, and every other
+class copies the smaller class it scales down to.  Splitting is also
+invariant under adding multiples of I, so when I is in the constraint span
+the lifts run over that span modulo F.I (only the zero lift for a lone
+identity constraint).  Any candidate whose partial span hits a bad class is
+rejected together with its entire subtree (all such candidates contain that
+same bad element), with skipped counts tracked exactly.
 
 The pivot pattern is the unit of work.  Each pattern's candidates are decided
 in one call, in process or on a pool of ``shards`` worker processes; the
@@ -199,6 +205,7 @@ class CampaignSpec:
 class HitRecord:
     space: MatSpace
     alarm: str | None = None
+    non_flag: bool = False
 
 
 @dataclass
@@ -208,6 +215,8 @@ class CampaignReport:
     expected_total: int | None
     hits: list = dc_field(default_factory=list)
     alarms: list = dc_field(default_factory=list)
+    # characteristic 2 only: optimal hits there need not be flag spaces
+    counts_non_flag: bool = False
 
     @property
     def hit_count(self):
@@ -223,13 +232,17 @@ class CampaignReport:
             f"# total: {self.total}",
             f"# expected_total: {self.expected_total if self.expected_total is not None else '-'}",
             f"# hits: {self.hit_count}",
+        ]
+        if self.counts_non_flag:
+            lines.append(f"# non_flag_hits: {sum(h.non_flag for h in self.hits)}")
+        lines += [
             f"# hits_verified: {'yes' if self.all_hits_ok else 'NO'}",
             f"# alarms: {len(self.alarms)}",
         ]
         for alarm in self.alarms:
             lines.append(f"# alarm: {alarm}")
         for i, hit in enumerate(self.hits):
-            lines.append(f"hit {i}")
+            lines.append(f"hit {i} non-flag" if hit.non_flag else f"hit {i}")
             for raw in format_spacefile(hit.space).splitlines():
                 lines.append("  " + raw)
         return "\n".join(lines) + "\n"
@@ -263,33 +276,35 @@ class _Reduction:
         )
 
     def constraint_span_elements(self):
-        F = self.field
-        for coeffs in itertools.product(F.elements(), repeat=len(self.rows)):
-            acc = [0] * self.m
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for i, e in enumerate(row):
-                        if e:
-                            acc[i] = F.add(acc[i], F.mul(c, e))
-            yield tuple(acc)
+        """The constraint span, modulo F.I when I is in it."""
+        span = MatSpace(self.field, self.n, (Mat(self.field, self.n, r) for r in self.rows))
+        return [z.entries for z in span.enumerate_modulo_identity()]
 
 
 def _goodness_table(reduction: _Reduction):
     """good[packed class] == every lift over the constraint span splits.
 
-    Class 0 lifts to exactly the constraint span, so good[0] is False when
-    some constraint combination has a non-split characteristic polynomial.
+    Only classes whose top nonzero digit is 1 compute char polys.  Any other
+    class is a nonzero multiple of the one it scales down to, whose top digit
+    is 1 and whose index is smaller, and copies that entry.  Class 0 lifts to
+    exactly the constraint span, so good[0] is False when some constraint
+    combination has a non-split characteristic polynomial.
     """
     field, n, m = reduction.field, reduction.n, reduction.m
-    q = field.q
-    span = list(reduction.constraint_span_elements())
-    size = q**reduction.quotient_dim
-    good = [True] * size
-    for idx in range(size):
+    q, k = field.q, reduction.quotient_dim
+    span = reduction.constraint_span_elements()
+    pows = [q**i for i in range(k)]
+    good = [True] * q**k
+    for idx in range(len(good)):
         rest, digits = idx, []
-        for _ in range(reduction.quotient_dim):
+        for _ in range(k):
             rest, r = divmod(rest, q)
             digits.append(r)
+        top = next((r for r in reversed(digits) if r), 0)
+        if top > 1:  # packed 0 and 1 are the field's zero and one
+            inv = field.inv(top)
+            good[idx] = good[sum(field.mul(inv, r) * w for r, w in zip(digits, pows))]
+            continue
         base = [0] * m
         for c, v in zip(reduction.section_cols, digits):
             base[c] = v
@@ -498,6 +513,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
         raise ValueError(f"unknown campaign mode {spec.mode!r}")
     report, spaces = run(spec, reduction, sub_dim)
     report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]
+    report.counts_non_flag = field.p == 2
     _verify_hits(spec, report)
     return report
 
@@ -572,11 +588,17 @@ def _verify_hits(spec, report):
         elif space.dim > optimal:
             hit.alarm = f"weakly triangularizable hit of dimension {space.dim} > n(n+1)/2"
         elif space.dim == optimal:
+            flag = None
             try:
                 flag, _trace = recover_flag(space, assume_weakly_triangularizable=True)
                 if n >= 3:
                     extract_structure_maps(space, flag)
             except TheoremViolationError as exc:
-                hit.alarm = f"recovery alarm: {exc}"
+                # a failed recovery is a non-flag hit over characteristic 2;
+                # a failed extraction is an alarm everywhere
+                if flag is None and report.counts_non_flag:
+                    hit.non_flag = True
+                else:
+                    hit.alarm = f"recovery alarm: {exc}"
         if hit.alarm is not None:
             report.alarms.append(hit.alarm)

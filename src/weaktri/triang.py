@@ -3,7 +3,10 @@
 A matrix is triangularizable over F exactly when its characteristic
 polynomial splits over F (the characteristic and minimal polynomial share
 irreducible factors, so either gives the same verdict; the characteristic
-polynomial is cheaper).
+polynomial is cheaper).  The polynomial of cM (c != 0) splits iff that of M
+does, and so does the polynomial of M + lambda I, so the exhaustive space
+check decides one element per class of ``MatSpace.enumerate_classes``
+rather than all q^dim elements.
 """
 
 from __future__ import annotations
@@ -87,17 +90,18 @@ def space_weakly_triangularizable(
 ) -> SpaceVerdict:
     """Check that every element of the space is triangularizable.
 
-    Exhaustive mode sweeps coefficient vectors in lexicographic order and
-    reports the first counterexample; sample mode draws ``count`` seeded
+    Exhaustive mode walks the classes of ``MatSpace.enumerate_classes`` in
+    rank order and reports the first counterexample of the full
+    lexicographic sweep, which heads its class; ``checked`` counts the
+    elements that sweep would have checked (the witness's rank + 1, or all
+    q^dim on a true verdict).  Sample mode draws ``count`` seeded
     coefficient vectors.
     """
     if mode == "exhaustive":
-        checked = 0
-        for m in space.enumerate_elements(budget=budget):
-            checked += 1
+        for rank, m in space.enumerate_classes(budget=budget):
             if not is_triangularizable(m):
-                return SpaceVerdict(False, m, True, checked)
-        return SpaceVerdict(True, None, True, checked)
+                return SpaceVerdict(False, m, True, rank + 1)
+        return SpaceVerdict(True, None, True, space.element_count())
     if mode == "sample":
         rng = random.Random(seed)
         q = space.field.q

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat, invert
+from weaktri.linalg import Mat, char_poly, invert
 from weaktri.spaces import MatSpace
 
 
@@ -56,3 +56,15 @@ def random_invertible(field, n, rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def counting_char_polys(monkeypatch, module):
+    """Count the char polys ``module`` computes through its own binding."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return char_poly(m)
+
+    monkeypatch.setattr(module, "char_poly", counted)
+    return calls

@@ -3,13 +3,17 @@
 These deliberately avoid the code under test: the characteristic polynomial
 comes from a Leibniz expansion over the polynomial ring, splitting verdicts
 from exhaustive root counting, and adaptedness from sweeping all elements of
-the space.
+the space.  The full-sweep references re-decide every element and every
+lift with the library's split test, so they check only the symmetry
+reductions (one element per class) of the sweep and the goodness table.
 """
 
 import itertools
 
 from weaktri.gf import Poly
 from weaktri.linalg import Mat
+from weaktri.spaces import MatSpace
+from weaktri.triang import is_triangularizable
 
 
 def cofactor_char_poly(m: Mat) -> Poly:
@@ -98,3 +102,34 @@ def _kernel_rows(m: Mat):
     from weaktri.linalg import kernel_basis, span_rows
 
     return span_rows(kernel_basis([m.row(i) for i in range(m.n)], m.field), m.field)
+
+
+def weakly_triangularizable_by_sweep(space):
+    """(verdict, first witness, elements checked) of the full lexicographic
+    sweep over all q^dim elements."""
+    checked = 0
+    for m in space.enumerate_elements():
+        checked += 1
+        if not is_triangularizable(m):
+            return False, m, checked
+    return True, None, checked
+
+
+def goodness_by_full_lifts(field, n, constraint_rows, section_cols):
+    """good[packed class] by testing the class's base point plus every
+    element of the whole constraint span, for every class."""
+    span = MatSpace.from_span([Mat(field, n, r) for r in constraint_rows], field=field, n=n)
+    lifts = [z.entries for z in span.enumerate_elements()]
+    q, k = field.q, len(section_cols)
+    table = []
+    for digits in itertools.product(range(q), repeat=k):
+        base = [0] * (n * n)
+        for col, v in zip(section_cols, reversed(digits)):  # packed little-endian
+            base[col] = v
+        table.append(
+            all(
+                is_triangularizable(Mat(field, n, [field.add(a, b) for a, b in zip(base, z)]))
+                for z in lifts
+            )
+        )
+    return table

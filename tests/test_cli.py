@@ -102,3 +102,23 @@ def test_gen_kinds(extra, n, dim, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["field GF(3)", f"n {n}", f"dim {dim}"]
     assert len(lines) == 3 + dim
+
+
+# stdout of the full element sweep, which the class sweep must reproduce
+CHECK_STDOUT = {
+    ("triangular", "4"): "# space: n=4 dim=10 field=GF(3)\n# mode: exhaustive\n"
+    "# checked: 59049\n# certified: yes\nverdict true\n",
+    ("sym", "2"): "# space: n=2 dim=3 field=GF(3)\n# mode: exhaustive\n"
+    "# checked: 5\n# certified: yes\nverdict false\nwitness 0 1 1 1\n",
+    ("sym", "3"): "# space: n=3 dim=6 field=GF(3)\n# mode: exhaustive\n"
+    "# checked: 5\n# certified: yes\nverdict false\nwitness 0 0 0 0 0 1 0 1 1\n",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(CHECK_STDOUT))
+def test_check_stdout_equals_the_full_sweep(kind, n, tmp_path, capsys):
+    assert main(["gen", "--kind", kind, "--n", n, "--field", "GF(3)"]) == 0
+    path = tmp_path / "space"
+    path.write_text(capsys.readouterr().out)
+    assert main(["check", str(path)]) == (0 if kind == "triangular" else 2)
+    assert capsys.readouterr().out == CHECK_STDOUT[kind, n]

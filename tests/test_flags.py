@@ -1,6 +1,7 @@
 import pytest
 
 import weaktri.flags
+import weaktri.spaces
 from weaktri.adapted import range_constrained
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
@@ -255,6 +256,30 @@ class TestExtraction:
         flag = Flag(gf3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
         with pytest.raises(PreconditionError):
             extract_structure_maps(triangular_space(gf3, 3), flag)
+
+    def test_flag_of_a_smaller_space_rejected(self, gf3):
+        # every basis matrix is upper triangular, but one dimension short
+        t3 = triangular_space(gf3, 3)
+        smaller = MatSpace.from_span(t3.basis[1:], field=gf3, n=3)
+        with pytest.raises(PreconditionError):
+            extract_structure_maps(smaller, Flag.standard(gf3, 3))
+
+    def test_flag_of_another_size_rejected(self, gf3):
+        with pytest.raises(PreconditionError):
+            extract_structure_maps(triangular_space(gf3, 4), Flag.standard(gf3, 3))
+
+    def test_two_inversions_per_extraction(self, gf3, monkeypatch):
+        calls = []
+        real = weaktri.spaces.invert
+        monkeypatch.setattr(weaktri.spaces, "invert", lambda m: calls.append(m) or real(m))
+        monkeypatch.setattr(weaktri.flags, "invert", lambda m: calls.append(m) or real(m))
+        p = random_invertible(gf3, 3, seeded(29))
+        space = triangular_space(gf3, 3).conjugate(p)
+        flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
+        calls.clear()
+        assert extract_structure_maps(space, flag).all_checks_pass()
+        # P^-1 for the flag basis, and its inverse inside the conjugation
+        assert len(calls) == 2
 
 
 class TestQuotientConsistency:

@@ -98,6 +98,73 @@ class TestEnumeration:
             list(space.enumerate_elements(budget=10))
 
 
+class TestClasses:
+    """enumerate_classes: one element per class of M ~ cM + lambda I."""
+
+    def spaces(self, gf3, gf5, gf9):
+        rng = seeded(23)
+        yield triangular_space(gf3, 2)
+        yield triangular_space(gf9, 2)
+        yield full_space(gf3, 2)
+        yield MatSpace.from_span([], field=gf5, n=2)
+        yield MatSpace.from_span([Mat.identity(gf5, 2)])
+        for field in (gf3, gf5, gf9):
+            for dim in (1, 2, 3):
+                yield MatSpace.from_span([random_matrix(field, 2, rng) for _ in range(dim)])
+                yield MatSpace.from_span(
+                    [Mat.identity(field, 2)] + [random_matrix(field, 2, rng) for _ in range(dim)]
+                )
+
+    def test_rank_indexes_the_full_sweep(self, gf3, gf5, gf9):
+        for space in self.spaces(gf3, gf5, gf9):
+            elements = list(space.enumerate_elements())
+            ranks = []
+            for rank, m in space.enumerate_classes():
+                assert elements[rank] == m
+                ranks.append(rank)
+            assert ranks == sorted(set(ranks))
+
+    def test_one_first_element_per_class(self, gf3, gf5, gf9):
+        for space in self.spaces(gf3, gf5, gf9):
+            F, n = space.field, space.n
+            identity = Mat.identity(F, n)
+            shifts = list(F.elements()) if space.contains(identity) else [0]
+            position = {m: i for i, m in enumerate(space.enumerate_elements())}
+            covered = set()
+            for rank, m in space.enumerate_classes():
+                members = {
+                    m.scale(c) + identity.scale(lam)
+                    for c in list(F.elements())[1:]
+                    for lam in shifts
+                }
+                assert min(position[x] for x in members) == rank
+                assert not members & covered
+                covered |= members
+            assert len(covered) == space.element_count()
+
+    def test_one_element_per_coset_of_the_identity(self, gf3, gf5, gf9):
+        for space in self.spaces(gf3, gf5, gf9):
+            F, n = space.field, space.n
+            identity = Mat.identity(F, n)
+            shifts = list(F.elements()) if space.contains(identity) else [0]
+            elements = list(space.enumerate_elements())
+            reps = list(space.enumerate_modulo_identity())
+            chosen = set(reps)
+            assert reps == [m for m in elements if m in chosen]  # sweep order
+            cosets = [{z + identity.scale(lam) for lam in shifts} for z in reps]
+            assert sum(map(len, cosets)) == len(set().union(*cosets)) == len(elements)
+
+    def test_class_counts(self, gf3):
+        # (q^d - 1)/(q - 1) lines plus the zero class, d one less with I
+        assert len(list(triangular_space(gf3, 3).enumerate_classes())) == 1 + 121
+        assert len(list(full_space(gf3, 2).enumerate_classes())) == 1 + 13
+        assert len(list(MatSpace.from_span([unit(gf3, 2, 0, 1)]).enumerate_classes())) == 2
+
+    def test_budget_guard(self, gf3):
+        with pytest.raises(BudgetExceededError):
+            list(full_space(gf3, 2).enumerate_classes(budget=10))
+
+
 class TestConjugation:
     def test_identity_fixes(self, gf3):
         t2 = triangular_space(gf3, 2)

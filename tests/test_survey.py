@@ -1,13 +1,24 @@
 import pytest
 
 import weaktri.survey
+import weaktri.triang
 
 from weaktri.cli import main
-from weaktri.errors import PreconditionError
+from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import grassmann_count
 from weaktri.linalg import Mat
-from weaktri.survey import CampaignSpec, _count_chains, count_flags, run_campaign
+from weaktri.survey import (
+    CampaignSpec,
+    _count_chains,
+    _goodness_table,
+    _Reduction,
+    count_flags,
+    run_campaign,
+)
+
+from conftest import counting_char_polys
+from oracles import goodness_by_full_lifts
 
 FIELDS = [(3,), (5,), (7,), (3, 2, (1, 0, 1))]
 CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3", "--contains-identity"]
@@ -171,3 +182,57 @@ def test_n3_hits_are_exactly_the_flags(gf3):
     assert report.total == 25_095_280
     assert report.hit_count == count_flags(3, gf3) == 52
     assert report.all_hits_ok and not report.alarms
+
+
+@pytest.mark.parametrize("field_args", [(3,), (5,), (3, 2, (1, 0, 1))])
+@pytest.mark.parametrize("constraints", ["", "I", "E00", "I,E01"])
+def test_goodness_table_matches_every_lift(field_args, constraints):
+    field = FieldCtx(*field_args)
+    mats = {"I": Mat.identity(field, 2), "E00": Mat.unit(field, 2, 0, 0), "E01": Mat.unit(field, 2, 0, 1)}
+    reduction = _Reduction(field, 2, [mats[name] for name in constraints.split(",") if name])
+    assert _goodness_table(reduction) == goodness_by_full_lifts(
+        field, 2, reduction.rows, reduction.section_cols
+    )
+
+
+def test_n3_goodness_table_matches_every_lift(gf3):
+    reduction = _Reduction(gf3, 3, [Mat.identity(gf3, 3)])
+    assert _goodness_table(reduction) == goodness_by_full_lifts(
+        gf3, 3, reduction.rows, reduction.section_cols
+    )
+
+
+def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
+    table = counting_char_polys(monkeypatch, weaktri.survey)
+    sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+    report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
+    assert (report.total, report.hit_count) == (25_095_280, 52)
+    # the zero class and the (3^8 - 1)/2 lines of the quotient by F.I
+    assert len(table) == 3281
+    # 52 hits, one char poly per class of the hit modulo F.I
+    assert len(sweeps) == 52 * 122
+    assert "non_flag" not in report.to_text()
+
+
+GF2_CAMPAIGN = ["campaign", "--n", "3", "--field", "GF(2)", "--dim", "6",
+                "--contains-identity", "--exploratory"]
+
+
+def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys):
+    assert main(GF2_CAMPAIGN) == 0
+    out = capsys.readouterr().out
+    header = "# total: 97155\n# expected_total: 97155\n# hits: 35\n# non_flag_hits: 14\n"
+    assert header + "# hits_verified: yes\n# alarms: 0\n" in out
+    assert out.count(" non-flag\n") == 14
+    assert out.count("\nhit ") == 35
+
+
+def test_gf2_failed_extraction_stays_an_alarm(monkeypatch, capsys):
+    def fail(space, flag):
+        raise TheoremViolationError("deliberate")
+
+    monkeypatch.setattr(weaktri.survey, "extract_structure_maps", fail)
+    assert main(GF2_CAMPAIGN) == 3
+    out = capsys.readouterr().out
+    assert "# hits: 35\n# non_flag_hits: 14\n# hits_verified: NO\n# alarms: 21\n" in out
+    assert "# alarm: recovery alarm: deliberate\n" in out

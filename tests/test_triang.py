@@ -1,7 +1,8 @@
 import pytest
 
+import weaktri.triang
 from weaktri.errors import BudgetExceededError, PreconditionError
-from weaktri.gf import splits_over
+from weaktri.gf import FieldCtx, splits_over
 from weaktri.linalg import Mat, char_poly, invert
 from weaktri.spaces import MatSpace
 from weaktri.survey import gen_joint, gen_sym, gen_triangular
@@ -12,12 +13,33 @@ from weaktri.triang import (
 )
 
 from conftest import (
+    counting_char_polys,
     full_space,
     random_invertible,
     random_matrix,
     seeded,
     triangular_space,
 )
+from oracles import weakly_triangularizable_by_sweep
+
+SWEEP_FIELDS = {
+    "GF(3)": FieldCtx(3),
+    "GF(5)": FieldCtx(5),
+    "GF(9)": FieldCtx(3, 2, (1, 0, 1)),
+    "GF(2)": FieldCtx(2, exploratory=True),
+}
+
+
+def random_space(field, n, dim, rng, with_identity):
+    """A seeded random space of the given dimension, spanned from I first
+    when ``with_identity``, and otherwise without I unless dim is n^2."""
+    identity = Mat.identity(field, n)
+    space = MatSpace.from_span([identity] if with_identity else [], field=field, n=n)
+    while space.dim < dim:
+        grown = MatSpace.from_span(list(space.basis) + [random_matrix(field, n, rng)])
+        if with_identity or dim == n * n or not grown.contains(identity):
+            space = grown
+    return space
 
 
 class TestSingleMatrix:
@@ -145,3 +167,39 @@ class TestInvariance:
         for blocks in ([m1, m1], [m1, t2], [t2, m1], [m1, conj], [conj, m1]):
             joint = gen_joint(blocks)
             assert space_weakly_triangularizable(joint)
+
+
+class TestClassSweep:
+    """The exhaustive check decides one element per class and must answer
+    exactly as the full sweep over every element."""
+
+    @pytest.mark.parametrize("with_identity", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+    def test_matches_the_full_sweep_on_random_spaces(self, name, n, with_identity):
+        field = SWEEP_FIELDS[name]
+        rng = seeded(31 + n)
+        for dim in range(int(with_identity), min(5, n * n) + 1):
+            space = random_space(field, n, dim, rng, with_identity)
+            if dim < n * n:
+                assert space.contains(Mat.identity(field, n)) == with_identity
+            verdict = space_weakly_triangularizable(space)
+            assert (bool(verdict), verdict.witness, verdict.checked) == (
+                weakly_triangularizable_by_sweep(space)
+            ), (name, n, dim)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+    def test_matches_the_full_sweep_on_flag_spaces(self, name):
+        field = SWEEP_FIELDS[name]
+        for space in (triangular_space(field, 2), gen_sym(2, field), full_space(field, 2)):
+            verdict = space_weakly_triangularizable(space)
+            assert (bool(verdict), verdict.witness, verdict.checked) == (
+                weakly_triangularizable_by_sweep(space)
+            )
+
+    def test_t3_takes_one_char_poly_per_class(self, gf3, monkeypatch):
+        calls = counting_char_polys(monkeypatch, weaktri.triang)
+        verdict = space_weakly_triangularizable(triangular_space(gf3, 3))
+        assert verdict and verdict.checked == 729
+        # the zero class and the (3^5 - 1)/2 lines of T3 / F.I
+        assert len(calls) == 122
