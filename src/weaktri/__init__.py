@@ -4,7 +4,6 @@ sweeps, and exhaustive Grassmannian survey campaigns."""
 
 from .adapted import (
     find_adapted_vector,
-    is_adapted_hyperplane,
     is_adapted_vector,
     projective_reps,
     range_constrained,
@@ -19,12 +18,8 @@ from .flags import (
     Flag,
     LevelRecord,
     RecoveryTrace,
-    base_case_n2,
     extract_structure_maps,
-    find_rank1_idempotent,
     flag_space,
-    invariant_subspaces,
-    is_chain,
     recover_flag,
 )
 from .gf import (
@@ -35,7 +30,6 @@ from .gf import (
     parse_field,
     poly_gcd,
     radical,
-    roots_with_multiplicity,
     splits_over,
 )
 from .grassmann import enumerate_subspaces, grassmann_count
@@ -70,7 +64,6 @@ from .triang import (
     SpaceVerdict,
     is_triangularizable,
     space_weakly_triangularizable,
-    triangularize,
 )
 
 __version__ = "0.1.0"

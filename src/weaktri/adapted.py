@@ -1,17 +1,15 @@
-"""Adapted vectors and adapted hyperplanes of a matrix space.
+"""Adapted vectors of a matrix space.
 
 A nonzero vector x is adapted to S when S has no element whose range is
-exactly the line F.x and whose trace is zero; dually, a hyperplane H is
-adapted when S has no trace-zero element with kernel exactly H.  These are
-decided by exact linear algebra on the coordinates of S.
+exactly the line F.x and whose trace is zero.  This is decided by exact
+linear algebra on the coordinates of S.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import TheoremViolationError
-from .linalg import Vec, kernel_basis, row_dot, span_rows
+from .linalg import Vec, kernel_basis
 from .spaces import MatSpace
 
 
@@ -85,54 +83,3 @@ def find_adapted_vector(space: MatSpace):
         if is_adapted_vector(space, x):
             return x
     return None
-
-
-def hyperplane_functional(field, vectors):
-    """Canonical annihilating functional of a hyperplane given a spanning list."""
-    rows = span_rows([tuple(v) for v in vectors], field)
-    if not rows:
-        raise ValueError("empty spanning list")
-    n = len(rows[0])
-    if len(rows) != n - 1:
-        raise ValueError(f"expected an (n-1)-dimensional span, got dimension {len(rows)}")
-    normals = kernel_basis(list(rows), field)
-    if len(normals) != 1:
-        raise TheoremViolationError("hyperplane has no unique normal line")
-    lead = next(i for i, e in enumerate(normals[0]) if e)
-    inv = field.inv(normals[0][lead])
-    return tuple(field.mul(inv, e) for e in normals[0])
-
-
-def kernel_constrained(space: MatSpace, vectors) -> MatSpace:
-    """The subspace {u in S : u vanishes on span(vectors)}."""
-    F, n = space.field, space.n
-    rows = []
-    for v in vectors:
-        for i in range(n):
-            rows.append(
-                tuple(
-                    row_dot(b, i, v, F)
-                    for b in space.basis
-                )
-            )
-    if not space.basis:
-        return space
-    coeff_vectors = kernel_basis(rows, F)
-    return MatSpace.from_span(
-        [space.combination(c) for c in coeff_vectors], field=F, n=n
-    )
-
-
-def is_adapted_hyperplane(space: MatSpace, spanning) -> bool:
-    """True when no element of S has kernel exactly the hyperplane and trace 0."""
-    hyperplane = span_rows([tuple(v) for v in spanning], space.field)
-    if len(hyperplane) != space.n - 1:
-        raise ValueError(
-            f"expected an (n-1)-dimensional span, got dimension {len(hyperplane)}"
-        )
-    constrained = kernel_constrained(space, hyperplane)
-    if constrained.dim == 0:
-        return True
-    if constrained.dim > 1:
-        return False
-    return constrained.basis[0].trace() != 0

@@ -175,9 +175,6 @@ class FieldCtx:
             return pow(a, self.p - 2, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == 0:
             return 1 if e == 0 else 0
@@ -491,28 +488,6 @@ def _splits(field, coeffs):
         return False
     x = Poly.x(field)
     return x.pow_mod(field.q, rad) == x % rad
-
-
-def roots_with_multiplicity(f: Poly) -> list[tuple[int, int]]:
-    """All roots of f in its field, with multiplicities, ascending by element."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no root list")
-    out = []
-    F = f.field
-    for z in F.elements():
-        if f.eval(z) != 0:
-            continue
-        lin = Poly(F, (F.neg(z), 1))
-        mult = 0
-        g = f
-        while True:
-            quo, rem = divmod(g, lin)
-            if not rem.is_zero:
-                break
-            mult += 1
-            g = quo
-        out.append((z, mult))
-    return out
 
 
 def _is_irreducible(f: Poly) -> bool:

@@ -237,21 +237,6 @@ def span_rows(rows, field):
     return tuple(reduced)
 
 
-def row_space_reduce(rows, pivots, v, field):
-    """Residual of v after reduction against RREF rows with known pivots."""
-    v = list(v)
-    for row, pc in zip(rows, pivots):
-        c = v[pc]
-        if c:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def row_space_contains(rows, v, field):
-    reduced, pivots = (rows, [next(i for i, e in enumerate(r) if e) for r in rows]) if rows else ([], [])
-    return not any(row_space_reduce(reduced, pivots, v, field))
-
-
 def rref_solve(a_rows, b, field):
     """One solution x of A x = b (free variables 0), or None if inconsistent."""
     width = len(a_rows[0]) if a_rows else 0

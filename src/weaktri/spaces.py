@@ -193,24 +193,6 @@ class MatSpace:
             [p * m * p_inv for m in self.basis], field=self.field, n=self.n
         )
 
-    def transpose_dual(self) -> MatSpace:
-        """Reversal-transpose image: entry (i, j) moves to (n-1-j, n-1-i).
-
-        Equals conjugating the transposed space by the reversal permutation;
-        an involution that preserves weak triangularizability.
-        """
-        n = self.n
-        out = []
-        for m in self.basis:
-            out.append(
-                Mat(
-                    self.field,
-                    n,
-                    tuple(m.entry(n - 1 - j, n - 1 - i) for i in range(n) for j in range(n)),
-                )
-            )
-        return MatSpace.from_span(out, field=self.field, n=n)
-
     def trace_orthogonal(self) -> MatSpace:
         """Orthogonal complement for the form (u, v) -> tr(uv).
 

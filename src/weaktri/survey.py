@@ -5,14 +5,15 @@ A campaign sweeps every candidate subspace of the target dimension (optionally
 constrained to contain given matrices, e.g. the identity), decides weak
 triangularizability for each, and verifies every hit by one policy, whatever
 the mode.  Each hit gets an independent exhaustive element sweep.  Weakly
-triangularizable spaces have dimension at most t_n = n(n+1)/2, so a hit of
-dimension t_n must also be a flag space: its flag is recovered (the gate
-flag_space(flag) == hit also implies I in the hit) and, for n >= 3, its
-structure maps are extracted.  Below t_n the sweep is the whole check; above
-t_n a hit is a theorem-violation alarm.  The theorem needs odd
-characteristic: over characteristic 2 (exploratory fields) a hit of
-dimension t_n whose flag cannot be recovered is a non-flag hit, counted in
-its own report line, not an alarm.
+triangularizable spaces have dimension at most t_n = n(n+1)/2, and over odd
+characteristic those of dimension t_n are exactly the flag spaces, so a hit
+of dimension t_n must also pass ``recover_flag``, whose gate
+flag_space(flag) == hit exhibits it as a conjugate of the upper-triangular
+matrices (and implies I in the hit).  Below t_n the sweep is the whole
+check; above t_n a hit is a theorem-violation alarm.  A TheoremViolationError
+from recovery is an alarm too, except over characteristic 2 (exploratory
+fields), where the theorem does not hold: there the hit is a non-flag hit,
+counted in its own report line.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
 bases row by row, bottom row first.  A goodness table holds one flag per
@@ -46,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .flags import Flag, extract_structure_maps, flag_space, recover_flag
+from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx, splits_over
 from .grassmann import (
     enumerate_subspaces,
@@ -588,15 +589,10 @@ def _verify_hits(spec, report):
         elif space.dim > optimal:
             hit.alarm = f"weakly triangularizable hit of dimension {space.dim} > n(n+1)/2"
         elif space.dim == optimal:
-            flag = None
             try:
-                flag, _trace = recover_flag(space, assume_weakly_triangularizable=True)
-                if n >= 3:
-                    extract_structure_maps(space, flag)
+                recover_flag(space, assume_weakly_triangularizable=True)
             except TheoremViolationError as exc:
-                # a failed recovery is a non-flag hit over characteristic 2;
-                # a failed extraction is an alarm everywhere
-                if flag is None and report.counts_non_flag:
+                if report.counts_non_flag:
                     hit.non_flag = True
                 else:
                     hit.alarm = f"recovery alarm: {exc}"

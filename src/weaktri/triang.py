@@ -14,54 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError, TheoremViolationError
-from .gf import roots_with_multiplicity, splits_over
-from .linalg import Mat, char_poly, invert, kernel_basis
+from .gf import splits_over
+from .linalg import Mat, char_poly
 from .spaces import MatSpace
 
 
 def is_triangularizable(m: Mat) -> bool:
     return splits_over(char_poly(m))
-
-
-def triangularize(m: Mat) -> Mat:
-    """An invertible P with P^-1 M P upper triangular.
-
-    Built by repeated eigenvector extraction: peel off the smallest
-    eigenvalue's canonical eigenvector, recurse on the induced map of the
-    quotient.  Any P satisfying the postcondition is acceptable.
-    """
-    if not is_triangularizable(m):
-        raise PreconditionError("matrix has a non-split characteristic polynomial")
-    p = _triangularize(m)
-    got = invert(p) * m * p
-    if not got.is_upper_triangular():
-        raise TheoremViolationError("triangularize postcondition failed")
-    return p
-
-
-def _triangularize(m: Mat) -> Mat:
-    F, n = m.field, m.n
-    if n == 1:
-        return Mat.identity(F, 1)
-    lam = roots_with_multiplicity(char_poly(m))[0][0]
-    shifted = m - Mat.identity(F, n).scale(lam)
-    v = kernel_basis([shifted.row(i) for i in range(n)], F)[0]
-    pivot = next(i for i, e in enumerate(v) if e)
-    # complete v to a basis with the standard vectors away from its pivot
-    cols = [v] + [tuple(int(r == j) for r in range(n)) for j in range(n) if j != pivot]
-    q = Mat(F, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
-    inner = invert(q) * m * q
-    if any(inner.entry(i, 0) for i in range(1, n)):
-        raise TheoremViolationError("eigenvector basis does not fix the eigenline")
-    sub = Mat(F, n - 1, tuple(inner.entry(i, j) for i in range(1, n) for j in range(1, n)))
-    p_sub = _triangularize(sub)
-    block = [[0] * n for _ in range(n)]
-    block[0][0] = 1
-    for i in range(n - 1):
-        for j in range(n - 1):
-            block[i + 1][j + 1] = p_sub.entry(i, j)
-    return q * Mat(F, n, tuple(e for row in block for e in row))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,18 @@ from exhaustive root counting, and adaptedness from sweeping all elements of
 the space.  The full-sweep references re-decide every element and every
 lift with the library's split test, so they check only the symmetry
 reductions (one element per class) of the sweep and the goodness table.
+
+The invariant-subspace sweep, ``is_chain``, ``triangularize`` and
+``transpose_dual`` are references that the package itself never needs; the
+tests compare recovered flags, split verdicts and adaptedness against them.
 """
 
 import itertools
 
+from weaktri.errors import PreconditionError
 from weaktri.gf import Poly
-from weaktri.linalg import Mat
+from weaktri.grassmann import enumerate_subspaces
+from weaktri.linalg import Mat, Vec, char_poly, invert, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.triang import is_triangularizable
 
@@ -74,8 +80,8 @@ def adapted_by_sweep(space, x) -> bool:
 
 
 def adapted_hyperplane_by_sweep(space, spanning) -> bool:
-    from weaktri.linalg import span_rows
-
+    """True when no trace-zero element of the space has kernel exactly the
+    hyperplane spanned by ``spanning``."""
     target = span_rows([tuple(v) for v in spanning], space.field)
     for m in space.enumerate_elements():
         if m.trace() != 0:
@@ -87,20 +93,14 @@ def adapted_hyperplane_by_sweep(space, spanning) -> bool:
 
 
 def _line_of(x):
-    from weaktri.linalg import span_rows
-
     return span_rows([tuple(x)], x.field)
 
 
 def _column_space(m: Mat):
-    from weaktri.linalg import span_rows
-
     return span_rows([m.col(j) for j in range(m.n)], m.field)
 
 
 def _kernel_rows(m: Mat):
-    from weaktri.linalg import kernel_basis, span_rows
-
     return span_rows(kernel_basis([m.row(i) for i in range(m.n)], m.field), m.field)
 
 
@@ -133,3 +133,71 @@ def goodness_by_full_lifts(field, n, constraint_rows, section_cols):
             )
         )
     return table
+
+
+def in_span(rows, v, field):
+    """v lies in the row space of ``rows``: adding it keeps the rank."""
+    return len(span_rows(list(rows) + [tuple(v)], field)) == len(span_rows(rows, field))
+
+
+def invariant_subspaces(space):
+    """Every subspace U of F^n with S.U <= U, as canonical RREF bases, by a
+    sweep over the whole Grassmannian of each dimension."""
+    n, F = space.n, space.field
+    return [
+        rows
+        for k in range(n + 1)
+        for rows in enumerate_subspaces(n, k, F)
+        if all(in_span(rows, b.apply(Vec(F, v)), F) for b in space.basis for v in rows)
+    ]
+
+
+def is_chain(subspaces, field) -> bool:
+    """The subspaces (row bases) are totally ordered by inclusion."""
+    ordered = sorted(subspaces, key=len)
+    return all(
+        all(in_span(large, v, field) for v in small)
+        for small, large in zip(ordered, ordered[1:])
+    )
+
+
+def transpose_dual(space):
+    """Reversal-transpose image: entry (i, j) moves to (n-1-j, n-1-i), i.e.
+    the transposed space conjugated by the reversal permutation; an
+    involution that preserves weak triangularizability."""
+    n = space.n
+    return MatSpace.from_span(
+        [
+            Mat(space.field, n, tuple(m.entry(n - 1 - j, n - 1 - i) for i in range(n) for j in range(n)))
+            for m in space.basis
+        ],
+        field=space.field,
+        n=n,
+    )
+
+
+def triangularize(m: Mat) -> Mat:
+    """An invertible P with P^-1 M P upper triangular, by peeling off one
+    eigenvector (eigenvalue from a root scan of the char poly) and recursing
+    on the induced map of the quotient."""
+    F, n = m.field, m.n
+    if n == 1:
+        return Mat.identity(F, 1)
+    poly = char_poly(m)
+    lam = next((z for z in F.elements() if poly.eval(z) == 0), None)
+    if lam is None:
+        raise PreconditionError("matrix has a non-split characteristic polynomial")
+    shifted = m - Mat.identity(F, n).scale(lam)
+    v = kernel_basis([shifted.row(i) for i in range(n)], F)[0]
+    pivot = next(i for i, e in enumerate(v) if e)
+    # complete v to a basis with the standard vectors away from its pivot
+    cols = [v] + [tuple(int(r == j) for r in range(n)) for j in range(n) if j != pivot]
+    q = Mat(F, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+    inner = invert(q) * m * q
+    sub = triangularize(
+        Mat(F, n - 1, tuple(inner.entry(i, j) for i in range(1, n) for j in range(1, n)))
+    )
+    block = [1] + [0] * (n - 1)
+    for i in range(n - 1):
+        block += [0] + list(sub.row(i))
+    return q * Mat(F, n, block)

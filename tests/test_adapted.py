@@ -2,8 +2,6 @@ import pytest
 
 from weaktri.adapted import (
     find_adapted_vector,
-    hyperplane_functional,
-    is_adapted_hyperplane,
     is_adapted_vector,
     projective_reps,
     range_constrained,
@@ -13,7 +11,7 @@ from weaktri.linalg import Mat, Vec, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 
 from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
-from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep
+from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep, transpose_dual
 
 
 class TestProjectiveReps:
@@ -113,20 +111,21 @@ class TestAdaptedVector:
                 assert is_adapted_vector(t2, x) == is_adapted_vector(conj, p.apply(x))
 
 
-class TestAdaptedHyperplane:
-    def test_functional_canonicalization(self, gf3):
-        functional = hyperplane_functional(gf3, [(0, 1, 0), (0, 0, 1)])
-        assert functional == (1, 0, 0)
-        with pytest.raises(ValueError):
-            hyperplane_functional(gf3, [(0, 1, 0)])
+def dual_line(field, spanning):
+    """The line that is adapted for transpose_dual(S) exactly when the
+    hyperplane spanned by ``spanning`` is adapted for S: the reversal of the
+    hyperplane's normal."""
+    (normal,) = kernel_basis([tuple(v) for v in spanning], field)
+    return Vec(field, tuple(reversed(normal)))
 
+
+class TestAdaptedHyperplane:
+    # a hyperplane H is adapted for S when no trace-zero element of S has
+    # kernel exactly H; decided through adapted vectors of the dual space
     def test_zero_space_vacuous(self, gf3):
         zero = MatSpace.from_span([], field=gf3, n=2)
-        assert is_adapted_hyperplane(zero, [(0, 1)])
-
-    def test_wrong_dimension_rejected(self, gf3):
-        with pytest.raises(ValueError):
-            is_adapted_hyperplane(triangular_space(gf3, 3), [(0, 1, 0)])
+        assert adapted_hyperplane_by_sweep(zero, [(0, 1)])
+        assert is_adapted_vector(transpose_dual(zero), dual_line(gf3, [(0, 1)]))
 
     def test_matches_sweep_oracle(self, gf3):
         rng = seeded(17)
@@ -137,17 +136,18 @@ class TestAdaptedHyperplane:
         ]
         hyperplanes = [[(0, 1)], [(1, 0)], [(1, 1)], [(1, 2)]]
         for space in spaces:
+            dual = transpose_dual(space)
             for h in hyperplanes:
-                assert is_adapted_hyperplane(space, h) == adapted_hyperplane_by_sweep(
-                    space, h
+                assert is_adapted_vector(dual, dual_line(gf3, h)) == (
+                    adapted_hyperplane_by_sweep(space, h)
                 )
 
     def test_triangular_3(self, gf3):
         t3 = triangular_space(gf3, 3)
-        spanning = [(0, 1, 0), (0, 0, 1)]
-        assert is_adapted_hyperplane(t3, spanning) == adapted_hyperplane_by_sweep(
-            t3, spanning
-        )
+        for spanning in ([(0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 0, 1)]):
+            assert is_adapted_vector(transpose_dual(t3), dual_line(gf3, spanning)) == (
+                adapted_hyperplane_by_sweep(t3, spanning)
+            )
 
 
 class TestDuality:
@@ -162,10 +162,10 @@ class TestDuality:
             MatSpace.from_span([random_matrix(gf3, 2, rng) for _ in range(3)]),
         ]
         for space in spaces:
-            dual = space.transpose_dual()
+            dual = transpose_dual(space)
             for x in projective_reps(gf3, 2):
                 image = rev.apply(x)
                 spanning = kernel_basis([image.entries], gf3)
-                assert is_adapted_vector(space, x) == is_adapted_hyperplane(
+                assert is_adapted_vector(space, x) == adapted_hyperplane_by_sweep(
                     dual, spanning
                 )

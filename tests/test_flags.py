@@ -6,12 +6,9 @@ from weaktri.adapted import range_constrained
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
     Flag,
-    base_case_n2,
+    _idempotent_of_line,
     extract_structure_maps,
-    find_rank1_idempotent,
     flag_space,
-    invariant_subspaces,
-    is_chain,
     recover_flag,
 )
 from weaktri.gf import FieldCtx
@@ -21,6 +18,7 @@ from weaktri.survey import gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import full_space, random_invertible, seeded, triangular_space
+from oracles import in_span, invariant_subspaces, is_chain
 
 
 def conjugate_chain(p, field, n):
@@ -62,10 +60,7 @@ class TestFlagSpace:
                 rows = flag.subspace(i)
                 for b in space.basis:
                     for v in rows:
-                        image = b.apply(Vec(gf5, v)).entries
-                        from weaktri.linalg import row_space_contains
-
-                        assert row_space_contains(list(rows), image, gf5)
+                        assert in_span(rows, b.apply(Vec(gf5, v)), gf5)
 
 
 class TestInvariantSubspaces:
@@ -82,14 +77,6 @@ class TestInvariantSubspaces:
     def test_scalar_line_everything(self, gf3):
         line = MatSpace.from_span([Mat.identity(gf3, 2)])
         assert len(invariant_subspaces(line)) == 6
-
-    def test_dims_filter(self, gf3):
-        lines = invariant_subspaces(triangular_space(gf3, 3), dims=[1])
-        assert lines == [((1, 0, 0),)]
-
-    def test_budget(self, gf3):
-        with pytest.raises(BudgetExceededError):
-            invariant_subspaces(triangular_space(gf3, 3), budget=2)
 
     def test_standard_chain_is_everything_up_to_n4(self, gf3):
         # the invariant subspaces of the triangular algebra are exactly the
@@ -111,10 +98,12 @@ class TestIsChain:
 
 
 class TestBaseCase:
+    # recover_flag on n = 2 is the trace-form complement base case
     def test_triangular(self, gf3):
-        flag, trace = base_case_n2(triangular_space(gf3, 2))
+        flag, trace = recover_flag(triangular_space(gf3, 2))
         assert flag.subspace(1) == ((1, 0),)
         assert trace.all_checks_pass()
+        assert [rec.kind for rec in trace.levels] == ["base2"]
         record = trace.levels[0]
         assert record.details["lower_left"] == 0
 
@@ -124,34 +113,39 @@ class TestBaseCase:
             for _ in range(10):
                 p = random_invertible(field, 2, rng)
                 space = triangular_space(field, 2).conjugate(p)
-                flag, _ = base_case_n2(space)
+                flag, _ = recover_flag(space)
                 assert flag.chain() == conjugate_chain(p, field, 2)
                 assert flag_space(flag) == space
 
     def test_non_triangularizable_rejected(self, gf3):
         with pytest.raises(PreconditionError, match="witness"):
-            base_case_n2(gen_sym(2, gf3))
+            recover_flag(gen_sym(2, gf3))
 
     def test_wrong_dimension_rejected(self, gf3):
-        with pytest.raises(PreconditionError):
-            base_case_n2(MatSpace.from_span([Mat.identity(gf3, 2)]))
+        with pytest.raises(PreconditionError, match="dimension 3, got 1"):
+            recover_flag(MatSpace.from_span([Mat.identity(gf3, 2)]))
+
+
+def idempotent_at(space, x):
+    """The trace-1 element of {u in S : im(u) <= F.x}, as recovery reads it."""
+    return _idempotent_of_line(range_constrained(space, x), x, None)
 
 
 class TestRank1Idempotent:
     def test_triangular_e2(self, gf3):
         t2 = triangular_space(gf3, 2)
-        assert find_rank1_idempotent(t2, Vec(gf3, (0, 1))) == Mat.unit(gf3, 2, 1, 1)
+        assert idempotent_at(t2, Vec(gf3, (0, 1))) == Mat.unit(gf3, 2, 1, 1)
 
     def test_triangular_3(self, gf3):
         t3 = triangular_space(gf3, 3)
-        pi = find_rank1_idempotent(t3, Vec(gf3, (0, 0, 1)))
+        pi = idempotent_at(t3, Vec(gf3, (0, 0, 1)))
         assert pi * pi == pi
         assert pi.apply(Vec(gf3, (0, 0, 1))).entries == (0, 0, 1)
 
     def test_scalar_line_alarm(self, gf3):
         line = MatSpace.from_span([Mat.identity(gf3, 2)])
         with pytest.raises(TheoremViolationError):
-            find_rank1_idempotent(line, Vec(gf3, (1, 0)))
+            idempotent_at(line, Vec(gf3, (1, 0)))
 
 
 class TestRecoverFlag:
@@ -227,15 +221,13 @@ class TestRecoverFlag:
 
 
 class TestExtraction:
+    # in the flag basis the space is T_n, so the precondition is the whole
+    # check and the trace records no levels
     def test_standard_triangular(self, gf3):
         t3 = triangular_space(gf3, 3)
         trace = extract_structure_maps(t3, Flag.standard(gf3, 3))
         assert trace.all_checks_pass()
-        rec = trace.levels[0]
-        assert rec.corner_scalar == 0
-        assert all(
-            not any(any(row) for row in rows) for rows in rec.residual_maps.values()
-        )
+        assert trace.to_text() == "# trace ambient: 3\n# trace field: GF(3)\n"
 
     def test_recovered_conjugates(self, gf3, gf5):
         rng = seeded(17)
@@ -246,7 +238,7 @@ class TestExtraction:
                 flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
                 trace = extract_structure_maps(space, flag)
                 assert trace.all_checks_pass()
-                assert [rec.n for rec in trace.levels] == list(range(n, 2, -1))
+                assert (trace.ambient, trace.levels) == (n, [])
 
     def test_small_n_rejected(self, gf3):
         with pytest.raises(PreconditionError):

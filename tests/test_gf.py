@@ -10,7 +10,6 @@ from weaktri.gf import (
     parse_field,
     poly_gcd,
     radical,
-    roots_with_multiplicity,
     splits_over,
 )
 
@@ -178,22 +177,3 @@ class TestSplitsOver:
                     want = splits_by_root_count(f)
                     assert splits_over(f) == want, f
                     assert splits_over(Poly(field, f.coeffs)) == want, f
-
-
-class TestRoots:
-    def test_multiplicities(self, gf3):
-        f = Poly(gf3, (2, 1)) * Poly(gf3, (2, 1)) * Poly(gf3, (1, 1))
-        assert roots_with_multiplicity(f) == [(1, 2), (2, 1)]
-
-    def test_rootless(self, gf3):
-        assert roots_with_multiplicity(Poly(gf3, (1, 0, 1))) == []
-
-    def test_extension_zero_root(self, gf9):
-        assert roots_with_multiplicity(Poly.x(gf9)) == [(0, 1)]
-
-    def test_count_agrees_with_split_verdict(self, gf3, gf5):
-        for field in (gf3, gf5):
-            for degree in range(1, 4):
-                for f in monic_polys(field, degree):
-                    total = sum(m for _, m in roots_with_multiplicity(f))
-                    assert (total == f.degree) == splits_over(f)

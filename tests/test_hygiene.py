@@ -5,6 +5,12 @@ strips bare ``assert`` statements.  Imports must be used; the package
 ``__init__`` is exempt because its imports are the public re-exports.  A
 module-level private (``_``-prefixed) function, class or constant must be
 referenced somewhere in the package outside its own definition.
+
+A public top-level function or public method must be referenced too, by
+package code other than its own definition and the ``__init__`` re-exports;
+otherwise only tests reach it, and it belongs in ``tests/oracles.py`` or
+nowhere.  Entry points that are kept anyway are listed in ``ENTRY_POINTS``
+with the reason.
 """
 
 import ast
@@ -74,6 +80,57 @@ def _unreferenced_privates(trees):
     )
 
 
+# "module.qualname" of public definitions the package itself never calls
+ENTRY_POINTS = {
+    "flags.extract_structure_maps": "the recover-mix benchmark calls it and its tracer wraps it",
+    "flags.RecoveryTrace.all_checks_pass": "the recover-mix benchmark checks traces with it",
+    "flags.Flag.chain": "the recover-mix benchmark compares recovered flags by their chain",
+    "linalg.rref_solve": "the benchmark tracer wraps it by name",
+    "pencils.char2_odd_counterexample": "the lemma31 benchmark runs the GF(2) counterexamples",
+    "spaces.MatSpace.enumerate_elements": "the full sweep; enumerate_classes ranks are positions in it",
+    "linalg.det": "matrix API exported by the package",
+    "gf.field_new": "field constructor exported by the package",
+    "gf.Poly.eval": "polynomial API; the tests' root scans use it",
+}
+
+
+def _public_definitions(module, tree):
+    """{"module.qualname": (name, node)} of the public top-level functions
+    and the public methods of top-level classes."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            members = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            members = [
+                (f"{node.name}.{sub.name}", sub)
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef)
+            ]
+        else:
+            members = []
+        for qualname, sub in members:
+            if not sub.name.startswith("_"):
+                found[f"{module}.{qualname}"] = (sub.name, sub)
+    return found
+
+
+def _unreferenced_publics(trees):
+    """Sorted "module.qualname" of the public definitions that no module but
+    ``__init__`` names outside the definition itself; ``trees`` maps module
+    names to parsed sources."""
+    everywhere = sum(
+        (_references(tree) for module, tree in trees.items() if module != "__init__"),
+        Counter(),
+    )
+    return sorted(
+        key
+        for module, tree in trees.items()
+        for key, (name, node) in _public_definitions(module, tree).items()
+        if everywhere[name] == _references(node)[name]
+    )
+
+
 def test_modules_found():
     assert {"gf.py", "linalg.py", "survey.py"} <= {p.name for p in MODULES}
 
@@ -112,3 +169,25 @@ def test_detects_assert_and_unused_import():
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == ["os", "z"]
+
+
+def test_no_test_only_public_definitions():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    unused = _unreferenced_publics(trees)
+    unlisted = [key for key in unused if key not in ENTRY_POINTS]
+    assert not unlisted, f"public definitions only tests can reach: {unlisted}"
+    stale = sorted(set(ENTRY_POINTS) - set(unused))
+    assert not stale, f"ENTRY_POINTS entries that are gone or now referenced: {stale}"
+
+
+def test_detects_unreferenced_public():
+    trees = {
+        "one": ast.parse(
+            "def used():\n    pass\ndef lonely(k):\n    return lonely(k - 1)\n"
+            "class C:\n    def m(self):\n        return self.other()\n"
+            "    def other(self):\n        pass\n"
+        ),
+        "two": ast.parse("from .one import used\n"),
+        "__init__": ast.parse("from .one import lonely\n"),
+    }
+    assert _unreferenced_publics(trees) == ["one.C.m", "one.lonely"]

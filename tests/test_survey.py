@@ -227,12 +227,14 @@ def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys):
     assert out.count("\nhit ") == 35
 
 
-def test_gf2_failed_extraction_stays_an_alarm(monkeypatch, capsys):
-    def fail(space, flag):
+def test_failed_recovery_is_an_alarm_in_odd_characteristic(monkeypatch, capsys):
+    # only characteristic 2 turns a failed recovery into a non-flag hit
+    def fail(space, **kwargs):
         raise TheoremViolationError("deliberate")
 
-    monkeypatch.setattr(weaktri.survey, "extract_structure_maps", fail)
-    assert main(GF2_CAMPAIGN) == 3
+    monkeypatch.setattr(weaktri.survey, "recover_flag", fail)
+    assert main(CAMPAIGN) == 3
     out = capsys.readouterr().out
-    assert "# hits: 35\n# non_flag_hits: 14\n# hits_verified: NO\n# alarms: 21\n" in out
-    assert "# alarm: recovery alarm: deliberate\n" in out
+    assert "# hits: 4\n# hits_verified: NO\n# alarms: 4\n" in out
+    assert out.count("# alarm: recovery alarm: deliberate\n") == 4
+    assert "non_flag" not in out and "non-flag" not in out
