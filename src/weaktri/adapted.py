@@ -78,7 +78,12 @@ def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
 
 
 def find_adapted_vector(space: MatSpace):
-    """First adapted projective representative in scan order, or None."""
+    """First adapted projective representative in scan order, or None.
+
+    ``weaktri adapted`` runs it on arbitrary spaces.  Flag recovery does
+    not call it: on a flag space the first adapted representative is the
+    unit vector that recovery tries first, so the scan is not needed there.
+    """
     for x in projective_reps(space.field, space.n):
         if is_adapted_vector(space, x):
             return x

@@ -1,12 +1,17 @@
 """Complete flags and reconstruction of the unique invariant flag of an
 optimal weakly triangularizable matrix space.
 
-The recovery algorithm is inductive: pick an adapted vector x as the last
-basis vector, pass to the induced space on V/F.x, recover a flag there, and
-lift its adapted basis into the kernel of the unique rank-1 idempotent with
-range F.x.  Each level computes the line {u in S : im(u) <= F.x} once and
-reads the idempotent off it, then passes to the line quotient (stabilizer of
-F.x, induced space on V/F.x, projection) at the adapted x.
+The recovery algorithm is one inductive step from n down to the n = 1
+base.  In a conjugate P T_n P^-1 a vector x is adapted exactly when it lies
+off the invariant hyperplane V_(n-1), and a hyperplane never holds every
+unit vector, so the step tries e_n, e_(n-1), ..., e_1 and takes the first
+adapted one as the last basis vector: no scan over the lines of F^n.  It
+then passes to the induced space on V/F.x, recovers a flag there, and lifts
+its basis into the kernel of the unique rank-1 idempotent with range F.x.
+Each level computes the line {u in S : im(u) <= F.x} once and reads the
+idempotent off it, then passes to the line quotient (stabilizer of F.x,
+induced space on V/F.x, projection) at x.  Nothing in the step needs n >= 3,
+so a 2x2 space takes it once and lands on the 1x1 scalars.
 
 The one correctness gate is the exact equality flag_space(result) == input.
 Over odd characteristic every optimal weakly triangularizable space is a
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .adapted import find_adapted_vector, projective_reps, range_constrained
+from .adapted import is_adapted_vector, range_constrained
 from .errors import (
     BudgetExceededError,
     PreconditionError,
@@ -113,7 +118,6 @@ class LevelRecord:
     quotient_dim: int | None = None
     idempotent: tuple | None = None
     checks: dict = dc_field(default_factory=dict)
-    details: dict = dc_field(default_factory=dict)
 
     def all_pass(self):
         return all(self.checks.values())
@@ -145,8 +149,6 @@ class RecoveryTrace:
                     lines.append(f"  {name}: {value}")
             if rec.idempotent is not None:
                 lines.append("  idempotent: " + ",".join(map(str, rec.idempotent)))
-            for key, value in sorted(rec.details.items()):
-                lines.append(f"  {key}: {value}")
             for key, ok in sorted(rec.checks.items()):
                 lines.append(f"  check {key}: {'pass' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
@@ -207,63 +209,6 @@ def _line_quotient(space, x):
     return stabilizer, MatSpace.from_span(induced, field=F, n=n - 1), project
 
 
-# -- base case ----------------------------------------------------------------
-
-
-def _base_case_n2_into(space, trace):
-    """Flag recovery for n = 2 via the trace-form complement.
-
-    The complement of an optimal 3-dimensional space is one trace-zero line
-    F.v0; in the basis (v0(j), j) for any j with (j, v0(j)) independent, v0
-    is an off-diagonal companion-like matrix whose lower-left entry must be
-    zero, which exhibits the space as the upper-triangular matrices.
-    """
-    F = space.field
-    rec = LevelRecord(n=2, kind="base2")
-    trace.levels.append(rec)
-    rec.checks["contains_identity"] = space.contains(Mat.identity(F, 2))
-    if not rec.checks["contains_identity"]:
-        _violate("optimal space does not contain the identity", trace)
-    perp = space.trace_orthogonal()
-    rec.checks["complement_line"] = perp.dim == 1
-    if not rec.checks["complement_line"]:
-        _violate("trace-form complement is not a line", trace)
-    v0 = perp.basis[0]
-    rec.details["complement_generator"] = ",".join(map(str, v0.entries))
-    rec.checks["complement_traceless"] = v0.trace() == 0
-    if not rec.checks["complement_traceless"]:
-        _violate("trace-form complement generator has nonzero trace", trace)
-    chosen = None
-    for j in projective_reps(F, 2):
-        image = v0.apply(j)
-        reduced, _ = rref([j.entries, image.entries], F)
-        if len(reduced) == 2:
-            chosen = (j, image)
-            break
-    rec.checks["independent_image"] = chosen is not None
-    if chosen is None:
-        _violate("complement generator acts as a scalar", trace)
-    j, image = chosen
-    rec.details["probe_vector"] = ",".join(map(str, j.entries))
-    basis_matrix = Mat(F, 2, (image[0], j[0], image[1], j[1]))
-    rep = invert(basis_matrix) * v0 * basis_matrix
-    rec.checks["companion_shape"] = (
-        rep.entry(0, 0) == 0 and rep.entry(0, 1) == 1 and rep.entry(1, 1) == 0
-    )
-    if not rec.checks["companion_shape"]:
-        _violate("complement generator has the wrong shape in the probe basis", trace)
-    beta = rep.entry(1, 0)
-    rec.details["lower_left"] = beta
-    rec.checks["lower_left_zero"] = beta == 0
-    if beta != 0:
-        _violate("lower-left coefficient of the complement generator is nonzero", trace)
-    flag = Flag(F, (image, j))
-    rec.checks["flag_space_equals_input"] = flag_space(flag) == space
-    if not rec.checks["flag_space_equals_input"]:
-        _violate("recovered flag does not regenerate the space", trace)
-    return flag
-
-
 # -- main recovery ------------------------------------------------------------
 
 
@@ -308,16 +253,17 @@ def _recover_into(space, trace):
         if not rec.checks["flag_space_equals_input"]:
             _violate("1-dimensional space is not the full scalar algebra", trace)
         return flag
-    if n == 2:
-        return _base_case_n2_into(space, trace)
 
     rec = LevelRecord(n=n, kind="inductive")
     trace.levels.append(rec)
 
-    x = find_adapted_vector(space)
+    # on a flag space the adapted vectors are those off its hyperplane,
+    # which never holds every unit vector
+    units = (Vec.unit(F, n, i) for i in reversed(range(n)))
+    x = next((e for e in units if is_adapted_vector(space, e)), None)
     rec.checks["adapted_vector_found"] = x is not None
     if x is None:
-        _violate("weakly triangularizable space has no adapted vector", trace)
+        _violate("no unit vector is adapted to the space", trace)
     rec.adapted_vector = x.entries
 
     line = range_constrained(space, x)

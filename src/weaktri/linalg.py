@@ -167,10 +167,6 @@ class Mat:
             out.append(acc)
         return Vec(F, out)
 
-    def transpose(self):
-        n = self.n
-        return Mat(self.field, n, tuple(self.entries[j * n + i] for i in range(n) for j in range(n)))
-
     def trace(self):
         F, n = self.field, self.n
         acc = 0

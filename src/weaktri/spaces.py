@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceededError, SpaceFileError
 from .gf import parse_field
-from .linalg import Mat, invert, kernel_basis, rref
+from .linalg import Mat, invert, rref
 
 DEFAULT_BUDGET = 2**28
 
@@ -81,9 +81,6 @@ class MatSpace:
         if any(v):
             return None
         return tuple(coords)
-
-    def contains(self, m: Mat) -> bool:
-        return self.coords_of(m) is not None
 
     def combination(self, coeffs) -> Mat:
         F = self.field
@@ -192,23 +189,6 @@ class MatSpace:
         return MatSpace.from_span(
             [p * m * p_inv for m in self.basis], field=self.field, n=self.n
         )
-
-    def trace_orthogonal(self) -> MatSpace:
-        """Orthogonal complement for the form (u, v) -> tr(uv).
-
-        The form is non-degenerate, so dim S + dim S-perp = n^2.
-        """
-        n = self.n
-        # tr(B N) = vec(B) . vec(N^T): solve for vec(N^T) in the kernel
-        rows = [b.entries for b in self.basis]
-        if rows:
-            solutions = kernel_basis(rows, self.field)
-        else:
-            solutions = [
-                tuple(int(i == j) for j in range(n * n)) for i in range(n * n)
-            ]
-        out = [Mat(self.field, n, v).transpose() for v in solutions]
-        return MatSpace.from_span(out, field=self.field, n=n)
 
 
 # -- space files ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 import pytest
 
+import weaktri.adapted
 import weaktri.flags
 import weaktri.spaces
-from weaktri.adapted import range_constrained
+from weaktri.adapted import find_adapted_vector, range_constrained
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
     Flag,
@@ -98,14 +99,13 @@ class TestIsChain:
 
 
 class TestBaseCase:
-    # recover_flag on n = 2 is the trace-form complement base case
+    # a 2x2 space takes one inductive step and lands on the n = 1 base
     def test_triangular(self, gf3):
         flag, trace = recover_flag(triangular_space(gf3, 2))
         assert flag.subspace(1) == ((1, 0),)
         assert trace.all_checks_pass()
-        assert [rec.kind for rec in trace.levels] == ["base2"]
-        record = trace.levels[0]
-        assert record.details["lower_left"] == 0
+        assert [rec.kind for rec in trace.levels] == ["inductive", "base1"]
+        assert trace.levels[0].adapted_vector == (0, 1)
 
     def test_conjugate_equivariance(self, gf3, gf5):
         rng = seeded(7)
@@ -177,12 +177,12 @@ class TestRecoverFlag:
         p = random_invertible(gf3, 5, seeded(23))
         space = triangular_space(gf3, 5).conjugate(p)
         _, trace = recover_flag(space, assume_weakly_triangularizable=True)
-        assert [rec.n for rec in trace.levels if rec.kind == "inductive"] == [5, 4, 3]
-        assert calls == [5, 4, 3]
+        assert [rec.n for rec in trace.levels if rec.kind == "inductive"] == [5, 4, 3, 2]
+        assert calls == [5, 4, 3, 2]
 
     def test_large_prime_field(self):
-        # the adapted scan streams, so it stops at the first adapted vector
-        # instead of listing all q^2 + q + 1 lines
+        # the adapted vector is a unit vector, so no level scans the
+        # q^2 + q + 1 lines of F^3
         field = FieldCtx(1000003)
         p = random_invertible(field, 3, seeded(29))
         space = gen_triangular(3, field, conjugate_by=p)
@@ -190,6 +190,51 @@ class TestRecoverFlag:
         assert flag.chain() == conjugate_chain(p, field, 3)
         assert flag_space(flag) == space
         assert trace.all_checks_pass()
+
+    def test_hyperplane_through_the_later_units(self, monkeypatch):
+        # the flag's hyperplane span(e2, e3) holds e3 and the q lines
+        # (0, 1, t) that a scan in projective_reps order meets before e1;
+        # the unit vectors take at most 3 + 2 adaptedness tests over both
+        # levels, under the cap n(n+1)/2 = 6
+        field = FieldCtx(1000003)
+        p = Mat.from_rows(field, [(0, 0, 1), (1, 0, 0), (0, 1, 0)])  # e2, e3, e1
+        space = gen_triangular(3, field, conjugate_by=p)
+        tries = []
+        real = weaktri.adapted.range_constrained
+
+        def capped(level_space, x):
+            tries.append(x)
+            if len(tries) > 6:
+                raise AssertionError("recovery scans the lines for an adapted vector")
+            return real(level_space, x)
+
+        monkeypatch.setattr(weaktri.adapted, "range_constrained", capped)
+        flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
+        assert flag.chain() == conjugate_chain(p, field, 3)
+        assert flag_space(flag) == space
+        assert trace.levels[0].adapted_vector == (1, 0, 0)
+
+    def test_unit_vector_is_the_first_adapted_line(self, gf3, gf5, gf9):
+        # the scan in projective_reps order stays the reference: its first
+        # adapted line is e_l for the largest l with e_l off the hyperplane
+        rng = seeded(31)
+        spaces = [
+            triangular_space(field, n).conjugate(random_invertible(field, n, rng))
+            for field in (gf3, gf5, gf9, FieldCtx(101))
+            for n in (2, 3, 4, 5)
+            for _ in range(3)
+        ]
+        for field in (gf3, gf5, gf9):
+            for n in (3, 4):
+                # columns e2, ..., en, e1: the hyperplane holds e2, ..., en
+                cycle = Mat.from_rows(
+                    field, [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+                )
+                spaces.append(triangular_space(field, n).conjugate(cycle))
+        for space in spaces:
+            _, trace = recover_flag(space, assume_weakly_triangularizable=True)
+            reference = find_adapted_vector(space)
+            assert trace.levels[0].adapted_vector == reference.entries
 
     def test_wrong_dimension_rejected(self, gf3):
         with pytest.raises(PreconditionError, match="dimension"):
@@ -213,9 +258,9 @@ class TestRecoverFlag:
 
     def test_trace_records_levels(self, gf3):
         _, trace = recover_flag(triangular_space(gf3, 4))
-        assert [rec.n for rec in trace.levels] == [4, 3, 2]
+        assert [rec.n for rec in trace.levels] == [4, 3, 2, 1]
         assert trace.levels[0].kind == "inductive"
-        assert trace.levels[-1].kind == "base2"
+        assert trace.levels[-1].kind == "base1"
         text = trace.to_text()
         assert "adapted_vector" in text and "check" in text
 

@@ -33,7 +33,7 @@ def random_space(field, n, dim, rng, with_identity):
     space = MatSpace.from_span([identity] if with_identity else [], field=field, n=n)
     while space.dim < dim:
         grown = MatSpace.from_span(list(space.basis) + [random_matrix(field, n, rng)])
-        if with_identity or dim == n * n or not grown.contains(identity):
+        if with_identity or dim == n * n or grown.coords_of(identity) is None:
             space = grown
     return space
 
@@ -178,7 +178,7 @@ class TestClassSweep:
         for dim in range(int(with_identity), min(5, n * n) + 1):
             space = random_space(field, n, dim, rng, with_identity)
             if dim < n * n:
-                assert space.contains(Mat.identity(field, n)) == with_identity
+                assert (space.coords_of(Mat.identity(field, n)) is not None) == with_identity
             verdict = space_weakly_triangularizable(space)
             assert (bool(verdict), verdict.witness, verdict.checked) == (
                 weakly_triangularizable_by_sweep(space)
