@@ -29,7 +29,6 @@ from .gf import (
     is_prime,
     parse_field,
     poly_gcd,
-    radical,
     splits_over,
 )
 from .grassmann import enumerate_subspaces, grassmann_count

@@ -63,18 +63,20 @@ def range_constrained(space: MatSpace, x: Vec) -> MatSpace:
     return MatSpace.from_span(mats, field=F, n=n)
 
 
-def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
-    """True when no element of S has range F.x together with trace zero.
-
-    Equivalent: the trace functional is injective on {u : im(u) <= F.x},
-    i.e. that space has dimension <= 1 with nonzero trace on a generator.
-    """
-    constrained = range_constrained(space, x)
-    if constrained.dim == 0:
+def is_adapted_line(line: MatSpace) -> bool:
+    """True when the trace functional is injective on ``line``, the space
+    {u in S : im(u) <= F.x} of ``range_constrained``: it has dimension <= 1
+    with nonzero trace on a generator."""
+    if line.dim == 0:
         return True
-    if constrained.dim > 1:
+    if line.dim > 1:
         return False
-    return constrained.basis[0].trace() != 0
+    return line.basis[0].trace() != 0
+
+
+def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
+    """True when no element of S has range F.x together with trace zero."""
+    return is_adapted_line(range_constrained(space, x))
 
 
 def find_adapted_vector(space: MatSpace):

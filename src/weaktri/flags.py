@@ -8,9 +8,10 @@ unit vector, so the step tries e_n, e_(n-1), ..., e_1 and takes the first
 adapted one as the last basis vector: no scan over the lines of F^n.  It
 then passes to the induced space on V/F.x, recovers a flag there, and lifts
 its basis into the kernel of the unique rank-1 idempotent with range F.x.
-Each level computes the line {u in S : im(u) <= F.x} once and reads the
-idempotent off it, then passes to the line quotient (stabilizer of F.x,
-induced space on V/F.x, projection) at x.  Nothing in the step needs n >= 3,
+Each level computes the line {u in S : im(u) <= F.x} once per unit vector
+tried, decides adaptedness from it and reads the idempotent off the adapted
+one's line, then passes to the line quotient (stabilizer of F.x, induced
+space on V/F.x, projection) at x.  Nothing in the step needs n >= 3,
 so a 2x2 space takes it once and lands on the 1x1 scalars.
 
 The one correctness gate is the exact equality flag_space(result) == input.
@@ -30,14 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .adapted import is_adapted_vector, range_constrained
-from .errors import (
-    BudgetExceededError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .adapted import is_adapted_line, range_constrained
+from .errors import PreconditionError, TheoremViolationError
 from .linalg import Mat, Vec, invert, kernel_basis, rref, span_rows
-from .spaces import DEFAULT_BUDGET, MatSpace
+from .spaces import MatSpace
 from .triang import space_weakly_triangularizable
 
 
@@ -226,14 +223,8 @@ def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable
         raise PreconditionError(
             f"optimal spaces have dimension {expected}, got {space.dim}"
         )
-    limit = DEFAULT_BUDGET if budget is None else budget
     if not assume_weakly_triangularizable:
-        if space.element_count() > limit:
-            raise BudgetExceededError(
-                "element sweep over budget; pass assume_weakly_triangularizable=True "
-                "for inputs known to qualify"
-            )
-        verdict = space_weakly_triangularizable(space, budget=limit)
+        verdict = space_weakly_triangularizable(space, budget=budget)
         if not verdict:
             raise PreconditionError(
                 f"space is not weakly triangularizable; witness {verdict.witness!r}"
@@ -258,15 +249,14 @@ def _recover_into(space, trace):
     trace.levels.append(rec)
 
     # on a flag space the adapted vectors are those off its hyperplane,
-    # which never holds every unit vector
+    # which never holds every unit vector; the adapted one's line is kept
     units = (Vec.unit(F, n, i) for i in reversed(range(n)))
-    x = next((e for e in units if is_adapted_vector(space, e)), None)
+    lines = ((e, range_constrained(space, e)) for e in units)
+    x, line = next(((e, ln) for e, ln in lines if is_adapted_line(ln)), (None, None))
     rec.checks["adapted_vector_found"] = x is not None
     if x is None:
         _violate("no unit vector is adapted to the space", trace)
     rec.adapted_vector = x.entries
-
-    line = range_constrained(space, x)
     rec.range_line_dim = line.dim
     rec.checks["range_line_dim"] = line.dim == 1
     pi = _idempotent_of_line(line, x, trace)

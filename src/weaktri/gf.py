@@ -7,6 +7,12 @@ and matrices of elements directly comparable and hashable.
 
 Extension fields keep discrete-log tables for multiplication, so q = p^k is
 capped at 2^16 for k > 1; prime fields have no such cap.
+
+A nonzero f splits over GF(q) exactly when f divides (t^q - t)^deg f.  The
+reason: t^q - t is the product of the q monic linear polynomials, each once,
+so its (deg f)-th power holds every linear factor to a multiplicity no root
+of f can exceed, and it has no other irreducible factor.  ``splits_over``
+decides splitting by this one divisibility test, in any characteristic.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for anything near machine-word size."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -79,15 +85,10 @@ class FieldCtx:
     # -- construction helpers ------------------------------------------------
 
     def _check_modulus(self, modulus):
-        base = FieldCtx(self.p, exploratory=self.exploratory) if self.k > 1 else self
-        if isinstance(modulus, Poly):
-            if modulus.field.p != self.p or modulus.field.k != 1:
-                raise ValueError("modulus must live over the prime field GF(p)")
-            coeffs = modulus.coeffs
-        else:
-            coeffs = tuple(c % self.p for c in modulus)
-            while coeffs and coeffs[-1] == 0:
-                coeffs = coeffs[:-1]
+        base = FieldCtx(self.p, exploratory=self.exploratory)
+        coeffs = tuple(c % self.p for c in modulus)
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
         if len(coeffs) != self.k + 1:
             raise ValueError(f"modulus must have degree {self.k}")
         if coeffs[-1] != 1:
@@ -174,17 +175,6 @@ class FieldCtx:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
-
-    def pow(self, a, e):
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self.k == 1:
-            return pow(a, e % (self.p - 1) if e else 0, self.p)
-        return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def pth_root(self, a):
-        """Inverse of the x -> x^p map (the field is perfect)."""
-        return self.pow(a, self.p ** (self.k - 1))
 
     def elements(self):
         return range(self.q)
@@ -360,9 +350,6 @@ class Poly:
                     rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
         return Poly(F, quo), Poly(F, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -381,10 +368,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return self * self.field.inv(self.coeffs[-1])
-
-    def derivative(self):
-        F = self.field
-        return Poly(F, [F.mul(c, i % F.p) for i, c in enumerate(self.coeffs) if i > 0])
 
     def pow_mod(self, e, modulus):
         """self**e reduced mod ``modulus`` by square and multiply."""
@@ -421,58 +404,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _pth_root_poly(f: Poly) -> Poly:
-    # f must be g(t^p) for some g; take coefficient-wise p-th roots of g
-    F = f.field
-    p = F.p
-    coeffs = []
-    for i in range(0, f.degree + 1, p):
-        coeffs.append(F.pth_root(f[i]))
-    return Poly(F, coeffs)
-
-
-def radical(f: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of f.
-
-    Characteristic-p pitfall: when the derivative vanishes, f = g(t^p) is a
-    perfect p-th power; descend through coefficient-wise p-th roots instead of
-    dividing by gcd(f, f').
-    """
-    if f.is_zero:
-        raise ValueError("radical of the zero polynomial")
-    f = f.monic()
-    if f.degree <= 0:
-        return Poly.one(f.field)
-    d = f.derivative()
-    if d.is_zero:
-        return radical(_pth_root_poly(f))
-    g = poly_gcd(f, d)
-    if g.degree == 0:
-        return f
-    w = f // g
-    r = g
-    while True:
-        c = poly_gcd(r, w)
-        if c.degree == 0:
-            break
-        r = r // c
-    if r.degree == 0:
-        return w.monic()
-    # r collects exactly the factors whose multiplicity is divisible by p
-    return (w * radical(_pth_root_poly(r))).monic()
-
-
-def splits_over(f: Poly, field: FieldCtx | None = None) -> bool:
+def splits_over(f: Poly) -> bool:
     """True iff f factors into linear factors over its field.
 
-    Decided by whether the squarefree part of f divides t^q - t, the product
-    of all monic linear polynomials.  Verdicts are memoized on
-    (field, coefficients) in a least-recently-used cache of fixed size
-    ``_SPLIT_MEMO_SIZE``, so sweeps that meet few distinct characteristic
-    polynomials decide each one once while large fields stay bounded.
+    Decided by whether f divides (t^q - t)^deg f, computed as
+    (t^q - t mod f)^deg f mod f.  Over GF(q), t^q - t is the product of the
+    q monic linear polynomials, each once, so its (deg f)-th power holds
+    every linear factor with multiplicity deg f and has no other irreducible
+    factor.  A split f has no root of multiplicity above deg f, so it divides
+    that power; a divisor of the power is a product of linear factors.
+    Verdicts are memoized on (field, coefficients) in a least-recently-used
+    cache of fixed size ``_SPLIT_MEMO_SIZE``, so sweeps that meet few
+    distinct characteristic polynomials decide each one once while large
+    fields stay bounded.
     """
-    if field is not None and field != f.field:
-        raise ValueError("polynomial does not live over the given field")
     if f.is_zero:
         raise ValueError("the zero polynomial has no splitting verdict")
     return _splits(f.field, f.coeffs)
@@ -481,13 +426,9 @@ def splits_over(f: Poly, field: FieldCtx | None = None) -> bool:
 @functools.lru_cache(maxsize=_SPLIT_MEMO_SIZE)
 def _splits(field, coeffs):
     f = Poly(field, coeffs)
-    rad = radical(f)
-    if rad.degree <= 0:
-        return True
-    if rad.degree > field.q:
-        return False
     x = Poly.x(field)
-    return x.pow_mod(field.q, rad) == x % rad
+    h = x.pow_mod(field.q, f) - x
+    return h.pow_mod(f.degree, f).is_zero
 
 
 def _is_irreducible(f: Poly) -> bool:

@@ -166,19 +166,36 @@ class TestRecoverFlag:
                 assert flag_space(flag) == space
 
     def test_one_range_line_per_level(self, gf3, monkeypatch):
-        # the adapted scan aside, each inductive level computes its line once
+        # one line per unit vector tried, counted through both bindings; the
+        # adapted one's line is kept for the idempotent, not recomputed
         calls = []
 
-        def counted(space, x):
-            calls.append(space.n)
-            return range_constrained(space, x)
+        def count_through(module):
+            real = module.range_constrained
 
-        monkeypatch.setattr(weaktri.flags, "range_constrained", counted)
-        p = random_invertible(gf3, 5, seeded(23))
-        space = triangular_space(gf3, 5).conjugate(p)
-        _, trace = recover_flag(space, assume_weakly_triangularizable=True)
-        assert [rec.n for rec in trace.levels if rec.kind == "inductive"] == [5, 4, 3, 2]
-        assert calls == [5, 4, 3, 2]
+            def counted(space, x):
+                calls.append((space.n, x.entries))
+                return real(space, x)
+
+            monkeypatch.setattr(module, "range_constrained", counted)
+
+        count_through(weaktri.adapted)
+        count_through(weaktri.flags)
+        # columns e2, ..., e5, e1: the top level tries all five unit vectors
+        cycle = Mat.from_rows(gf3, [[int(i == (j + 1) % 5) for j in range(5)] for i in range(5)])
+        for p in (random_invertible(gf3, 5, seeded(23)), cycle):
+            calls.clear()
+            space = triangular_space(gf3, 5).conjugate(p)
+            _, trace = recover_flag(space, assume_weakly_triangularizable=True)
+            levels = [rec for rec in trace.levels if rec.kind == "inductive"]
+            assert [rec.n for rec in levels] == [5, 4, 3, 2]
+            tried = [
+                (rec.n, Vec.unit(gf3, rec.n, i).entries)
+                for rec in levels
+                for i in reversed(range(rec.adapted_vector.index(1), rec.n))
+            ]
+            assert calls == tried
+        assert len(tried) > len(levels)
 
     def test_large_prime_field(self):
         # the adapted vector is a unit vector, so no level scans the
@@ -255,6 +272,14 @@ class TestRecoverFlag:
             recover_flag(space, budget=100)
         flag, _ = recover_flag(space, budget=100, assume_weakly_triangularizable=True)
         assert flag.chain() == Flag.standard(gf3, 4).chain()
+
+    def test_budget_bounds_the_one_sweep(self, gf3):
+        # T2 over GF(3) has 3^3 = 27 elements
+        space = triangular_space(gf3, 2)
+        with pytest.raises(BudgetExceededError, match="27 elements exceed the sweep budget 26"):
+            recover_flag(space, budget=26)
+        flag, _ = recover_flag(space, budget=27)
+        assert flag.chain() == Flag.standard(gf3, 2).chain()
 
     def test_trace_records_levels(self, gf3):
         _, trace = recover_flag(triangular_space(gf3, 4))

@@ -9,7 +9,6 @@ from weaktri.gf import (
     field_new,
     parse_field,
     poly_gcd,
-    radical,
     splits_over,
 )
 
@@ -83,10 +82,6 @@ class TestFieldArithmetic:
         f = FieldCtx(3, 2, (1, 0, 1))
         assert f.mul(a, f.inv(a)) == 1
 
-    def test_pth_root_inverts_frobenius(self, gf9):
-        for a in gf9.elements():
-            assert gf9.pow(gf9.pth_root(a), gf9.p) == a
-
     def test_zero_inverse_raises(self, gf3, gf9):
         for f in (gf3, gf9):
             with pytest.raises(ZeroDivisionError):
@@ -128,31 +123,6 @@ class TestGcd:
             poly_gcd(Poly.zero(gf3), Poly.zero(gf3))
 
 
-class TestRadical:
-    def test_cube_of_linear(self, gf3):
-        # (t-1)^3 = t^3 - 1 in characteristic 3; derivative vanishes
-        cube = Poly(gf3, (2, 0, 0, 1))
-        assert radical(cube) == Poly(gf3, (2, 1))
-
-    def test_squarefree_fixed_point(self, gf3):
-        f = Poly(gf3, (1, 0, 1))
-        assert radical(f) == f
-
-    def test_pure_power_descent(self, gf3):
-        assert radical(Poly.monomial(gf3, 3)) == Poly.x(gf3)
-
-    def test_zero_rejected(self, gf3):
-        with pytest.raises(ValueError):
-            radical(Poly.zero(gf3))
-
-    def test_divides_and_squarefree_all_monic_deg_le_4(self, gf3):
-        for degree in range(1, 5):
-            for f in monic_polys(gf3, degree):
-                rad = radical(f)
-                assert (f % rad).is_zero
-                assert poly_gcd(rad, rad.derivative()).degree == 0
-
-
 class TestSplitsOver:
     def test_examples(self, gf3, gf9):
         assert splits_over(Poly(gf3, (0, 0, 1)))  # t^2
@@ -163,16 +133,30 @@ class TestSplitsOver:
         with pytest.raises(ValueError):
             splits_over(Poly.zero(gf3))
 
-    def test_field_mismatch_rejected(self, gf3, gf5):
-        with pytest.raises(ValueError):
-            splits_over(Poly(gf3, (1, 1)), gf5)
-
-    def test_matches_root_count_all_monic_deg_le_3(self, gf3, gf5, gf9):
-        # the second call is answered by the memo, the first (after clearing
-        # it) by the radical test
+    def test_matches_root_count_all_monic_deg_le_3(self, gf3, gf5, gf7, gf9):
+        # decided by divisibility once the memo is cleared, then by the memo
         gf._splits.cache_clear()
-        for field in (gf3, gf5, gf9):
-            for degree in range(1, 4):
+        t, one = Poly.x(gf3), Poly.one(gf3)
+
+        def power(f, e):
+            out = one
+            for _ in range(e):
+                out = out * f
+            return out
+
+        # every derivative vanishes but that of (t^3 - t)^2, whose degree
+        # 6 exceeds q; t^9 - t is the product of the monic irreducibles of
+        # degree 1 and 2
+        assert not splits_over(power(t * t + one, 3))
+        assert not splits_over(power(t, 9) - t)
+        assert splits_over(power(t - one, 9))
+        assert splits_over(power(power(t, 3) - t, 2))
+
+        gf2 = FieldCtx(2, exploratory=True)
+        gf4 = FieldCtx(2, 2, (1, 1, 1), exploratory=True)
+        max_degree = {gf3: 6, gf5: 4, gf7: 4, gf9: 4, gf2: 8, gf4: 4}
+        for field, top in max_degree.items():
+            for degree in range(1, top + 1):
                 for f in monic_polys(field, degree):
                     want = splits_by_root_count(f)
                     assert splits_over(f) == want, f

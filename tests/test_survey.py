@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import weaktri.survey
@@ -22,6 +24,10 @@ from oracles import goodness_by_full_lifts
 
 FIELDS = [(3,), (5,), (7,), (3, 2, (1, 0, 1))]
 CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3", "--contains-identity"]
+
+
+def md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
 
 
 def identity_spec(field, **kwargs):
@@ -182,6 +188,7 @@ def test_n3_hits_are_exactly_the_flags(gf3):
     assert report.total == 25_095_280
     assert report.hit_count == count_flags(3, gf3) == 52
     assert report.all_hits_ok and not report.alarms
+    assert md5(report.to_text()) == "c1b97b3482959de16c1c723d56f314df"
 
 
 @pytest.mark.parametrize("field_args", [(3,), (5,), (3, 2, (1, 0, 1))])
@@ -225,6 +232,13 @@ def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys):
     assert header + "# hits_verified: yes\n# alarms: 0\n" in out
     assert out.count(" non-flag\n") == 14
     assert out.count("\nhit ") == 35
+    assert md5(out) == "1091ee7f487265fad38549fff0eef305"
+
+
+def test_gf2_n2_report_digest():
+    gf2 = FieldCtx(2, exploratory=True)
+    report = run_campaign(CampaignSpec(n=2, field=gf2, dim=3))
+    assert md5(report.to_text()) == "446817065819ec84eb65380ede53c5ad"
 
 
 def test_failed_recovery_is_an_alarm_in_odd_characteristic(monkeypatch, capsys):
