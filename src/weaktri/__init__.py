@@ -25,7 +25,6 @@ from .flags import (
 from .gf import (
     FieldCtx,
     Poly,
-    field_new,
     is_prime,
     parse_field,
     poly_gcd,

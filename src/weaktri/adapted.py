@@ -63,28 +63,22 @@ def range_constrained(space: MatSpace, x: Vec) -> MatSpace:
     return MatSpace.from_span(mats, field=F, n=n)
 
 
-def is_adapted_line(line: MatSpace) -> bool:
-    """True when the trace functional is injective on ``line``, the space
-    {u in S : im(u) <= F.x} of ``range_constrained``: it has dimension <= 1
-    with nonzero trace on a generator."""
+def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
+    """True when no element of S has range F.x together with trace zero:
+    the trace functional is injective on {u in S : im(u) <= F.x}, so that
+    space has dimension <= 1 with nonzero trace on a generator."""
+    line = range_constrained(space, x)
     if line.dim == 0:
         return True
-    if line.dim > 1:
-        return False
-    return line.basis[0].trace() != 0
-
-
-def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
-    """True when no element of S has range F.x together with trace zero."""
-    return is_adapted_line(range_constrained(space, x))
+    return line.dim == 1 and line.basis[0].trace() != 0
 
 
 def find_adapted_vector(space: MatSpace):
     """First adapted projective representative in scan order, or None.
 
-    ``weaktri adapted`` runs it on arbitrary spaces.  Flag recovery does
-    not call it: on a flag space the first adapted representative is the
-    unit vector that recovery tries first, so the scan is not needed there.
+    ``weaktri adapted`` runs it on arbitrary spaces.  On a flag space the
+    adapted vectors are those off the flag's hyperplane, so the first one
+    is the unit vector e_l with the largest l off it.
     """
     for x in projective_reps(space.field, space.n):
         if is_adapted_vector(space, x):

@@ -1,18 +1,17 @@
 """Complete flags and reconstruction of the unique invariant flag of an
 optimal weakly triangularizable matrix space.
 
-The recovery algorithm is one inductive step from n down to the n = 1
-base.  In a conjugate P T_n P^-1 a vector x is adapted exactly when it lies
-off the invariant hyperplane V_(n-1), and a hyperplane never holds every
-unit vector, so the step tries e_n, e_(n-1), ..., e_1 and takes the first
-adapted one as the last basis vector: no scan over the lines of F^n.  It
-then passes to the induced space on V/F.x, recovers a flag there, and lifts
-its basis into the kernel of the unique rank-1 idempotent with range F.x.
-Each level computes the line {u in S : im(u) <= F.x} once per unit vector
-tried, decides adaptedness from it and reads the idempotent off the adapted
-one's line, then passes to the line quotient (stabilizer of F.x, induced
-space on V/F.x, projection) at x.  Nothing in the step needs n >= 3,
-so a 2x2 space takes it once and lands on the 1x1 scalars.
+Recovery reads the flag off the radical of the trace form (u, w) -> tr(uw).
+On the upper-triangular matrices T_n that radical is exactly the strictly
+upper-triangular part N_n: tr(u E_ij) is u_ji, which vanishes for i < j on
+every u in T_n and equals u_ii for i = j, so u is in the radical exactly
+when its diagonal is zero.  The powers of N_n cut out the standard flag,
+N_n^k F^n = V_(n-k), because N_n maps span(e_1, ..., e_i) onto
+span(e_1, ..., e_(i-1)).  Conjugation by P carries both facts to
+P T_n P^-1 and to P's column flag.  So one kernel solve on the Gram
+matrix gives the radical N, the chain V_n = F^n, V_(k-1) = N V_k gives
+the flag, and e_i is the canonical (RREF) row of V_i whose pivot column
+is new against V_(i-1).
 
 The one correctness gate is the exact equality flag_space(result) == input.
 Over odd characteristic every optimal weakly triangularizable space is a
@@ -22,16 +21,15 @@ paper's block analysis hold for it and are not re-checked:
 ``extract_structure_maps`` keeps only its precondition, that the flag
 generates the space.
 
-Every internal assertion whose truth is guaranteed by the theory raises
+Every step that the theory guarantees on such a space raises
 TheoremViolationError when it fails; such an alarm is never swallowed and
-carries the full recovery trace for audit.
+carries the recovery trace for audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .adapted import is_adapted_line, range_constrained
 from .errors import PreconditionError, TheoremViolationError
 from .linalg import Mat, Vec, invert, kernel_basis, rref, span_rows
 from .spaces import MatSpace
@@ -105,15 +103,10 @@ def flag_space(flag: Flag) -> MatSpace:
 
 @dataclass
 class LevelRecord:
-    """Audit record for one recursion level of flag recovery."""
+    """Audit record for one level of flag recovery."""
 
     n: int
     kind: str
-    adapted_vector: tuple | None = None
-    range_line_dim: int | None = None
-    stabilizer_dim: int | None = None
-    quotient_dim: int | None = None
-    idempotent: tuple | None = None
     checks: dict = dc_field(default_factory=dict)
 
     def all_pass(self):
@@ -138,72 +131,9 @@ class RecoveryTrace:
         ]
         for depth, rec in enumerate(self.levels, start=1):
             lines.append(f"level {depth}: n={rec.n} kind={rec.kind}")
-            if rec.adapted_vector is not None:
-                lines.append("  adapted_vector: " + ",".join(map(str, rec.adapted_vector)))
-            for name in ("range_line_dim", "stabilizer_dim", "quotient_dim"):
-                value = getattr(rec, name)
-                if value is not None:
-                    lines.append(f"  {name}: {value}")
-            if rec.idempotent is not None:
-                lines.append("  idempotent: " + ",".join(map(str, rec.idempotent)))
             for key, ok in sorted(rec.checks.items()):
                 lines.append(f"  check {key}: {'pass' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def _violate(message, trace):
-    raise TheoremViolationError(message, trace=trace)
-
-
-# -- idempotent ---------------------------------------------------------------
-
-
-def _idempotent_of_line(line, x, trace):
-    """The trace-1 element of ``line`` = {u in S : im(u) <= F.x}, checked to
-    be an idempotent fixing x; alarms carry ``trace``."""
-    if line.dim == 0:
-        _violate("no trace-1 element with range in the given line", trace)
-    if line.dim > 1:
-        _violate("trace-1 element with range in the given line is not unique", trace)
-    gen = line.basis[0]
-    t = gen.trace()
-    if t == 0:
-        _violate("no trace-1 element with range in the given line", trace)
-    pi = gen.scale(x.field.inv(t))
-    if pi * pi != pi:
-        _violate("trace-1 candidate is not idempotent", trace)
-    if pi.apply(x) != x:
-        _violate("idempotent does not fix its range generator", trace)
-    return pi
-
-
-def _line_quotient(space, x):
-    """The stabilizer {u in S : u(x) in F.x}, the space it induces on
-    F^n / F.x, and the projection F^n -> F^(n-1) onto that quotient.
-
-    x must have leading coordinate 1; the quotient keeps the other
-    coordinates.
-    """
-    F, n = space.field, space.n
-    lead = next(i for i, e in enumerate(x.entries) if e)
-    qcols = [i for i in range(n) if i != lead]
-    images = [b.apply(x) for b in space.basis]
-    stab_coeffs = kernel_basis(
-        [tuple(F.sub(img[i], F.mul(img[lead], x[i])) for img in images) for i in qcols],
-        F,
-    )
-    stabilizer = MatSpace.from_span(
-        [space.combination(c) for c in stab_coeffs], field=F, n=n
-    )
-
-    def project(v):
-        return tuple(F.sub(v[i], F.mul(v[lead], x[i])) for i in qcols)
-
-    # u induces the map whose columns are the projected u(e_j), j != lead
-    induced = [
-        Mat.from_rows(F, zip(*(project(u.col(j)) for j in qcols))) for u in stabilizer.basis
-    ]
-    return stabilizer, MatSpace.from_span(induced, field=F, n=n - 1), project
 
 
 # -- main recovery ------------------------------------------------------------
@@ -215,7 +145,8 @@ def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable
     The input must be optimal (dimension n(n+1)/2) and weakly
     triangularizable; the latter is verified exhaustively when q^dim fits the
     budget, otherwise the caller must vouch via
-    ``assume_weakly_triangularizable=True``.
+    ``assume_weakly_triangularizable=True``.  A space that is not a flag
+    space raises TheoremViolationError.
     """
     F, n = space.field, space.n
     expected = n * (n + 1) // 2
@@ -230,77 +161,68 @@ def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable
                 f"space is not weakly triangularizable; witness {verdict.witness!r}"
             )
     trace = RecoveryTrace(n, F.descriptor())
-    flag = _recover_into(space, trace)
+    rec = LevelRecord(n=n, kind="radical")
+    trace.levels.append(rec)
+
+    def require(check, ok, message):
+        rec.checks[check] = ok
+        if not ok:
+            raise TheoremViolationError(message, trace=trace)
+
+    radical = _trace_form_radical(space)
+    require(
+        "radical_dim",
+        len(radical) == n * (n - 1) // 2,
+        "trace-form radical is not of dimension n(n-1)/2",
+    )
+
+    # V_n = F^n and V_(k-1) = N V_k, each as (RREF rows, pivot columns)
+    subspaces = [(Mat.identity(F, n).rows(), list(range(n)))]
+    while len(subspaces) <= n:
+        vecs = [Vec(F, v) for v in subspaces[-1][0]]
+        subspaces.append(rref([u.apply(v).entries for u in radical for v in vecs], F))
+    subspaces.reverse()  # subspaces[i] is V_i
+    require(
+        "chain_steps",
+        [len(rows) for rows, _ in subspaces] == list(range(n + 1)),
+        "radical chain does not drop one dimension per step to 0",
+    )
+
+    # the chain is nested (V_(k-1) = N V_k <= N V_(k+1) = V_k), so V_i has
+    # one pivot column more than V_(i-1) and e_i is its row there; rows with
+    # distinct pivot columns are independent
+    basis = [
+        next((row for row, c in zip(rows, pivots) if c not in below), None)
+        for (_, below), (rows, pivots) in zip(subspaces, subspaces[1:])
+    ]
+    require("chain_basis", None not in basis, "a radical chain step adds no pivot column")
+    flag = Flag(F, basis)
+    require(
+        "flag_space_equals_input",
+        flag_space(flag) == space,
+        "recovered flag does not regenerate the space",
+    )
     return flag, trace
 
 
-def _recover_into(space, trace):
+def _trace_form_radical(space):
+    """Basis of {u in S : tr(uw) = 0 for all w in S}: the kernel of the Gram
+    matrix G_ij = tr(b_i b_j) = sum_kl (b_i)_kl (b_j)_lk over the canonical
+    basis, which is symmetric."""
     F, n = space.field, space.n
-    if n == 1:
-        rec = LevelRecord(n=1, kind="base1")
-        trace.levels.append(rec)
-        flag = Flag(F, (Vec(F, (1,)),))
-        rec.checks["flag_space_equals_input"] = flag_space(flag) == space
-        if not rec.checks["flag_space_equals_input"]:
-            _violate("1-dimensional space is not the full scalar algebra", trace)
-        return flag
-
-    rec = LevelRecord(n=n, kind="inductive")
-    trace.levels.append(rec)
-
-    # on a flag space the adapted vectors are those off its hyperplane,
-    # which never holds every unit vector; the adapted one's line is kept
-    units = (Vec.unit(F, n, i) for i in reversed(range(n)))
-    lines = ((e, range_constrained(space, e)) for e in units)
-    x, line = next(((e, ln) for e, ln in lines if is_adapted_line(ln)), (None, None))
-    rec.checks["adapted_vector_found"] = x is not None
-    if x is None:
-        _violate("no unit vector is adapted to the space", trace)
-    rec.adapted_vector = x.entries
-    rec.range_line_dim = line.dim
-    rec.checks["range_line_dim"] = line.dim == 1
-    pi = _idempotent_of_line(line, x, trace)
-    rec.idempotent = pi.entries
-
-    stabilizer, quotient_space, project = _line_quotient(space, x)
-    rec.stabilizer_dim = stabilizer.dim
-    rec.checks["stabilizer_dim"] = stabilizer.dim == space.dim - (n - 1)
-    if not rec.checks["stabilizer_dim"]:
-        _violate("line stabilizer has wrong dimension", trace)
-
-    # orbit of x spans everything
-    orbit_rows, _ = rref([b.apply(x).entries for b in space.basis], F)
-    rec.checks["orbit_spans"] = len(orbit_rows) == n
-    if not rec.checks["orbit_spans"]:
-        _violate("orbit of the adapted vector does not span the space", trace)
-
-    rec.quotient_dim = quotient_space.dim
-    rec.checks["quotient_optimal"] = quotient_space.dim == (n - 1) * n // 2
-    if not rec.checks["quotient_optimal"]:
-        _violate("induced space on the quotient is not optimal", trace)
-
-    sub_flag = _recover_into(quotient_space, trace)
-
-    # lift into ker(pi) the quotient vectors, embedded with 0 at x's lead
-    lead = next(i for i, e in enumerate(x.entries) if e)
-    lifted = []
-    for f in sub_flag.basis:
-        vec = Vec(F, f.entries[:lead] + (0,) + f.entries[lead:])
-        lift = vec - pi.apply(vec)
-        if project(lift.entries) != f.entries:
-            _violate("lifted vector does not project to its quotient vector", trace)
-        if not pi.apply(lift).is_zero:
-            _violate("lifted vector is outside the idempotent's kernel", trace)
-        lifted.append(lift)
-
-    try:
-        flag = Flag(F, (*lifted, x))
-    except ValueError:
-        _violate("lifted flag basis is linearly dependent", trace)
-    rec.checks["flag_space_equals_input"] = flag_space(flag) == space
-    if not rec.checks["flag_space_equals_input"]:
-        _violate("recovered flag does not regenerate the space", trace)
-    return flag
+    add, mul = F.add, F.mul
+    mats = [b.entries for b in space.basis]
+    transposed = [tuple(m[c * n + r] for r in range(n) for c in range(n)) for m in mats]
+    d = len(mats)
+    gram = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            acc = 0
+            for x, y in zip(mats[i], transposed[j]):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            gram[i][j] = gram[j][i] = acc
+    return [space.combination(c) for c in kernel_basis(gram, F)]
 
 
 # -- structure-map extraction ---------------------------------------------------

@@ -155,9 +155,12 @@ class FieldCtx:
         return self._add_digits(a, b)
 
     def neg(self, a):
+        # -1 is 1 in characteristic 2 and g^((q-1)/2) for odd q
         if self.k == 1:
             return -a % self.p
-        return self.from_digits([-d % self.p for d in self.to_digits(a)])
+        if a == 0 or self.p == 2:
+            return a
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -220,11 +223,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx({self.descriptor()})"
-
-
-def field_new(p, k=1, modulus=None, exploratory=False) -> FieldCtx:
-    """Build a verified GF(p^k) context; see FieldCtx for the conventions."""
-    return FieldCtx(p, k, modulus, exploratory)
 
 
 def parse_field(text, exploratory=False) -> FieldCtx:

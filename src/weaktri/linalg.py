@@ -106,14 +106,6 @@ class Mat:
         """Matrix with a single 1 at row i, column j (0-based)."""
         return cls(field, n, tuple(1 if (r, c) == (i, j) else 0 for r in range(n) for c in range(n)))
 
-    @classmethod
-    def from_rows(cls, field, rows):
-        rows = [tuple(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix rows must form a square")
-        return cls(field, n, tuple(e for r in rows for e in r))
-
     def entry(self, i, j):
         return self.entries[i * self.n + j]
 

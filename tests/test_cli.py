@@ -68,8 +68,15 @@ def test_recover_prints_the_flag_and_the_trace(t3, tmp_path, capsys):
     out = capsys.readouterr().out
     head = "# space: n=3 dim=6 field=GF(3)\n# recovered: yes\ne1 1 0 0\ne2 0 1 0\ne3 0 0 1\n"
     assert out.startswith(head + "# trace ambient: 3\n")
-    levels = [line for line in out.splitlines() if line.startswith("level ")]
-    assert levels == ["level 1: n=3 kind=inductive", "level 2: n=2 kind=inductive", "level 3: n=1 kind=base1"]
+    assert out[len(head):] == (
+        "# trace ambient: 3\n"
+        "# trace field: GF(3)\n"
+        "level 1: n=3 kind=radical\n"
+        "  check chain_basis: pass\n"
+        "  check chain_steps: pass\n"
+        "  check flag_space_equals_input: pass\n"
+        "  check radical_dim: pass\n"
+    )
     trace_file = tmp_path / "t3.trace"
     assert main(["recover", t3, "--trace", str(trace_file)]) == 0
     assert capsys.readouterr().out == head + f"# trace_file: {trace_file}\n"

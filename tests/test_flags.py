@@ -1,21 +1,14 @@
 import pytest
 
-import weaktri.adapted
 import weaktri.flags
 import weaktri.spaces
-from weaktri.adapted import find_adapted_vector, range_constrained
+from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from weaktri.flags import (
-    Flag,
-    _idempotent_of_line,
-    extract_structure_maps,
-    flag_space,
-    recover_flag,
-)
+from weaktri.flags import Flag, extract_structure_maps, flag_space, recover_flag
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, Vec, span_rows
 from weaktri.spaces import MatSpace
-from weaktri.survey import gen_sym, gen_triangular
+from weaktri.survey import gen_random, gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import full_space, random_invertible, seeded, triangular_space
@@ -26,6 +19,12 @@ def conjugate_chain(p, field, n):
     return tuple(
         span_rows([p.col(j) for j in range(i)], field) for i in range(n + 1)
     )
+
+
+def cycle(field, n):
+    """The permutation matrix with columns e_2, ..., e_n, e_1: its flag's
+    hyperplane holds e_2, ..., e_n."""
+    return Mat(field, n, [int(i == (j + 1) % n) for i in range(n) for j in range(n)])
 
 
 class TestFlag:
@@ -99,13 +98,12 @@ class TestIsChain:
 
 
 class TestBaseCase:
-    # a 2x2 space takes one inductive step and lands on the n = 1 base
+    # a 2x2 space has a one-dimensional radical, the line of E_12
     def test_triangular(self, gf3):
         flag, trace = recover_flag(triangular_space(gf3, 2))
         assert flag.subspace(1) == ((1, 0),)
         assert trace.all_checks_pass()
-        assert [rec.kind for rec in trace.levels] == ["inductive", "base1"]
-        assert trace.levels[0].adapted_vector == (0, 1)
+        assert [(rec.n, rec.kind) for rec in trace.levels] == [(2, "radical")]
 
     def test_conjugate_equivariance(self, gf3, gf5):
         rng = seeded(7)
@@ -126,28 +124,6 @@ class TestBaseCase:
             recover_flag(MatSpace.from_span([Mat.identity(gf3, 2)]))
 
 
-def idempotent_at(space, x):
-    """The trace-1 element of {u in S : im(u) <= F.x}, as recovery reads it."""
-    return _idempotent_of_line(range_constrained(space, x), x, None)
-
-
-class TestRank1Idempotent:
-    def test_triangular_e2(self, gf3):
-        t2 = triangular_space(gf3, 2)
-        assert idempotent_at(t2, Vec(gf3, (0, 1))) == Mat.unit(gf3, 2, 1, 1)
-
-    def test_triangular_3(self, gf3):
-        t3 = triangular_space(gf3, 3)
-        pi = idempotent_at(t3, Vec(gf3, (0, 0, 1)))
-        assert pi * pi == pi
-        assert pi.apply(Vec(gf3, (0, 0, 1))).entries == (0, 0, 1)
-
-    def test_scalar_line_alarm(self, gf3):
-        line = MatSpace.from_span([Mat.identity(gf3, 2)])
-        with pytest.raises(TheoremViolationError):
-            idempotent_at(line, Vec(gf3, (1, 0)))
-
-
 class TestRecoverFlag:
     def test_standard_triangulars(self, gf3):
         for n in (1, 2, 3, 4):
@@ -165,41 +141,7 @@ class TestRecoverFlag:
                 assert flag.chain() == conjugate_chain(p, field, n)
                 assert flag_space(flag) == space
 
-    def test_one_range_line_per_level(self, gf3, monkeypatch):
-        # one line per unit vector tried, counted through both bindings; the
-        # adapted one's line is kept for the idempotent, not recomputed
-        calls = []
-
-        def count_through(module):
-            real = module.range_constrained
-
-            def counted(space, x):
-                calls.append((space.n, x.entries))
-                return real(space, x)
-
-            monkeypatch.setattr(module, "range_constrained", counted)
-
-        count_through(weaktri.adapted)
-        count_through(weaktri.flags)
-        # columns e2, ..., e5, e1: the top level tries all five unit vectors
-        cycle = Mat.from_rows(gf3, [[int(i == (j + 1) % 5) for j in range(5)] for i in range(5)])
-        for p in (random_invertible(gf3, 5, seeded(23)), cycle):
-            calls.clear()
-            space = triangular_space(gf3, 5).conjugate(p)
-            _, trace = recover_flag(space, assume_weakly_triangularizable=True)
-            levels = [rec for rec in trace.levels if rec.kind == "inductive"]
-            assert [rec.n for rec in levels] == [5, 4, 3, 2]
-            tried = [
-                (rec.n, Vec.unit(gf3, rec.n, i).entries)
-                for rec in levels
-                for i in reversed(range(rec.adapted_vector.index(1), rec.n))
-            ]
-            assert calls == tried
-        assert len(tried) > len(levels)
-
     def test_large_prime_field(self):
-        # the adapted vector is a unit vector, so no level scans the
-        # q^2 + q + 1 lines of F^3
         field = FieldCtx(1000003)
         p = random_invertible(field, 3, seeded(29))
         space = gen_triangular(3, field, conjugate_by=p)
@@ -209,31 +151,26 @@ class TestRecoverFlag:
         assert trace.all_checks_pass()
 
     def test_hyperplane_through_the_later_units(self, monkeypatch):
-        # the flag's hyperplane span(e2, e3) holds e3 and the q lines
-        # (0, 1, t) that a scan in projective_reps order meets before e1;
-        # the unit vectors take at most 3 + 2 adaptedness tests over both
-        # levels, under the cap n(n+1)/2 = 6
+        # recovery is linear algebra over the space's coordinates: it never
+        # walks the field's elements, not even when the flag's hyperplane
+        # holds the later unit vectors, so q = 1000003 costs nothing extra
         field = FieldCtx(1000003)
-        p = Mat.from_rows(field, [(0, 0, 1), (1, 0, 0), (0, 1, 0)])  # e2, e3, e1
-        space = gen_triangular(3, field, conjugate_by=p)
-        tries = []
-        real = weaktri.adapted.range_constrained
+        conjugators = [cycle(field, 3), cycle(field, 4)]
+        conjugators += [random_invertible(field, n, seeded(n)) for n in (2, 3, 4)]
+        spaces = [gen_triangular(p.n, field, conjugate_by=p) for p in conjugators]
 
-        def capped(level_space, x):
-            tries.append(x)
-            if len(tries) > 6:
-                raise AssertionError("recovery scans the lines for an adapted vector")
-            return real(level_space, x)
+        def no_scan(self):
+            raise AssertionError("recovery walks the elements of the field")
 
-        monkeypatch.setattr(weaktri.adapted, "range_constrained", capped)
-        flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
-        assert flag.chain() == conjugate_chain(p, field, 3)
-        assert flag_space(flag) == space
-        assert trace.levels[0].adapted_vector == (1, 0, 0)
+        monkeypatch.setattr(FieldCtx, "elements", no_scan)
+        for p, space in zip(conjugators, spaces):
+            flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
+            assert flag.chain() == conjugate_chain(p, field, p.n)
+            assert trace.all_checks_pass()
 
     def test_unit_vector_is_the_first_adapted_line(self, gf3, gf5, gf9):
-        # the scan in projective_reps order stays the reference: its first
-        # adapted line is e_l for the largest l with e_l off the hyperplane
+        # on a flag space the scan in projective_reps order stops at e_l for
+        # the largest l with e_l off the recovered hyperplane
         rng = seeded(31)
         spaces = [
             triangular_space(field, n).conjugate(random_invertible(field, n, rng))
@@ -241,17 +178,17 @@ class TestRecoverFlag:
             for n in (2, 3, 4, 5)
             for _ in range(3)
         ]
-        for field in (gf3, gf5, gf9):
-            for n in (3, 4):
-                # columns e2, ..., en, e1: the hyperplane holds e2, ..., en
-                cycle = Mat.from_rows(
-                    field, [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
-                )
-                spaces.append(triangular_space(field, n).conjugate(cycle))
+        spaces += [
+            triangular_space(field, n).conjugate(cycle(field, n))
+            for field in (gf3, gf5, gf9)
+            for n in (3, 4)
+        ]
         for space in spaces:
-            _, trace = recover_flag(space, assume_weakly_triangularizable=True)
-            reference = find_adapted_vector(space)
-            assert trace.levels[0].adapted_vector == reference.entries
+            F, n = space.field, space.n
+            flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
+            hyperplane = flag.subspace(n - 1)
+            last = max(i for i in range(n) if not in_span(hyperplane, Vec.unit(F, n, i), F))
+            assert find_adapted_vector(space) == Vec.unit(F, n, last)
 
     def test_wrong_dimension_rejected(self, gf3):
         with pytest.raises(PreconditionError, match="dimension"):
@@ -283,11 +220,35 @@ class TestRecoverFlag:
 
     def test_trace_records_levels(self, gf3):
         _, trace = recover_flag(triangular_space(gf3, 4))
-        assert [rec.n for rec in trace.levels] == [4, 3, 2, 1]
-        assert trace.levels[0].kind == "inductive"
-        assert trace.levels[-1].kind == "base1"
-        text = trace.to_text()
-        assert "adapted_vector" in text and "check" in text
+        assert trace.to_text().splitlines()[2:] == [
+            "level 1: n=4 kind=radical",
+            "  check chain_basis: pass",
+            "  check chain_steps: pass",
+            "  check flag_space_equals_input: pass",
+            "  check radical_dim: pass",
+        ]
+
+
+class TestRecoveryContract:
+    # on any space of dimension n(n+1)/2 recovery returns a flag that passes
+    # the gate or raises TheoremViolationError, which the survey reads as a
+    # non-flag hit over characteristic 2; no other exception escapes
+    def test_seeded_random_spaces(self, gf3, gf9):
+        outcomes = []
+        for field in (FieldCtx(2, exploratory=True), gf3, gf9):
+            for n in (2, 3):
+                for seed in range(40):
+                    space = gen_random(n, field, n * (n + 1) // 2, seed)
+                    try:
+                        flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
+                    except TheoremViolationError as exc:
+                        assert not exc.trace.all_checks_pass()
+                        outcomes.append("alarm")
+                        continue
+                    assert flag_space(flag) == space and trace.all_checks_pass()
+                    assert space_weakly_triangularizable(space)
+                    outcomes.append("flag")
+        assert {"flag", "alarm"} <= set(outcomes)
 
 
 class TestExtraction:

@@ -6,7 +6,6 @@ from weaktri import gf
 from weaktri.gf import (
     FieldCtx,
     Poly,
-    field_new,
     parse_field,
     poly_gcd,
     splits_over,
@@ -17,36 +16,36 @@ from oracles import monic_polys, splits_by_root_count
 
 class TestFieldConstruction:
     def test_prime_field(self):
-        f = field_new(3)
+        f = FieldCtx(3)
         assert (f.p, f.k, f.q) == (3, 1, 3)
         assert f.modulus is None
 
     def test_extension_with_verified_modulus(self):
         # t^2 + 1 has no root among 0, 1, 2, so GF(9) is legitimate
-        f = field_new(3, 2, (1, 0, 1))
+        f = FieldCtx(3, 2, (1, 0, 1))
         assert f.q == 9
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
-            field_new(9)
+            FieldCtx(9)
 
     def test_missing_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
-            field_new(3, 2)
+            FieldCtx(3, 2)
 
     def test_reducible_modulus_rejected(self):
         # t^2 - 1 = (t-1)(t+1)
         with pytest.raises(ValueError, match="reducible"):
-            field_new(3, 2, (2, 0, 1))
+            FieldCtx(3, 2, (2, 0, 1))
 
     def test_modulus_on_prime_field_rejected(self):
         with pytest.raises(ValueError):
-            field_new(3, 1, (1, 1))
+            FieldCtx(3, 1, (1, 1))
 
     def test_char2_needs_exploratory(self):
         with pytest.raises(ValueError, match="exploratory"):
-            field_new(2)
-        assert field_new(2, exploratory=True).exploratory
+            FieldCtx(2)
+        assert FieldCtx(2, exploratory=True).exploratory
 
     def test_descriptor_round_trip(self):
         for text in ("GF(3)", "GF(7)", "GF(3^2; 1,0,1)", "GF(5^2; 2,0,1)"):
@@ -75,6 +74,16 @@ class TestFieldArithmetic:
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == 0
+
+    def test_neg_on_every_element(self, gf9):
+        # neg reads -a off the log tables; every element of each field is
+        # checked against its digit-wise negation
+        gf4 = FieldCtx(2, 2, (1, 1, 1), exploratory=True)
+        gf25 = FieldCtx(5, 2, (3, 0, 1))
+        for f in (gf9, gf4, gf25):
+            for a in f.elements():
+                assert f.add(a, f.neg(a)) == 0
+                assert f.neg(a) == f.from_digits([-d for d in f.to_digits(a)])
 
     @given(a=st.integers(1, 8))
     @settings(max_examples=20, deadline=None)

@@ -89,7 +89,6 @@ ENTRY_POINTS = {
     "pencils.char2_odd_counterexample": "the lemma31 benchmark runs the GF(2) counterexamples",
     "spaces.MatSpace.enumerate_elements": "the full sweep; enumerate_classes ranks are positions in it",
     "linalg.det": "matrix API exported by the package",
-    "gf.field_new": "field constructor exported by the package",
     "gf.Poly.eval": "polynomial API; the tests' root scans use it",
 }
 

@@ -173,7 +173,7 @@ class TestConjugation:
 
     def test_swap_gives_lower_triangular(self, gf3):
         t2 = triangular_space(gf3, 2)
-        swap = Mat.from_rows(gf3, [(0, 1), (1, 0)])
+        swap = Mat(gf3, 2, (0, 1, 1, 0))
         lower = MatSpace.from_span(
             [unit(gf3, 2, 0, 0), unit(gf3, 2, 1, 0), unit(gf3, 2, 1, 1)]
         )
@@ -219,7 +219,7 @@ class TestTransposeDual:
         for _ in range(10):
             space = MatSpace.from_span([random_matrix(gf5, n, rng) for _ in range(3)])
             transposed = MatSpace.from_span(
-                [Mat.from_rows(gf5, [b.col(j) for j in range(n)]) for b in space.basis],
+                [Mat(gf5, n, [e for j in range(n) for e in b.col(j)]) for b in space.basis],
                 field=gf5,
                 n=n,
             )
