@@ -1,0 +1,227 @@
+"""The pruned scan of a campaign: every candidate subspace with a given RREF
+pivot pattern, decided against a goodness table over the quotient classes.
+
+The scan works on packed vectors.  Each quotient vector of F^m is its packed
+class index (digit c is coordinate c, little-endian base q), cut into a few
+balanced base-q chunks.  Chunk add and scalar-mul tables, built from
+``field.add`` and ``field.mul`` once per campaign (once per worker on a
+pool), add two chunks or scale one, so testing a combination of rows costs
+one lookup per chunk and one in the goodness table.  Coordinates come back
+only when a hit's rows are unpacked.
+
+A pool worker receives the goodness table once, through the pool
+initializer, and builds its own chunk tables; a task is a pattern.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
+from .errors import TheoremViolationError
+from .grassmann import pattern_size
+
+# the most entries a chunk table may hold, unless one-digit chunks need more
+_CHUNK_TABLE_LIMIT = 1 << 20
+
+# in a pool worker: the (chunk tables, goodness table) of its campaign
+_WORKER = None
+
+
+def _chunk_widths(q, m):
+    """Balanced widths, in base-q digits and low chunk first, that split the
+    packed index of a vector of F^m into chunks.
+
+    The fewest chunks whose add tables (q^(2h) entries for width h) hold at
+    most 2^20 entries and no more than the q^m-entry goodness table, except
+    that a two-digit chunk (q^4 entries) is allowed under 2^20 even where the
+    goodness table is smaller.  One-digit chunks are the last resort.
+    """
+    if m == 0:
+        return ()
+    cap = min(_CHUNK_TABLE_LIMIT, max(q**m, q**4))
+    count = next((c for c in range(1, m + 1) if q ** (2 * -(-m // c)) <= cap), m)
+    width, extra = divmod(m, count)
+    return (width + 1,) * extra + (width,) * (count - extra)
+
+
+@dataclass
+class _ChunkTables:
+    """Arithmetic on packed vectors of F^m, one base-q chunk at a time.
+
+    Chunk j of a packed index is (index // q^offsets[j]) % q^widths[j].  For
+    chunk values a, b and a field element c, ``add[j][a][b]`` is chunk j of
+    the sum, ``mul[j][c][a]`` chunk j of c times the vector, and
+    ``test[j][a][b]`` is the sum's chunk shifted back into place, so the
+    packed index of a vector sum is the sum of its ``test`` lookups.
+    """
+
+    q: int
+    m: int
+    widths: tuple
+    offsets: tuple
+    add: list
+    mul: list
+    test: list
+
+    def split(self, index):
+        return tuple(index // self.q**o % self.q**w for o, w in zip(self.offsets, self.widths))
+
+    def coordinates(self, index):
+        return tuple(index // self.q**c % self.q for c in range(self.m))
+
+
+def _chunk_tables(field, m) -> _ChunkTables:
+    """The chunk tables for packed vectors of F^m, from ``field.add`` and
+    ``field.mul``; chunks of one width share their add and mul tables."""
+    q = field.q
+    widths = _chunk_widths(q, m)
+    offsets = tuple(sum(widths[:j]) for j in range(len(widths)))
+    by_width = {w: _width_tables(field, w) for w in set(widths)}
+    add = [by_width[w][0] for w in widths]
+    test = []
+    for o, table in zip(offsets, add):
+        shifted = [v * q**o for v in range(len(table))]  # one int object per value
+        test.append([[shifted[v] for v in row] for row in table] if o else table)
+    return _ChunkTables(q, m, widths, offsets, add, [by_width[w][1] for w in widths], test)
+
+
+def _width_tables(field, width):
+    """(add, mul) tables over chunks of ``width`` digits, grown one low
+    digit at a time: a chunk a is a_hi * q + a_lo."""
+    q = field.q
+    add1 = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    mul1 = [[field.mul(c, a) for a in range(q)] for c in range(q)]
+    values = list(range(q**width))  # one int object per chunk value
+    add, mul = [[0]], [[0]] * q
+    for _ in range(width):
+        add = [
+            [values[lo[b_lo] + hi] for hi in high for b_lo in range(q)]
+            for high in ([q * v for v in row] for row in add)
+            for lo in add1
+        ]
+        mul = [[values[lo + q * hi] for hi in old for lo in row] for row, old in zip(mul1, mul)]
+    return add, mul
+
+
+def _scan_pattern(chunks, good, pattern):
+    """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
+    returns (candidates_decided, hit_row_lists).
+
+    Rows are assigned bottom-up, and every vector is its packed class index,
+    held as its tuple of base-q chunks.  A row whose own class is bad is
+    dropped from its level once.  A row is accepted when ``good`` holds at
+    row + w for every w in the nonzero span of the rows below it: one
+    ``test`` lookup per chunk gives the packed index, and one more reads
+    ``good``.  A rejected row takes every completion of the rows above it
+    along.  ``good`` is any table indexed by packed class.
+    """
+    k = len(pattern)
+    if k == 0:
+        return 1, [()]
+    q, m = chunks.q, chunks.m
+    pivot_set = set(pattern)
+    levels = []
+    skip = 1  # candidates one row rejects: the completions of the rows above it
+    for pivot in pattern:
+        frees = [c for c in range(pivot + 1, m) if c not in pivot_set]
+        live, dead = [], 0
+        for values in itertools.product(range(q), repeat=len(frees)):
+            index = q**pivot + sum(v * q**c for v, c in zip(values, frees))
+            if not good[index]:
+                dead += 1
+                continue
+            split = chunks.split(index)
+            live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
+        levels.append((live, dead, skip))
+        skip *= q ** len(frees)
+    passes = _passes_two if len(chunks.widths) == 2 else _passes
+    hits = []
+    bad = _descend(chunks, good, passes, levels, k - 1, [], [None] * k, hits)
+    expected = pattern_size(pattern, m, q)
+    got = bad + len(hits)
+    if got != expected:
+        raise TheoremViolationError(
+            f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
+        )
+    return expected, [tuple(map(chunks.coordinates, rows)) for rows in hits]
+
+
+def _descend(chunks, good, passes, levels, i, span, chosen, hits):
+    """Try every row of level i against the nonzero span ``span`` of the
+    rows chosen below it, and recurse into the accepted ones; appends each
+    full candidate's packed rows to ``hits`` and returns the candidates
+    rejected."""
+    live, dead, skip = levels[i]
+    bad = dead * skip
+    for index, split, tabs in live:
+        if not passes(good, tabs, span):
+            bad += skip
+            continue
+        chosen[i] = index
+        if i == 0:
+            hits.append(tuple(chosen))
+        else:
+            grown = _grow(chunks, split, span)
+            bad += _descend(chunks, good, passes, levels, i - 1, grown, chosen, hits)
+    return bad
+
+
+def _passes(good, tabs, span):
+    """good[row + w] for every w in span, for the row whose ``test`` table
+    rows are ``tabs``."""
+    for w in span:
+        if not good[sum(map(operator.getitem, tabs, w))]:
+            return False
+    return True
+
+
+def _passes_two(good, tabs, span):
+    """``_passes`` for two chunks."""
+    a0, a1 = tabs
+    for x, y in span:
+        if not good[a0[x] + a1[y]]:
+            return False
+    return True
+
+
+def _grow(chunks, split, span):
+    """The nonzero span once the row with chunks ``split`` joins the rows
+    whose nonzero span is ``span``: the old span, then c * row + w for each
+    nonzero c and each w in {0} + span."""
+    columns = list(zip(*span))
+    grown = list(span)
+    for c in range(1, chunks.q):
+        scaled = tuple(mul[c][v] for mul, v in zip(chunks.mul, split))
+        grown.append(scaled)
+        sums = (map(add[s].__getitem__, col) for add, s, col in zip(chunks.add, scaled, columns))
+        grown.extend(zip(*sums))
+    return grown
+
+
+def _start_worker(field, m, good):
+    global _WORKER
+    _WORKER = (_chunk_tables(field, m), good)
+
+
+def _scan_in_worker(pattern):
+    return _scan_pattern(*_WORKER, pattern)
+
+
+def scan_patterns(field, m, good, patterns, shards):
+    """Yield (candidates_decided, hit_row_lists) for each pattern in order,
+    scanned against the goodness table ``good`` over F^m: in process, or on a
+    pool of ``shards`` workers when more than one can be used."""
+    workers = min(shards, len(patterns), os.cpu_count() or 1)
+    if workers <= 1:
+        chunks = _chunk_tables(field, m)
+        for pattern in patterns:
+            yield _scan_pattern(chunks, good, pattern)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(field, m, good)
+    ) as pool:
+        yield from pool.map(_scan_in_worker, patterns)

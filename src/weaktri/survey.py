@@ -16,7 +16,7 @@ fields), where the theorem does not hold: there the hit is a non-flag hit,
 counted in its own report line.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
-bases row by row, bottom row first.  A goodness table holds one flag per
+bases row by row, bottom row first.  A goodness table holds one byte per
 quotient class: the class is bad when some lift of it over the constraint
 span has a characteristic polynomial that ``gf.splits_over`` rejects (the one
 split decision of the package).  Badness is invariant under nonzero scalars,
@@ -28,22 +28,20 @@ identity constraint).  Any candidate whose partial span hits a bad class is
 rejected together with its entire subtree (all such candidates contain that
 same bad element), with skipped counts tracked exactly.
 
-The pivot pattern is the unit of work.  Each pattern's candidates are decided
-in one call, in process or on a pool of ``shards`` worker processes; the
-worker count never changes the report.  With a journal, each pattern's count
-and hits are appended (and fsynced) as soon as they arrive, and the journal
-is the resume state: rerunning the same campaign on it skips the patterns it
-has already decided.
+The pivot pattern is the unit of work.  ``scan.scan_patterns`` decides each
+pattern's candidates in one call, on packed class indices, in process or on
+a pool of ``shards`` worker processes that each receive the goodness table
+once; the worker count never changes the report.  With a journal, each
+pattern's count and hits are appended (and fsynced) as soon as they arrive,
+and the journal is the resume state: rerunning the same campaign on it skips
+the patterns it has already decided.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import os
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
@@ -53,10 +51,10 @@ from .grassmann import (
     enumerate_subspaces,
     grassmann_count,
     lift_quotient_rows,
-    pattern_size,
     pivot_patterns,
 )
 from .linalg import Mat, char_poly, rref
+from .scan import scan_patterns
 from .spaces import DEFAULT_BUDGET, MatSpace, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
@@ -283,19 +281,20 @@ class _Reduction:
 
 
 def _goodness_table(reduction: _Reduction):
-    """good[packed class] == every lift over the constraint span splits.
+    """good[packed class] is 1 when every lift over the constraint span
+    splits, else 0; a bytearray, one byte per class.
 
     Only classes whose top nonzero digit is 1 compute char polys.  Any other
     class is a nonzero multiple of the one it scales down to, whose top digit
     is 1 and whose index is smaller, and copies that entry.  Class 0 lifts to
-    exactly the constraint span, so good[0] is False when some constraint
+    exactly the constraint span, so good[0] is 0 when some constraint
     combination has a non-split characteristic polynomial.
     """
     field, n, m = reduction.field, reduction.n, reduction.m
     q, k = field.q, reduction.quotient_dim
     span = reduction.constraint_span_elements()
     pows = [q**i for i in range(k)]
-    good = [True] * q**k
+    good = bytearray(b"\x01") * q**k
     for idx in range(len(good)):
         rest, digits = idx, []
         for _ in range(k):
@@ -312,97 +311,9 @@ def _goodness_table(reduction: _Reduction):
         for z in span:
             entries = [field.add(a, b) for a, b in zip(base, z)] if any(z) else base
             if not splits_over(char_poly(Mat(field, n, entries))):
-                good[idx] = False
+                good[idx] = 0
                 break
     return good
-
-
-# -- the pruned scan --------------------------------------------------------------
-
-
-def _scan_pattern(field, m, good, pattern):
-    """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
-    returns (candidates_decided, hit_row_lists).
-
-    Rows are assigned bottom-up.  A bad projective point among the
-    combinations involving the newest row rejects the row together with every
-    completion of the remaining rows above it.
-    """
-    k = len(pattern)
-    if k == 0:
-        return 1, [()]
-    q = field.q
-    elements = tuple(field.elements())
-    add_tab = [[field.add(a, b) for b in elements] for a in elements]
-    mul_tab = [[field.mul(a, b) for b in elements] for a in elements]
-    pows = [q**i for i in range(m)]
-    pivot_set = set(pattern)
-    frees = [
-        [c for c in range(pattern[i] + 1, m) if c not in pivot_set]
-        for i in range(k)
-    ]
-    skip = [1] * k
-    for i in range(1, k):
-        skip[i] = skip[i - 1] * q ** len(frees[i - 1])
-    templates = []
-    for i in range(k):
-        t = [0] * m
-        t[pattern[i]] = 1
-        templates.append(t)
-    chosen = [None] * k
-    bad_total = 0
-    hits = []
-
-    def rec(i, combos):
-        nonlocal bad_total
-        frees_i = frees[i]
-        skip_i = skip[i]
-        template = templates[i]
-        for values in itertools.product(elements, repeat=len(frees_i)):
-            row = template[:]
-            for pos, v in zip(frees_i, values):
-                row[pos] = v
-            ok = True
-            for w in combos:
-                idx = 0
-                for a, b, pw in zip(row, w, pows):
-                    idx += add_tab[a][b] * pw
-                if not good[idx]:
-                    ok = False
-                    break
-            if not ok:
-                bad_total += skip_i
-                continue
-            chosen[i] = tuple(row)
-            if i == 0:
-                hits.append(tuple(chosen))
-                continue
-            grown = list(combos)
-            for c in elements[1:]:
-                crow = [mul_tab[c][v] for v in row]
-                for w in combos:
-                    grown.append(tuple(add_tab[a][b] for a, b in zip(crow, w)))
-            rec(i - 1, grown)
-
-    rec(k - 1, [(0,) * m])
-    expected = pattern_size(pattern, m, q)
-    got = bad_total + len(hits)
-    if got != expected:
-        raise TheoremViolationError(
-            f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
-        )
-    return expected, hits
-
-
-def _in_pattern_order(scan, patterns, shards):
-    """``map(scan, patterns)``, on a process pool when more than one worker
-    is asked for and can be used."""
-    workers = min(shards, len(patterns), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(scan, patterns)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(scan, patterns)
 
 
 # -- journal ----------------------------------------------------------------------
@@ -537,8 +448,8 @@ def _run_exhaustive(spec, reduction, sub_dim):
         return report, []
 
     todo = [p for p in patterns if p not in done]
-    scan = functools.partial(_scan_pattern, spec.field, reduction.quotient_dim, good)
-    for pattern, (decided, rows) in zip(todo, _in_pattern_order(scan, todo, spec.shards)):
+    scans = scan_patterns(spec.field, reduction.quotient_dim, good, todo, spec.shards)
+    for pattern, (decided, rows) in zip(todo, scans):
         spaces = [reduction.space_from(r) for r in rows]
         if spec.journal:
             _append_journal_entry(spec.journal, pattern, decided, spaces)

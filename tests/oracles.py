@@ -10,13 +10,18 @@ reductions (one element per class) of the sweep and the goodness table.
 The invariant-subspace sweep, ``is_chain``, ``triangularize`` and
 ``transpose_dual`` are references that the package itself never needs; the
 tests compare recovered flags, split verdicts and adaptedness against them.
+
+``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
+vectors were packed: rows are coordinate lists, and each combination is
+added coordinate by coordinate.  The packed scan must decide every pattern
+exactly as it does.
 """
 
 import itertools
 
-from weaktri.errors import PreconditionError
+from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import Poly
-from weaktri.grassmann import enumerate_subspaces
+from weaktri.grassmann import enumerate_subspaces, pattern_size
 from weaktri.linalg import Mat, Vec, char_poly, invert, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.triang import is_triangularizable
@@ -133,6 +138,80 @@ def goodness_by_full_lifts(field, n, constraint_rows, section_cols):
             )
         )
     return table
+
+
+def scan_pattern_by_rows(field, m, good, pattern):
+    """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
+    returns (candidates_decided, hit_row_lists).
+
+    Rows are assigned bottom-up.  A bad projective point among the
+    combinations involving the newest row rejects the row together with every
+    completion of the remaining rows above it.
+    """
+    k = len(pattern)
+    if k == 0:
+        return 1, [()]
+    q = field.q
+    elements = tuple(field.elements())
+    add_tab = [[field.add(a, b) for b in elements] for a in elements]
+    mul_tab = [[field.mul(a, b) for b in elements] for a in elements]
+    pows = [q**i for i in range(m)]
+    pivot_set = set(pattern)
+    frees = [
+        [c for c in range(pattern[i] + 1, m) if c not in pivot_set]
+        for i in range(k)
+    ]
+    skip = [1] * k
+    for i in range(1, k):
+        skip[i] = skip[i - 1] * q ** len(frees[i - 1])
+    templates = []
+    for i in range(k):
+        t = [0] * m
+        t[pattern[i]] = 1
+        templates.append(t)
+    chosen = [None] * k
+    bad_total = 0
+    hits = []
+
+    def rec(i, combos):
+        nonlocal bad_total
+        frees_i = frees[i]
+        skip_i = skip[i]
+        template = templates[i]
+        for values in itertools.product(elements, repeat=len(frees_i)):
+            row = template[:]
+            for pos, v in zip(frees_i, values):
+                row[pos] = v
+            ok = True
+            for w in combos:
+                idx = 0
+                for a, b, pw in zip(row, w, pows):
+                    idx += add_tab[a][b] * pw
+                if not good[idx]:
+                    ok = False
+                    break
+            if not ok:
+                bad_total += skip_i
+                continue
+            chosen[i] = tuple(row)
+            if i == 0:
+                hits.append(tuple(chosen))
+                continue
+            grown = list(combos)
+            for c in elements[1:]:
+                crow = [mul_tab[c][v] for v in row]
+                for w in combos:
+                    grown.append(tuple(add_tab[a][b] for a, b in zip(crow, w)))
+            rec(i - 1, grown)
+
+    rec(k - 1, [(0,) * m])
+    expected = pattern_size(pattern, m, q)
+    got = bad_total + len(hits)
+    if got != expected:
+        raise TheoremViolationError(
+            f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
+        )
+    return expected, hits
 
 
 def in_span(rows, v, field):

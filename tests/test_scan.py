@@ -1,0 +1,194 @@
+"""The campaign's packed scan: its chunk plan and tables, its per-pattern
+verdicts against the row-list reference, and what the worker pool sends."""
+
+import pickle
+import random
+
+import pytest
+
+import weaktri.scan
+from weaktri.gf import FieldCtx
+from weaktri.grassmann import pivot_patterns
+from weaktri.linalg import Mat
+from weaktri.scan import (
+    _CHUNK_TABLE_LIMIT,
+    _chunk_tables,
+    _chunk_widths,
+    _scan_pattern,
+    scan_patterns,
+)
+from weaktri.survey import _goodness_table, _Reduction
+
+from oracles import scan_pattern_by_rows
+
+GF2 = (2, 1, None, True)
+GF9 = (3, 2, (1, 0, 1))
+
+
+def packed(digits, q):
+    return sum(d * q**c for c, d in enumerate(digits))
+
+
+def assert_scans_agree(field, m, good, ks):
+    """The packed scan and the row-list reference return the same candidate
+    count and the same hit rows on every pattern with k rows, k in ``ks``;
+    returns the hit and rejection totals."""
+    chunks = _chunk_tables(field, m)
+    hits = rejected = 0
+    for k in ks:
+        for pattern in pivot_patterns(m, k):
+            decided, rows = _scan_pattern(chunks, good, pattern)
+            want_decided, want_rows = scan_pattern_by_rows(field, m, good, pattern)
+            assert (decided, sorted(rows)) == (want_decided, sorted(want_rows)), pattern
+            hits += len(rows)
+            rejected += decided - len(rows)
+    return hits, rejected
+
+
+def synthetic_goodness(q, m, seed, density):
+    """A seeded table over prime q that, like a real goodness table, is
+    constant on each class's nonzero multiples."""
+    rng = random.Random(seed)
+    good = bytearray(q**m)
+    for index in range(1, q**m):
+        digits = [index // q**c % q for c in range(m)]
+        top = next(d for d in reversed(digits) if d)
+        if top == 1:
+            good[index] = rng.random() < density
+        else:
+            inv = pow(top, q - 2, q)
+            good[index] = good[packed([inv * d % q for d in digits], q)]
+    return good
+
+
+# -- chunk plan and tables --------------------------------------------------------
+
+
+# m = 8 is the quotient by I of 3x3 matrices, m = 3 that of 2x2 ones
+@pytest.mark.parametrize(
+    "q, m, widths", [(3, 8, (4, 4)), (5, 8, (4, 4)), (9, 8, (3, 3, 2)), (9, 3, (2, 1))]
+)
+def test_chunk_widths_of_the_identity_campaigns(q, m, widths):
+    assert _chunk_widths(q, m) == widths
+
+
+def test_chunk_tables_stay_within_both_bounds():
+    for q in (2, 3, 4, 5, 7, 9, 11, 25, 101):
+        for m in range(1, 13):
+            widths = _chunk_widths(q, m)
+            assert sum(widths) == m and max(widths) - min(widths) <= 1
+            # at most 2^20 entries, and no more than the goodness table, though
+            # a two-digit chunk is always allowed under 2^20
+            cap = min(_CHUNK_TABLE_LIMIT, max(q**m, q**4))
+            assert all(q ** (2 * h) <= cap for h in widths), (q, m)
+            # one chunk fewer would break a bound
+            if len(widths) > 1:
+                assert q ** (2 * -(-m // (len(widths) - 1))) > cap, (q, m)
+
+
+@pytest.mark.parametrize(
+    "field_args, m, entries",
+    [((3,), 8, [6561, 6561]), ((5,), 8, [390_625, 390_625]), (GF9, 3, [6561, 81])],
+)
+def test_built_table_sizes(field_args, m, entries):
+    field = FieldCtx(*field_args)
+    chunks = _chunk_tables(field, m)
+    for j, size in enumerate(entries):
+        side = field.q ** chunks.widths[j]
+        assert len(chunks.add[j]) * len(chunks.add[j][0]) == size == side * side
+        assert len(chunks.test[j]) * len(chunks.test[j][0]) == size
+        assert (len(chunks.mul[j]), len(chunks.mul[j][0])) == (field.q, side)
+    assert len(chunks.add) == len(entries)
+
+
+@pytest.mark.parametrize("field_args, m", [((3,), 8), ((5,), 4), (GF9, 3), (GF9, 5), (GF2, 5)])
+def test_every_chunk_table_entry(field_args, m):
+    field = FieldCtx(*field_args)
+    q = field.q
+    chunks = _chunk_tables(field, m)
+    for j, (offset, width) in enumerate(zip(chunks.offsets, chunks.widths)):
+        values = [[a // q**c % q for c in range(width)] for a in range(q**width)]
+        for a, da in enumerate(values):
+            for b, db in enumerate(values):
+                total = packed([field.add(x, y) for x, y in zip(da, db)], q)
+                assert (chunks.add[j][a][b], chunks.test[j][a][b]) == (total, total * q**offset)
+            for c in range(q):
+                assert chunks.mul[j][c][a] == packed([field.mul(c, x) for x in da], q)
+    for index in (0, 1, q**m - 1, q ** (m - 1) + q):
+        split = chunks.split(index)
+        assert sum(v * q**o for v, o in zip(split, chunks.offsets)) == index
+
+
+# -- the packed scan against the reference ------------------------------------------
+
+
+@pytest.mark.parametrize("field_args", [GF2, (3,), (5,), GF9])
+def test_n2_identity_campaign_patterns_match_the_reference(field_args):
+    field = FieldCtx(*field_args)
+    reduction = _Reduction(field, 2, [Mat.identity(field, 2)])
+    good = _goodness_table(reduction)
+    hits, rejected = assert_scans_agree(field, reduction.quotient_dim, good, range(4))
+    assert hits and rejected
+
+
+def test_n3_identity_campaign_patterns_match_the_reference(gf3):
+    reduction = _Reduction(gf3, 3, [Mat.identity(gf3, 3)])
+    good = _goodness_table(reduction)
+    assert assert_scans_agree(gf3, 8, good, [5]) == (52, 25_095_280 - 52)
+
+
+@pytest.mark.parametrize(
+    "q, m, chunk_count, density", [(5, 2, 1, 0.8), (3, 6, 2, 0.9), (3, 5, 3, 0.85), (5, 5, 3, 0.97)]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synthetic_tables_match_the_reference(q, m, chunk_count, density, seed):
+    assert len(_chunk_widths(q, m)) == chunk_count
+    good = synthetic_goodness(q, m, seed, density)
+    hits, rejected = assert_scans_agree(FieldCtx(q), m, good, range(m + 1))
+    assert hits > 1 and rejected > 0
+
+
+def test_plain_list_table_is_accepted(gf3):
+    good = list(map(bool, synthetic_goodness(3, 4, 0, 0.9)))
+    assert assert_scans_agree(gf3, 4, good, range(5))[0] > 1
+
+
+# -- the worker pool ------------------------------------------------------------------
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs its initializer once, as a
+    worker does, and records the pickled size of every task it is given."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initargs_bytes = len(pickle.dumps(initargs))
+        self.task_bytes = []
+        initializer(*initargs)
+        RecordingPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        weaktri.scan._WORKER = None
+
+    def map(self, fn, items):
+        for item in items:
+            self.task_bytes.append(len(pickle.dumps((fn, item))))
+            yield fn(item)
+
+
+def test_pool_tasks_do_not_carry_the_goodness_table(gf3, monkeypatch):
+    monkeypatch.setattr(weaktri.scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(weaktri.scan.os, "cpu_count", lambda: 2)
+    patterns = [(0,), (0, 1), (1, 2), (0, 1, 2)]
+    task_bytes = []
+    for m in (3, 6):  # 27 and 729 classes
+        good = synthetic_goodness(3, m, 0, 0.9)
+        pooled = list(scan_patterns(gf3, m, good, patterns, 2))
+        assert pooled == list(scan_patterns(gf3, m, good, patterns, 1))
+        pool = RecordingPool.last
+        assert pool.initargs_bytes > len(good)  # the table goes once, to the worker
+        task_bytes.append(pool.task_bytes)
+    assert task_bytes[0] == task_bytes[1]
+    assert len(task_bytes[0]) == len(patterns) and max(task_bytes[0]) < 120

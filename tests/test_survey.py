@@ -197,14 +197,16 @@ def test_goodness_table_matches_every_lift(field_args, constraints):
     field = FieldCtx(*field_args)
     mats = {"I": Mat.identity(field, 2), "E00": Mat.unit(field, 2, 0, 0), "E01": Mat.unit(field, 2, 0, 1)}
     reduction = _Reduction(field, 2, [mats[name] for name in constraints.split(",") if name])
-    assert _goodness_table(reduction) == goodness_by_full_lifts(
+    assert list(_goodness_table(reduction)) == goodness_by_full_lifts(
         field, 2, reduction.rows, reduction.section_cols
     )
 
 
 def test_n3_goodness_table_matches_every_lift(gf3):
     reduction = _Reduction(gf3, 3, [Mat.identity(gf3, 3)])
-    assert _goodness_table(reduction) == goodness_by_full_lifts(
+    table = _goodness_table(reduction)
+    assert type(table) is bytearray  # one byte per class
+    assert list(table) == goodness_by_full_lifts(
         gf3, 3, reduction.rows, reduction.section_cols
     )
 
