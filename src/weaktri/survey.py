@@ -4,16 +4,20 @@ Grassmannian of matrix subspaces.
 A campaign sweeps every candidate subspace of the target dimension (optionally
 constrained to contain given matrices, e.g. the identity), decides weak
 triangularizability for each, and verifies every hit by one policy, whatever
-the mode.  Each hit gets an independent exhaustive element sweep.  Weakly
-triangularizable spaces have dimension at most t_n = n(n+1)/2, and over odd
-characteristic those of dimension t_n are exactly the flag spaces, so a hit
-of dimension t_n must also pass ``recover_flag``, whose gate
-flag_space(flag) == hit exhibits it as a conjugate of the upper-triangular
-matrices (and implies I in the hit).  Below t_n the sweep is the whole
-check; above t_n a hit is a theorem-violation alarm.  A TheoremViolationError
-from recovery is an alarm too, except over characteristic 2 (exploratory
-fields), where the theorem does not hold: there the hit is a non-flag hit,
-counted in its own report line.
+the mode, independently of the scan.  Weakly triangularizable spaces have
+dimension at most t_n = n(n+1)/2, and over odd characteristic those of
+dimension t_n are exactly the flag spaces.  So a hit of dimension t_n first
+runs ``recover_flag``, whose gate flag_space(flag) == hit exhibits it as
+P.T_n.P^-1: every element is then P.u.P^-1 with u upper triangular, hence
+triangularizable, and the hit needs no element sweep (the gate also implies
+I in the hit).  Only when the gate raises TheoremViolationError is the hit
+swept element by element: a failed sweep is the alarm that the scan
+accepted a non-split element; a sweep that holds leaves a non-flag hit over
+characteristic 2 (exploratory fields, where the theorem does not hold),
+counted in its own report line, and a recovery alarm otherwise.  Below t_n
+the sweep is the whole check; above t_n a hit that survives the sweep is a
+theorem-violation alarm.  The sweep budget applies only to hits that get
+swept.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
 bases row by row, bottom row first.  A goodness table holds one byte per
@@ -490,22 +494,31 @@ def _run_random(spec, reduction, sub_dim):
 
 
 def _verify_hits(spec, report):
-    """The one verification policy; see the module docstring."""
+    """The one verification policy; see the module docstring.
+
+    A hit of dimension n(n+1)/2 that passes the ``recover_flag`` gate is a
+    conjugate of T_n, so all its elements are triangularizable and it is
+    not swept.  Every other hit is swept within the sweep budget, and a
+    failed sweep is its alarm whatever the gate said.
+    """
     n = spec.n
     optimal = n * (n + 1) // 2
     for hit in report.hits:
         space = hit.space
+        if space.dim == optimal:
+            try:
+                recover_flag(space, assume_weakly_triangularizable=True)
+                continue
+            except TheoremViolationError as exc:
+                recovery = exc
         if not space_weakly_triangularizable(space, budget=spec.budget):
             hit.alarm = "scan accepted a space with a non-split element"
         elif space.dim > optimal:
             hit.alarm = f"weakly triangularizable hit of dimension {space.dim} > n(n+1)/2"
-        elif space.dim == optimal:
-            try:
-                recover_flag(space, assume_weakly_triangularizable=True)
-            except TheoremViolationError as exc:
-                if report.counts_non_flag:
-                    hit.non_flag = True
-                else:
-                    hit.alarm = f"recovery alarm: {exc}"
+        elif space.dim == optimal:  # the gate raised `recovery`
+            if report.counts_non_flag:
+                hit.non_flag = True
+            else:
+                hit.alarm = f"recovery alarm: {recovery}"
         if hit.alarm is not None:
             report.alarms.append(hit.alarm)

@@ -18,6 +18,7 @@ from weaktri.survey import (
     count_flags,
     run_campaign,
 )
+from weaktri.triang import space_weakly_triangularizable
 
 from conftest import counting_char_polys
 from oracles import goodness_by_full_lifts
@@ -32,6 +33,31 @@ def md5(text):
 
 def identity_spec(field, **kwargs):
     return CampaignSpec(n=2, field=field, dim=3, constraints=(Mat.identity(field, 2),), **kwargs)
+
+
+def counting_sweeps(monkeypatch):
+    """Record the spaces the survey sweeps element by element."""
+    swept = []
+
+    def counted(space, **kwargs):
+        swept.append(space)
+        return space_weakly_triangularizable(space, **kwargs)
+
+    monkeypatch.setattr(weaktri.survey, "space_weakly_triangularizable", counted)
+    return swept
+
+
+def accept_every_class(monkeypatch):
+    monkeypatch.setattr(
+        weaktri.survey, "_goodness_table", lambda r: bytearray(b"\x01") * r.field.q**r.quotient_dim
+    )
+
+
+def fail_every_recovery(monkeypatch):
+    def fail(space, **kwargs):
+        raise TheoremViolationError("deliberate")
+
+    monkeypatch.setattr(weaktri.survey, "recover_flag", fail)
 
 
 @pytest.mark.parametrize("field_args", FIELDS)
@@ -183,6 +209,11 @@ def test_random_campaign_verifies_its_hits(q, hits, capsys):
     assert f"# hits: {hits}\n# hits_verified: yes\n# alarms: 0\n" in out
 
 
+def test_random_campaign_report_digest(capsys):
+    assert main(CAMPAIGN + ["--random", "200"]) == 0
+    assert md5(capsys.readouterr().out) == "66f25fb88fbc2fbb995ab5e76fad32f0"
+
+
 def test_n3_hits_are_exactly_the_flags(gf3):
     report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
     assert report.total == 25_095_280
@@ -218,8 +249,8 @@ def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
     assert (report.total, report.hit_count) == (25_095_280, 52)
     # the zero class and the (3^8 - 1)/2 lines of the quotient by F.I
     assert len(table) == 3281
-    # 52 hits, one char poly per class of the hit modulo F.I
-    assert len(sweeps) == 52 * 122
+    # all 52 hits pass the recovery gate, so no element is swept
+    assert len(sweeps) == 0
     assert "non_flag" not in report.to_text()
 
 
@@ -227,8 +258,12 @@ GF2_CAMPAIGN = ["campaign", "--n", "3", "--field", "GF(2)", "--dim", "6",
                 "--contains-identity", "--exploratory"]
 
 
-def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys):
+def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys, monkeypatch):
+    sweeps = counting_char_polys(monkeypatch, weaktri.triang)
     assert main(GF2_CAMPAIGN) == 0
+    # only the 14 hits that fail the recovery gate are swept, one char poly
+    # per coset of F.I: 2^5 per hit
+    assert len(sweeps) == 14 * 32
     out = capsys.readouterr().out
     header = "# total: 97155\n# expected_total: 97155\n# hits: 35\n# non_flag_hits: 14\n"
     assert header + "# hits_verified: yes\n# alarms: 0\n" in out
@@ -245,12 +280,51 @@ def test_gf2_n2_report_digest():
 
 def test_failed_recovery_is_an_alarm_in_odd_characteristic(monkeypatch, capsys):
     # only characteristic 2 turns a failed recovery into a non-flag hit
-    def fail(space, **kwargs):
-        raise TheoremViolationError("deliberate")
-
-    monkeypatch.setattr(weaktri.survey, "recover_flag", fail)
+    fail_every_recovery(monkeypatch)
+    swept = counting_sweeps(monkeypatch)
     assert main(CAMPAIGN) == 3
     out = capsys.readouterr().out
     assert "# hits: 4\n# hits_verified: NO\n# alarms: 4\n" in out
     assert out.count("# alarm: recovery alarm: deliberate\n") == 4
     assert "non_flag" not in out and "non-flag" not in out
+    # a failed gate sends each hit to the sweep, once
+    assert len(swept) == 4 and len({s.key() for s in swept}) == 4
+
+
+def test_non_split_hits_fall_back_to_the_sweep_alarm(monkeypatch, capsys):
+    # a scan that accepts all 13 candidates: the 4 flag spaces pass the gate,
+    # the other 9 fail it and their sweep finds a non-split element
+    accept_every_class(monkeypatch)
+    swept = counting_sweeps(monkeypatch)
+    assert main(CAMPAIGN) == 3
+    out = capsys.readouterr().out
+    assert "# hits: 13\n# hits_verified: NO\n# alarms: 9\n" in out
+    assert out.count("# alarm: scan accepted a space with a non-split element\n") == 9
+    assert md5(out) == "2c828253baaf4d380b91a41b6ba6f57a"
+    assert len(swept) == 9
+
+
+def test_sweep_alarm_wins_over_a_failed_recovery(monkeypatch, capsys):
+    accept_every_class(monkeypatch)
+    fail_every_recovery(monkeypatch)
+    assert main(CAMPAIGN) == 3
+    out = capsys.readouterr().out
+    assert "# hits: 13\n# hits_verified: NO\n# alarms: 13\n" in out
+    assert out.count("# alarm: scan accepted a space with a non-split element\n") == 9
+    assert out.count("# alarm: recovery alarm: deliberate\n") == 4
+    assert md5(out) == "9fae4f160f645fe6b463d331d42c0d40"
+
+
+def test_budget_bounds_only_the_swept_hits(monkeypatch, capsys):
+    assert main(CAMPAIGN) == 0
+    plain = capsys.readouterr().out
+    # the 4 hits pass the gate, so no 27-element sweep meets the budget
+    assert main(CAMPAIGN + ["--budget", "13"]) == 0
+    assert capsys.readouterr().out == plain
+    # the campaign budget still counts the 13 candidates
+    assert main(CAMPAIGN + ["--budget", "12"]) == 4
+    assert "13 candidates exceed the campaign budget 12" in capsys.readouterr().err
+    # hits that fail the gate are swept within the budget
+    fail_every_recovery(monkeypatch)
+    assert main(CAMPAIGN + ["--budget", "13"]) == 4
+    assert "27 elements exceed the sweep budget 13" in capsys.readouterr().err
