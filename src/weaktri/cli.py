@@ -26,7 +26,7 @@ from .errors import (
 from .flags import recover_flag
 from .gf import parse_field
 from .linalg import Mat
-from .spaces import DEFAULT_BUDGET, format_spacefile, parse_spacefile
+from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
 from .survey import (
     DEFAULT_SEED,
     CampaignSpec,
@@ -74,12 +74,12 @@ def _add_spacefile_arg(sub):
     )
 
 
-def _add_budget_arg(sub):
+def _add_budget_arg(sub, what="element-sweep budget"):
     sub.add_argument(
         "--budget",
         type=int,
         default=None,
-        help=f"element-sweep budget (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})",
+        help=f"{what} (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})",
     )
 
 
@@ -91,12 +91,10 @@ def cmd_check(args):
     if mode == "exhaustive":
         verdict = space_weakly_triangularizable(space, budget=budget)
     else:
-        if not mode.startswith("sample:"):
+        kind, *parts = mode.split(":")
+        if kind != "sample" or len(parts) != 2:
             raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED")
-        parts = mode.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad --mode {mode!r}; use sample:N:SEED")
-        count, seed = int(parts[1]), int(parts[2])
+        count, seed = map(int, parts)
         print(f"# seed: {seed}")
         verdict = space_weakly_triangularizable(
             space, mode="sample", count=count, seed=seed, budget=budget
@@ -153,6 +151,7 @@ def cmd_lemma31(args):
 
 
 def cmd_campaign(args):
+    check_matrix_size(args.n)
     field = parse_field(args.field, exploratory=args.exploratory)
     constraints = ()
     if args.contains_identity:
@@ -193,6 +192,7 @@ def cmd_gen(args):
     else:
         if args.n is None:
             raise ValueError(f"--kind {kind} needs --n")
+        check_matrix_size(args.n)
         if kind == "triangular":
             space = gen_triangular(args.n, field)
         elif kind == "sym":
@@ -210,20 +210,17 @@ def cmd_gen(args):
 
 
 def _full_algebra(n, field):
-    from .spaces import MatSpace
-
-    return MatSpace.from_span(
-        [Mat.unit(field, n, i, j) for i in range(n) for j in range(n)],
-        field=field,
-        n=n,
-    )
+    check_matrix_size(n)
+    units = [Mat.unit(field, n, i, j) for i in range(n) for j in range(n)]
+    return MatSpace.from_span(units, field=field, n=n)
 
 
 def cmd_flags(args):
     field = parse_field(args.field, exploratory=args.exploratory)
+    count = count_flags(args.n, field)
     print(f"# n: {args.n}")
     print(f"# field: {field.descriptor()}")
-    print(count_flags(args.n, field))
+    print(count)
     return 0
 
 
@@ -243,7 +240,7 @@ def build_parser():
     p = sub.add_parser("recover", help="recover the invariant flag of an optimal space")
     _add_spacefile_arg(p)
     p.add_argument("--trace", default=None, help="write the recovery trace to a file")
-    _add_budget_arg(p)
+    _add_budget_arg(p, "budget of the element sweep, which runs only when the flag gate fails")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("adapted", help="first adapted vector of a space")

@@ -13,13 +13,17 @@ matrix gives the radical N, the chain V_n = F^n, V_(k-1) = N V_k gives
 the flag, and e_i is the canonical (RREF) row of V_i whose pivot column
 is new against V_(i-1).
 
-The one correctness gate is the exact equality flag_space(result) == input.
-Over odd characteristic every optimal weakly triangularizable space is a
-conjugate P T_n P^-1 of the upper-triangular matrices, and a space that
-passes the gate is one by construction, so the structure facts of the
-paper's block analysis hold for it and are not re-checked:
-``extract_structure_maps`` keeps only its precondition, that the flag
-generates the space.
+The one correctness gate is the exact equality flag_space(result) == input,
+and it decides.  Over odd characteristic every optimal weakly
+triangularizable space is a conjugate P T_n P^-1 of the upper-triangular
+matrices, and a space that passes the gate is one by construction: every
+element is P u P^-1 with u upper triangular, hence triangularizable, so no
+element sweep can add anything.  ``recover_flag`` therefore runs the gate
+first and sweeps the elements only to explain a failed gate: a non-split
+element makes the input a precondition failure, and a sweep that holds
+leaves the gate's TheoremViolationError standing.  The structure facts of
+the paper's block analysis hold on a space that passes the gate and are not
+re-checked: ``extract_structure_maps`` is that gate on a given flag.
 
 Every step that the theory guarantees on such a space raises
 TheoremViolationError when it fails; such an alarm is never swallowed and
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, TheoremViolationError
-from .linalg import Mat, Vec, invert, kernel_basis, rref, span_rows
+from .linalg import Mat, Vec, kernel_basis, rref, span_rows
 from .spaces import MatSpace
 from .triang import space_weakly_triangularizable
 
@@ -86,12 +90,11 @@ def flag_space(flag: Flag) -> MatSpace:
     """All endomorphisms leaving every flag subspace invariant.
 
     Upper-triangular in the flag basis, so the dimension is n(n+1)/2.  The
-    one construction of the span of the P E_ij P^-1, i <= j.
+    one construction of the span of the P E_ij P^-1, i <= j; the E_ij in
+    row-major order are already the canonical basis of T_n.
     """
     F, n = flag.field, flag.n
-    upper = MatSpace.from_span(
-        [Mat.unit(F, n, i, j) for i in range(n) for j in range(i, n)], field=F, n=n
-    )
+    upper = MatSpace(F, n, (Mat.unit(F, n, i, j) for i in range(n) for j in range(i, n)))
     space = upper.conjugate(flag.basis_matrix())
     if space.dim != n * (n + 1) // 2:
         raise TheoremViolationError("flag space has the wrong dimension")
@@ -109,9 +112,6 @@ class LevelRecord:
     kind: str
     checks: dict = dc_field(default_factory=dict)
 
-    def all_pass(self):
-        return all(self.checks.values())
-
 
 @dataclass
 class RecoveryTrace:
@@ -122,7 +122,7 @@ class RecoveryTrace:
     levels: list = dc_field(default_factory=list)
 
     def all_checks_pass(self):
-        return all(rec.all_pass() for rec in self.levels)
+        return all(all(rec.checks.values()) for rec in self.levels)
 
     def to_text(self):
         lines = [
@@ -142,24 +142,38 @@ class RecoveryTrace:
 def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable=False):
     """Recover the unique complete flag F with flag_space(F) == space.
 
-    The input must be optimal (dimension n(n+1)/2) and weakly
-    triangularizable; the latter is verified exhaustively when q^dim fits the
-    budget, otherwise the caller must vouch via
-    ``assume_weakly_triangularizable=True``.  A space that is not a flag
-    space raises TheoremViolationError.
+    The input must be optimal (dimension n(n+1)/2).  The radical, chain and
+    gate run first, and a space that passes the gate is returned with no
+    element sweep.  When a step raises TheoremViolationError the space's
+    elements are swept within ``budget`` to explain it: a non-split element
+    raises PreconditionError with that witness, and otherwise the
+    TheoremViolationError is re-raised (a weakly triangularizable space
+    that is not a flag space, possible only over characteristic 2).  With
+    ``assume_weakly_triangularizable=True`` the caller vouches for the
+    input and nothing is swept.
     """
+    try:
+        return _flag_by_gate(space)
+    except TheoremViolationError:
+        if not assume_weakly_triangularizable:
+            verdict = space_weakly_triangularizable(space, budget=budget)
+            if not verdict:
+                raise PreconditionError(
+                    f"space is not weakly triangularizable; witness {verdict.witness!r}"
+                ) from None
+        raise
+
+
+def _flag_by_gate(space):
+    """The trace-form radical, its chain and the gate flag_space == space;
+    each step that fails raises TheoremViolationError with the trace.  A
+    space that is not of dimension n(n+1)/2 raises PreconditionError."""
     F, n = space.field, space.n
     expected = n * (n + 1) // 2
     if space.dim != expected:
         raise PreconditionError(
             f"optimal spaces have dimension {expected}, got {space.dim}"
         )
-    if not assume_weakly_triangularizable:
-        verdict = space_weakly_triangularizable(space, budget=budget)
-        if not verdict:
-            raise PreconditionError(
-                f"space is not weakly triangularizable; witness {verdict.witness!r}"
-            )
     trace = RecoveryTrace(n, F.descriptor())
     rec = LevelRecord(n=n, kind="radical")
     trace.levels.append(rec)
@@ -231,21 +245,16 @@ def _trace_form_radical(space):
 def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
     """Check that ``flag`` generates the optimal space ``space``, for n >= 3.
 
-    The check is the whole extraction: in the flag basis the space must be
-    upper triangular of dimension n(n+1)/2, so it *is* T_n.  Every block fact
-    of T_n (its units, slices, unique completions, vanishing corner and
-    residual maps, and its descent to T_(n-1) through F.e_n) then holds by
-    construction and has nothing left to decide; the returned trace records
-    no levels, so ``all_checks_pass()`` is true.  A flag that does not
-    generate the space raises PreconditionError.
+    The check is the whole extraction: flag_space(flag) == space makes the
+    space T_n in the flag basis.  Every block fact of T_n (its units,
+    slices, unique completions, vanishing corner and residual maps, and its
+    descent to T_(n-1) through F.e_n) then holds by construction and has
+    nothing left to decide; the returned trace records no levels, so
+    ``all_checks_pass()`` is true.  A flag that does not generate the space
+    raises PreconditionError.
     """
     if flag.n < 3:
         raise PreconditionError("structure-map extraction needs n >= 3")
-    F, n = space.field, space.n
-    if flag.field != F or flag.n != n:
+    if flag_space(flag) != space:
         raise PreconditionError("flag does not generate the given space")
-    level = space.conjugate(invert(flag.basis_matrix()))
-    upper = all(b.is_upper_triangular() for b in level.basis)
-    if level.dim != n * (n + 1) // 2 or not upper:
-        raise PreconditionError("flag does not generate the given space")
-    return RecoveryTrace(n, F.descriptor())
+    return RecoveryTrace(space.n, space.field.descriptor())

@@ -166,10 +166,6 @@ class Mat:
             acc = F.add(acc, self.entries[i * n + i])
         return acc
 
-    def is_upper_triangular(self):
-        n = self.n
-        return all(self.entries[i * n + j] == 0 for i in range(n) for j in range(i))
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)

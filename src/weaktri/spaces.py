@@ -8,11 +8,17 @@ basis sequences and can be hashed, deduplicated, and diffed.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, SpaceFileError
+from .errors import BudgetExceededError, PreconditionError, SpaceFileError
 from .gf import parse_field
 from .linalg import Mat, invert, rref
 
 DEFAULT_BUDGET = 2**28
+
+
+def check_matrix_size(n):
+    """Refuse a matrix size below 1, as a space file does."""
+    if n < 1:
+        raise PreconditionError(f"matrix size n must be >= 1, got {n}")
 
 
 class MatSpace:

@@ -5,19 +5,14 @@ A campaign sweeps every candidate subspace of the target dimension (optionally
 constrained to contain given matrices, e.g. the identity), decides weak
 triangularizability for each, and verifies every hit by one policy, whatever
 the mode, independently of the scan.  Weakly triangularizable spaces have
-dimension at most t_n = n(n+1)/2, and over odd characteristic those of
-dimension t_n are exactly the flag spaces.  So a hit of dimension t_n first
-runs ``recover_flag``, whose gate flag_space(flag) == hit exhibits it as
-P.T_n.P^-1: every element is then P.u.P^-1 with u upper triangular, hence
-triangularizable, and the hit needs no element sweep (the gate also implies
-I in the hit).  Only when the gate raises TheoremViolationError is the hit
-swept element by element: a failed sweep is the alarm that the scan
-accepted a non-split element; a sweep that holds leaves a non-flag hit over
-characteristic 2 (exploratory fields, where the theorem does not hold),
-counted in its own report line, and a recovery alarm otherwise.  Below t_n
-the sweep is the whole check; above t_n a hit that survives the sweep is a
-theorem-violation alarm.  The sweep budget applies only to hits that get
-swept.
+dimension at most t_n = n(n+1)/2.  A hit of dimension t_n is verified by
+``recover_flag``, whose flag gate decides and whose element sweep only
+explains a failed gate: a non-split element is the alarm that the scan
+accepted it, and a weakly triangularizable hit that is not a flag space is
+counted in its own report line over characteristic 2 (exploratory fields,
+where the theorem does not hold) and is a recovery alarm otherwise.  Below
+t_n the element sweep is the whole check; above t_n a hit that survives it
+is a theorem-violation alarm.
 
 The exhaustive scan reduces modulo the constraint span and enumerates RREF
 bases row by row, bottom row first.  A goodness table holds one byte per
@@ -59,7 +54,7 @@ from .grassmann import (
 )
 from .linalg import Mat, char_poly, rref
 from .scan import scan_patterns
-from .spaces import DEFAULT_BUDGET, MatSpace, format_spacefile, parse_spacefile
+from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
@@ -146,6 +141,7 @@ def count_flags(n, field) -> int:
     n <= 3 when it counts at most ``_CHAIN_CHECK_LIMIT`` flags (both must
     agree).
     """
+    check_matrix_size(n)
     q = field.q
     formula = 1
     for i in range(2, n + 1):
@@ -413,12 +409,15 @@ def _read_journal_entry(text, field):
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run the sweep described by ``spec`` and fully verify every hit."""
     field, n = spec.field, spec.n
+    check_matrix_size(n)
     if not len(spec.constraints) <= spec.dim <= n * n:
         raise PreconditionError(
             f"target dimension {spec.dim} outside [{len(spec.constraints)}, {n * n}]"
         )
     if spec.shards < 1:
         raise PreconditionError(f"need at least one shard, got {spec.shards}")
+    if spec.count < 0:
+        raise PreconditionError(f"sample count must be >= 0, got {spec.count}")
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
@@ -494,31 +493,24 @@ def _run_random(spec, reduction, sub_dim):
 
 
 def _verify_hits(spec, report):
-    """The one verification policy; see the module docstring.
-
-    A hit of dimension n(n+1)/2 that passes the ``recover_flag`` gate is a
-    conjugate of T_n, so all its elements are triangularizable and it is
-    not swept.  Every other hit is swept within the sweep budget, and a
-    failed sweep is its alarm whatever the gate said.
-    """
+    """The one verification policy; see the module docstring and
+    ``recover_flag``."""
     n = spec.n
     optimal = n * (n + 1) // 2
     for hit in report.hits:
         space = hit.space
         if space.dim == optimal:
             try:
-                recover_flag(space, assume_weakly_triangularizable=True)
-                continue
+                recover_flag(space, budget=spec.budget)
+            except PreconditionError:
+                hit.alarm = "scan accepted a space with a non-split element"
             except TheoremViolationError as exc:
-                recovery = exc
-        if not space_weakly_triangularizable(space, budget=spec.budget):
+                hit.non_flag = report.counts_non_flag
+                if not hit.non_flag:
+                    hit.alarm = f"recovery alarm: {exc}"
+        elif not space_weakly_triangularizable(space, budget=spec.budget):
             hit.alarm = "scan accepted a space with a non-split element"
         elif space.dim > optimal:
             hit.alarm = f"weakly triangularizable hit of dimension {space.dim} > n(n+1)/2"
-        elif space.dim == optimal:  # the gate raised `recovery`
-            if report.counts_non_flag:
-                hit.non_flag = True
-            else:
-                hit.alarm = f"recovery alarm: {recovery}"
         if hit.alarm is not None:
             report.alarms.append(hit.alarm)

@@ -62,6 +62,8 @@ def space_weakly_triangularizable(
                 return SpaceVerdict(False, m, True, rank + 1)
         return SpaceVerdict(True, None, True, space.element_count())
     if mode == "sample":
+        if count < 0:
+            raise ValueError(f"sample count must be >= 0, got {count}")
         rng = random.Random(seed)
         q = space.field.q
         for i in range(count):

@@ -7,9 +7,10 @@ the space.  The full-sweep references re-decide every element and every
 lift with the library's split test, so they check only the symmetry
 reductions (one element per class) of the sweep and the goodness table.
 
-The invariant-subspace sweep, ``is_chain``, ``triangularize`` and
-``transpose_dual`` are references that the package itself never needs; the
-tests compare recovered flags, split verdicts and adaptedness against them.
+The invariant-subspace sweep, ``is_chain``, ``is_upper_triangular``,
+``triangularize`` and ``transpose_dual`` are references that the package
+itself never needs; the tests compare recovered flags, split verdicts and
+adaptedness against them.
 
 ``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
 vectors were packed: rows are coordinate lists, and each combination is
@@ -253,6 +254,10 @@ def transpose_dual(space):
         field=space.field,
         n=n,
     )
+
+
+def is_upper_triangular(m: Mat) -> bool:
+    return all(m.entry(i, j) == 0 for i in range(m.n) for j in range(i))
 
 
 def triangularize(m: Mat) -> Mat:

@@ -3,6 +3,12 @@ import pytest
 import weaktri.cli
 from weaktri.cli import main
 from weaktri.errors import TheoremViolationError
+from weaktri.flags import Flag, flag_space
+from weaktri.gf import FieldCtx
+from weaktri.spaces import format_spacefile, parse_spacefile
+from weaktri.survey import gen_triangular
+
+from conftest import random_invertible, seeded
 
 CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(5)", "--dim", "3", "--contains-identity"]
 
@@ -83,6 +89,32 @@ def test_recover_prints_the_flag_and_the_trace(t3, tmp_path, capsys):
     assert trace_file.read_text() == out[len(head):]
 
 
+def test_recover_budget_bounds_only_a_failed_gate(t3, sl2, capsys):
+    assert main(["recover", t3]) == 0
+    plain = capsys.readouterr().out
+    # T3 over GF(3) has 3^6 elements, but it passes the gate unswept
+    assert main(["recover", t3, "--budget", "1"]) == 0
+    assert capsys.readouterr().out == plain
+    # sl2 is optimal but fails the gate, so it is swept within the budget
+    assert main(["recover", sl2, "--budget", "1"]) == 4
+    assert "27 elements exceed the sweep budget 1" in capsys.readouterr().err
+    assert main(["recover", sl2]) == 1
+    assert "not weakly triangularizable; witness" in capsys.readouterr().err
+
+
+def test_recover_a_conjugate_of_t4_over_gf7(tmp_path, capsys):
+    # 7^10 elements exceed the default sweep budget; the gate needs none
+    gf7 = FieldCtx(7)
+    space = gen_triangular(4, gf7, conjugate_by=random_invertible(gf7, 4, seeded(7)))
+    path = tmp_path / "t4.space"
+    path.write_text(format_spacefile(space))
+    assert main(["recover", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# space: n=4 dim=10 field=GF(7)", "# recovered: yes"]
+    basis = [[int(t) for t in line.split()[1:]] for line in lines[2:6]]
+    assert flag_space(Flag(gf7, basis)) == space
+
+
 def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):
     assert main(["gen", "--kind", "triangular", "--n", "2", "--field", "GF(3)"]) == 0
     path = tmp_path / "t2.space"
@@ -107,9 +139,38 @@ def test_lemma31_over_gf5(capsys):
 )
 def test_gen_kinds(extra, n, dim, capsys):
     assert main(["gen", "--field", "GF(3)"] + extra) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert lines[:3] == ["field GF(3)", f"n {n}", f"dim {dim}"]
     assert len(lines) == 3 + dim
+    assert format_spacefile(parse_spacefile(out, strict=True)) == out
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["gen", "--kind", "triangular", "--n", "0"], 0),
+        (["gen", "--kind", "sym", "--n", "-1"], -1),
+        (["gen", "--kind", "sl", "--n", "0"], 0),
+        (["gen", "--kind", "random", "--n", "-1", "--dim", "1"], -1),
+        (["gen", "--kind", "joint", "--blocks", "0"], 0),
+        (["gen", "--kind", "joint", "--blocks", "2,-1"], -1),
+        (["flags", "--n", "0"], 0),
+        (["flags", "--n", "-1"], -1),
+    ],
+)
+def test_matrix_size_below_one_exits_1(argv, n, capsys):
+    assert main(argv + ["--field", "GF(3)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix size n must be >= 1, got {n}\n"
+
+
+def test_negative_sample_count_exits_1(sl2, capsys):
+    assert main(["check", sl2, "--mode", "sample:-3:1"]) == 1
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert captured.err == "error: sample count must be >= 0, got -3\n"
 
 
 # stdout of the full element sweep, which the class sweep must reproduce

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
-import weaktri.flags
 import weaktri.spaces
+import weaktri.triang
 from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import Flag, extract_structure_maps, flag_space, recover_flag
@@ -11,7 +13,13 @@ from weaktri.spaces import MatSpace
 from weaktri.survey import gen_random, gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
 
-from conftest import full_space, random_invertible, seeded, triangular_space
+from conftest import (
+    counting_char_polys,
+    full_space,
+    random_invertible,
+    seeded,
+    triangular_space,
+)
 from oracles import in_span, invariant_subspaces, is_chain
 
 
@@ -203,20 +211,29 @@ class TestRecoverFlag:
         with pytest.raises(PreconditionError, match="witness"):
             recover_flag(bad)
 
-    def test_budget_forces_explicit_assumption(self, gf3):
-        space = triangular_space(gf3, 4)
-        with pytest.raises(BudgetExceededError):
-            recover_flag(space, budget=100)
-        flag, _ = recover_flag(space, budget=100, assume_weakly_triangularizable=True)
+    def test_the_gate_decides_without_a_sweep(self, gf3, gf5, monkeypatch):
+        # a space that passes the gate is a conjugate of T_n, so none of its
+        # 5^10 elements is swept and no budget applies
+        sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+        p = random_invertible(gf5, 4, seeded(41))
+        space = triangular_space(gf5, 4).conjugate(p)
+        flag, _ = recover_flag(space)
+        assert flag.chain() == conjugate_chain(p, gf5, 4)
+        flag, _ = recover_flag(triangular_space(gf3, 4), budget=100)
         assert flag.chain() == Flag.standard(gf3, 4).chain()
+        assert len(sweeps) == 0
 
-    def test_budget_bounds_the_one_sweep(self, gf3):
-        # T2 over GF(3) has 3^3 = 27 elements
-        space = triangular_space(gf3, 2)
+    def test_budget_bounds_the_sweep_of_a_failed_gate(self, gf3, monkeypatch):
+        # the symmetric 2x2 matrices over GF(3): 3^3 = 27 elements, gate fails
+        space = gen_sym(2, gf3)
         with pytest.raises(BudgetExceededError, match="27 elements exceed the sweep budget 26"):
             recover_flag(space, budget=26)
-        flag, _ = recover_flag(space, budget=27)
-        assert flag.chain() == Flag.standard(gf3, 2).chain()
+        with pytest.raises(PreconditionError, match=re.escape("witness Mat[[0 1] [1 1]]")):
+            recover_flag(space, budget=27)
+        sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+        with pytest.raises(TheoremViolationError):
+            recover_flag(space, assume_weakly_triangularizable=True)
+        assert len(sweeps) == 0
 
     def test_trace_records_levels(self, gf3):
         _, trace = recover_flag(triangular_space(gf3, 4))
@@ -291,18 +308,17 @@ class TestExtraction:
         with pytest.raises(PreconditionError):
             extract_structure_maps(triangular_space(gf3, 4), Flag.standard(gf3, 3))
 
-    def test_two_inversions_per_extraction(self, gf3, monkeypatch):
+    def test_one_inversion_per_extraction(self, gf3, monkeypatch):
         calls = []
         real = weaktri.spaces.invert
         monkeypatch.setattr(weaktri.spaces, "invert", lambda m: calls.append(m) or real(m))
-        monkeypatch.setattr(weaktri.flags, "invert", lambda m: calls.append(m) or real(m))
         p = random_invertible(gf3, 3, seeded(29))
         space = triangular_space(gf3, 3).conjugate(p)
         flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
         calls.clear()
         assert extract_structure_maps(space, flag).all_checks_pass()
-        # P^-1 for the flag basis, and its inverse inside the conjugation
-        assert len(calls) == 2
+        # the one inside flag_space's conjugation by the flag basis
+        assert len(calls) == 1
 
 
 class TestQuotientConsistency:

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import weaktri.flags
 import weaktri.survey
 import weaktri.triang
 
@@ -36,14 +37,16 @@ def identity_spec(field, **kwargs):
 
 
 def counting_sweeps(monkeypatch):
-    """Record the spaces the survey sweeps element by element."""
+    """Record the spaces swept element by element, by the survey or by the
+    recovery it calls."""
     swept = []
 
     def counted(space, **kwargs):
         swept.append(space)
         return space_weakly_triangularizable(space, **kwargs)
 
-    monkeypatch.setattr(weaktri.survey, "space_weakly_triangularizable", counted)
+    for module in (weaktri.survey, weaktri.flags):
+        monkeypatch.setattr(module, "space_weakly_triangularizable", counted)
     return swept
 
 
@@ -54,10 +57,11 @@ def accept_every_class(monkeypatch):
 
 
 def fail_every_recovery(monkeypatch):
-    def fail(space, **kwargs):
+    """Make the flag gate inside ``recover_flag`` fail on every space."""
+    def fail(space):
         raise TheoremViolationError("deliberate")
 
-    monkeypatch.setattr(weaktri.survey, "recover_flag", fail)
+    monkeypatch.setattr(weaktri.flags, "_trace_form_radical", fail)
 
 
 @pytest.mark.parametrize("field_args", FIELDS)
@@ -106,6 +110,31 @@ def test_dimension_outside_the_ambient_range_rejected(gf3, mode, dim, constraine
     spec = CampaignSpec(n=2, field=gf3, dim=dim, constraints=constraints, mode=mode, count=0)
     with pytest.raises(PreconditionError, match="outside"):
         run_campaign(spec)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_matrix_size_below_one_rejected(gf3, mode, n):
+    spec = CampaignSpec(n=n, field=gf3, dim=1, mode=mode, count=5)
+    with pytest.raises(PreconditionError, match=f"matrix size n must be >= 1, got {n}"):
+        run_campaign(spec)
+
+
+@pytest.mark.parametrize("extra", [[], ["--contains-identity"], ["--random", "5"]])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_cli_campaign_with_matrix_size_below_one_exits_1(extra, n, capsys):
+    argv = ["campaign", "--n", n, "--field", "GF(3)", "--dim", "1"] + extra
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: matrix size n must be >= 1, got {n}\n"
+    assert captured.out == ""
+
+
+def test_negative_random_count_rejected(gf3, capsys):
+    with pytest.raises(PreconditionError, match="sample count must be >= 0, got -5"):
+        run_campaign(identity_spec(gf3, mode="random", count=-5))
+    assert main(CAMPAIGN + ["--random", "-5"]) == 1
+    assert capsys.readouterr().err == "error: sample count must be >= 0, got -5\n"
 
 
 def test_cli_random_campaign_with_impossible_dimension_exits_1(capsys):

@@ -16,7 +16,12 @@ from conftest import (
     seeded,
     triangular_space,
 )
-from oracles import transpose_dual, triangularize, weakly_triangularizable_by_sweep
+from oracles import (
+    is_upper_triangular,
+    transpose_dual,
+    triangularize,
+    weakly_triangularizable_by_sweep,
+)
 
 SWEEP_FIELDS = {
     "GF(3)": FieldCtx(3),
@@ -61,12 +66,12 @@ class TestTriangularize:
     def test_diagonal_input(self, gf3):
         m = Mat(gf3, 2, (1, 0, 0, 2))
         p = triangularize(m)
-        assert (invert(p) * m * p).is_upper_triangular()
+        assert is_upper_triangular(invert(p) * m * p)
 
     def test_lower_unit(self, gf3):
         m = Mat.unit(gf3, 2, 1, 0)
         p = triangularize(m)
-        assert (invert(p) * m * p).is_upper_triangular()
+        assert is_upper_triangular(invert(p) * m * p)
 
     def test_random_split_spectrum(self, gf3, gf5):
         rng = seeded(7)
@@ -82,7 +87,7 @@ class TestTriangularize:
             m = q * Mat(field, n, upper) * invert(q)
             p = triangularize(m)
             assert invert(p) is not None
-            assert (invert(p) * m * p).is_upper_triangular()
+            assert is_upper_triangular(invert(p) * m * p)
 
     def test_rejects_nonsplit(self, gf3):
         with pytest.raises(PreconditionError):
@@ -118,6 +123,12 @@ class TestSpaceVerdicts:
             gen_sym(2, gf3), mode="sample", count=500, seed=9
         )
         assert not verdict and verdict.certified
+
+    def test_negative_sample_count_rejected(self, gf3):
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -3"):
+            space_weakly_triangularizable(gen_sym(2, gf3), mode="sample", count=-3, seed=1)
+        verdict = space_weakly_triangularizable(gen_sym(2, gf3), mode="sample", count=0)
+        assert verdict.all_triangularizable and verdict.checked == 0
 
     def test_sample_mode_deterministic(self, gf5):
         first = space_weakly_triangularizable(
