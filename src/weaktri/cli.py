@@ -87,14 +87,18 @@ def cmd_check(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
     budget = _resolve_budget(args)
     mode = args.mode
-    print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
-    if mode == "exhaustive":
-        verdict = space_weakly_triangularizable(space, budget=budget)
-    else:
+    # a refused mode prints nothing on stdout
+    if mode != "exhaustive":
         kind, *parts = mode.split(":")
         if kind != "sample" or len(parts) != 2:
             raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED")
         count, seed = map(int, parts)
+        if count < 0:
+            raise ValueError(f"sample count must be >= 0, got {count}")
+    print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
+    if mode == "exhaustive":
+        verdict = space_weakly_triangularizable(space, budget=budget)
+    else:
         print(f"# seed: {seed}")
         verdict = space_weakly_triangularizable(
             space, mode="sample", count=count, seed=seed, budget=budget
@@ -161,7 +165,6 @@ def cmd_campaign(args):
     if args.random is not None:
         mode = "random"
         count = args.random
-        print(f"# seed: {args.seed}")
     spec = CampaignSpec(
         n=args.n,
         field=field,
@@ -176,6 +179,9 @@ def cmd_campaign(args):
     )
     started = time.time()
     report = run_campaign(spec)
+    if mode == "random":
+        # after the run, so that a refused campaign prints nothing on stdout
+        print(f"# seed: {args.seed}")
     sys.stdout.write(report.to_text())
     print(f"elapsed: {time.time() - started:.1f}s", file=sys.stderr)
     return 3 if report.alarms else 0

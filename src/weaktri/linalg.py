@@ -3,7 +3,9 @@ polynomials over a FieldCtx.
 
 Row-space utilities work on plain tuples of packed field elements so the
 subspace-enumeration layers can stay allocation-light; Vec and Mat wrap the
-same representation for the public API.
+same representation for the public API.  ``char_poly_coeffs`` is the one
+characteristic-polynomial kernel: it reads a flat row-major entry tuple, and
+``char_poly`` wraps its coefficients in a Poly.
 """
 
 from __future__ import annotations
@@ -271,46 +273,57 @@ def det(m: Mat):
 
 
 def char_poly(m: Mat) -> Poly:
-    """Characteristic polynomial det(tI - M), monic, by Berkowitz's
-    division-free recursion on leading principal submatrices.
+    """Characteristic polynomial det(tI - M), monic; see ``char_poly_coeffs``."""
+    return Poly(m.field, char_poly_coeffs(m.field, m.n, m.entries))
 
-    Works over any field size (no interpolation points needed).
+
+def char_poly_coeffs(field, n, entries):
+    """Coefficients, constant term first, of the monic det(tI - M) for the
+    n-by-n matrix M with these row-major packed entries.
+
+    Over a prime field with n <= 3 they are the closed forms -det, the sum
+    of the principal 2-minors and -trace (for n = 3), computed in plain
+    integers and reduced mod p once.  Otherwise they come from Berkowitz's
+    division-free recursion on leading principal submatrices, which works
+    over any field (no interpolation points needed).
     """
-    F, n = m.field, m.n
+    if field.k == 1 and 0 < n <= 3:
+        p = field.p
+        if n == 1:
+            return (-entries[0] % p, 1)
+        if n == 2:
+            a, b, c, d = entries
+            return ((a * d - b * c) % p, -(a + d) % p, 1)
+        a, b, c, d, e, f, g, h, i = entries
+        ei_fh = e * i - f * h
+        minors = a * e - b * d + a * i - c * g + ei_fh
+        det3 = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
+        return (-det3 % p, minors % p, -(a + e + i) % p, 1)
+    add, mul = field.add, field.mul
+
+    def dot(row, v):
+        acc = 0
+        for x, y in zip(row, v):
+            if y:
+                acc = add(acc, mul(x, y))
+        return acc
+
     c = [1]  # leading-first coefficients for the empty matrix
     for size in range(1, n + 1):
-        a = m.entry(size - 1, size - 1)
-        r_row = [m.entry(size - 1, j) for j in range(size - 1)]
-        s_col = [m.entry(j, size - 1) for j in range(size - 1)]
-        t = [1, F.neg(a)]
-        v = s_col
-        for _ in range(size - 1):
-            acc = 0
-            for x, y in zip(r_row, v):
-                acc = F.add(acc, F.mul(x, y))
-            t.append(F.neg(acc))
-            # v <- A_{size-1} v using the leading principal block
-            v = [
-                row_dot(m, i, v, F)
-                for i in range(size - 1)
-            ]
+        last = size - 1
+        rows = [entries[i * n : i * n + last] for i in range(size)]
+        t = [1, field.neg(entries[last * n + last])]
+        v = [entries[j * n + last] for j in range(last)]
+        for step in range(last):
+            t.append(field.neg(dot(rows[last], v)))
+            if step < last - 1:
+                # v <- A_last v on the leading principal block
+                v = [dot(rows[i], v) for i in range(last)]
         nxt = []
         for i in range(size + 1):
             acc = 0
-            for j in range(len(c)):
-                if 0 <= i - j < len(t):
-                    acc = F.add(acc, F.mul(t[i - j], c[j]))
+            for j in range(max(0, i - len(t) + 1), min(i + 1, len(c))):
+                acc = add(acc, mul(t[i - j], c[j]))
             nxt.append(acc)
         c = nxt
-    return Poly(F, tuple(reversed(c)))
-
-
-def row_dot(m: Mat, i, v, F):
-    """Row i of m times the vector v (its length may be below m.n, which
-    restricts the row to its leading entries)."""
-    acc = 0
-    base = i * m.n
-    for j, vj in enumerate(v):
-        if vj:
-            acc = F.add(acc, F.mul(m.entries[base + j], vj))
-    return acc
+    return tuple(reversed(c))

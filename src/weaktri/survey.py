@@ -19,13 +19,17 @@ bases row by row, bottom row first.  A goodness table holds one byte per
 quotient class: the class is bad when some lift of it over the constraint
 span has a characteristic polynomial that ``gf.splits_over`` rejects (the one
 split decision of the package).  Badness is invariant under nonzero scalars,
-so only classes whose top nonzero digit is 1 are decided, and every other
-class copies the smaller class it scales down to.  Splitting is also
-invariant under adding multiples of I, so when I is in the constraint span
-the lifts run over that span modulo F.I (only the zero lift for a lone
-identity constraint).  Any candidate whose partial span hits a bad class is
-rejected together with its entire subtree (all such candidates contain that
-same bad element), with skipped counts tracked exactly.
+so only class 0 and the classes whose top nonzero digit is 1 are decided.
+They are enumerated directly, top digit by top digit, with their digits
+written into one flat entry list; ``linalg.char_poly_coeffs`` reads each
+lift's characteristic polynomial off flat entries, with no Mat per class.  A
+bad class marks all its nonzero multiples bad through the scan's scalar-mul
+chunk tables.  Splitting is also invariant under adding multiples of I, so
+when I is in the constraint span the lifts run over that span modulo F.I
+(only the zero lift for a lone identity constraint).  Any candidate whose
+partial span hits a bad class is rejected together with its entire subtree
+(all such candidates contain that same bad element), with skipped counts
+tracked exactly.
 
 The pivot pattern is the unit of work.  ``scan.scan_patterns`` decides each
 pattern's candidates in one call, on packed class indices, in process or on
@@ -38,6 +42,7 @@ the patterns it has already decided.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import re
@@ -45,15 +50,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
-from .gf import FieldCtx, splits_over
+from .gf import FieldCtx, Poly, splits_over
 from .grassmann import (
     enumerate_subspaces,
     grassmann_count,
     lift_quotient_rows,
     pivot_patterns,
 )
-from .linalg import Mat, char_poly, rref
-from .scan import scan_patterns
+from .linalg import Mat, char_poly_coeffs, rref
+from .scan import _chunk_tables, scan_patterns
 from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
@@ -70,6 +75,7 @@ _CHAIN_CHECK_LIMIT = 10**5
 def gen_triangular(n, field, conjugate_by=None) -> MatSpace:
     """Upper-triangular matrices, optionally conjugated by an invertible P:
     the flag space of the standard flag, or of the flag of P's columns."""
+    check_matrix_size(n)
     if conjugate_by is None:
         return flag_space(Flag.standard(field, n))
     return flag_space(Flag(field, [conjugate_by.col(j) for j in range(n)]))
@@ -77,6 +83,7 @@ def gen_triangular(n, field, conjugate_by=None) -> MatSpace:
 
 def gen_sym(n, field) -> MatSpace:
     """Symmetric matrices; dimension n(n+1)/2."""
+    check_matrix_size(n)
     mats = [Mat.unit(field, n, i, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -86,6 +93,7 @@ def gen_sym(n, field) -> MatSpace:
 
 def gen_sl(n, field) -> MatSpace:
     """Trace-zero matrices; dimension n^2 - 1."""
+    check_matrix_size(n)
     mats = [Mat.unit(field, n, i, j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
         mats.append(Mat.unit(field, n, i, i) - Mat.unit(field, n, n - 1, n - 1))
@@ -122,6 +130,7 @@ def gen_joint(spaces) -> MatSpace:
 
 def gen_random(n, field, dim, seed) -> MatSpace:
     """A uniformly seeded random subspace of the requested dimension."""
+    check_matrix_size(n)
     if not 0 <= dim <= n * n:
         raise ValueError(f"dimension {dim} impossible in {n}x{n} matrices")
     rng = random.Random(seed)
@@ -284,35 +293,43 @@ def _goodness_table(reduction: _Reduction):
     """good[packed class] is 1 when every lift over the constraint span
     splits, else 0; a bytearray, one byte per class.
 
-    Only classes whose top nonzero digit is 1 compute char polys.  Any other
-    class is a nonzero multiple of the one it scales down to, whose top digit
-    is 1 and whose index is smaller, and copies that entry.  Class 0 lifts to
-    exactly the constraint span, so good[0] is 0 when some constraint
-    combination has a non-split characteristic polynomial.
+    Only class 0 and the classes whose top nonzero digit is 1 are decided:
+    for each top digit j, the classes q^j + lower digits, in index order.
+    Their digits are written into one flat entry list at the section
+    columns, and each lift's characteristic polynomial comes from
+    ``char_poly_coeffs`` on flat entries.  Every nonzero class is a nonzero
+    multiple of exactly one decided class, so a bad decided class marks all
+    its nonzero multiples bad through the scalar-mul chunk tables of the
+    scan.  Class 0 lifts to exactly the constraint span, so good[0] is 0
+    when some constraint combination has a non-split characteristic
+    polynomial.
     """
-    field, n, m = reduction.field, reduction.n, reduction.m
+    field, n = reduction.field, reduction.n
     q, k = field.q, reduction.quotient_dim
     span = reduction.constraint_span_elements()
-    pows = [q**i for i in range(k)]
+    cols = reduction.section_cols
+    chunks = _chunk_tables(field, k)
+    weights = [q**o for o in chunks.offsets]
     good = bytearray(b"\x01") * q**k
-    for idx in range(len(good)):
-        rest, digits = idx, []
-        for _ in range(k):
-            rest, r = divmod(rest, q)
-            digits.append(r)
-        top = next((r for r in reversed(digits) if r), 0)
-        if top > 1:  # packed 0 and 1 are the field's zero and one
-            inv = field.inv(top)
-            good[idx] = good[sum(field.mul(inv, r) * w for r, w in zip(digits, pows))]
-            continue
-        base = [0] * m
-        for c, v in zip(reduction.section_cols, digits):
-            base[c] = v
+    entries = [0] * reduction.m
+
+    def decide(index):
         for z in span:
-            entries = [field.add(a, b) for a, b in zip(base, z)] if any(z) else base
-            if not splits_over(char_poly(Mat(field, n, entries))):
-                good[idx] = 0
-                break
+            lift = [field.add(a, b) for a, b in zip(entries, z)] if any(z) else entries
+            if not splits_over(Poly(field, char_poly_coeffs(field, n, lift))):
+                split = chunks.split(index)
+                for c in range(1, q):
+                    good[sum(mul[c][v] * w for mul, v, w in zip(chunks.mul, split, weights))] = 0
+                return
+
+    decide(0)
+    for j, top in enumerate(cols):
+        entries[top] = 1
+        lower = cols[:j][::-1]  # product varies its last digit, column 0, fastest
+        for index, digits in enumerate(itertools.product(range(q), repeat=j), q**j):
+            for col, v in zip(lower, digits):
+                entries[col] = v
+            decide(index)
     return good
 
 

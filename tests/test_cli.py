@@ -169,8 +169,16 @@ def test_matrix_size_below_one_exits_1(argv, n, capsys):
 def test_negative_sample_count_exits_1(sl2, capsys):
     assert main(["check", sl2, "--mode", "sample:-3:1"]) == 1
     captured = capsys.readouterr()
-    assert "verdict" not in captured.out
+    assert captured.out == ""
     assert captured.err == "error: sample count must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("mode", ["bogus", "sample:3"])
+def test_malformed_check_mode_exits_1(sl2, mode, capsys):
+    assert main(["check", sl2, "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --mode {mode!r}; use exhaustive or sample:N:SEED\n"
 
 
 # stdout of the full element sweep, which the class sweep must reproduce

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from weaktri.gf import FieldCtx
@@ -5,6 +7,7 @@ from weaktri.linalg import (
     Mat,
     Vec,
     char_poly,
+    char_poly_coeffs,
     det,
     invert,
     kernel_basis,
@@ -91,6 +94,21 @@ class TestCharPoly:
             n = 2 + trial % 3
             m = random_matrix(field, n, rng)
             assert char_poly(m) == cofactor_char_poly(m)
+
+    def test_coeffs_match_cofactor_oracle_on_every_gf3_2x2(self, gf3):
+        for entries in itertools.product(range(3), repeat=4):
+            m = Mat(gf3, 2, entries)
+            assert char_poly_coeffs(gf3, 2, entries) == cofactor_char_poly(m).coeffs
+
+    @pytest.mark.parametrize("field_args", [(3,), (5,), (7,), (101,), (3, 2, (1, 0, 1))])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_coeffs_match_cofactor_oracle(self, field_args, n):
+        # n = 3 over a prime field takes the closed forms, the rest Berkowitz
+        field = FieldCtx(*field_args)
+        rng = seeded(31 + n)
+        for _ in range(40):
+            m = random_matrix(field, n, rng)
+            assert char_poly_coeffs(field, n, m.entries) == cofactor_char_poly(m).coeffs
 
     def test_conjugation_and_transpose_invariance(self, gf3, gf5):
         rng = seeded(23)

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import weaktri.flags
+import weaktri.linalg
 import weaktri.survey
 import weaktri.triang
 
@@ -10,13 +11,17 @@ from weaktri.cli import main
 from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import grassmann_count
-from weaktri.linalg import Mat
+from weaktri.linalg import Mat, char_poly_coeffs
 from weaktri.survey import (
     CampaignSpec,
     _count_chains,
     _goodness_table,
     _Reduction,
     count_flags,
+    gen_random,
+    gen_sl,
+    gen_sym,
+    gen_triangular,
     run_campaign,
 )
 from weaktri.triang import space_weakly_triangularizable
@@ -29,7 +34,11 @@ CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3", "--contain
 
 
 def md5(text):
-    return hashlib.md5(text.encode()).hexdigest()
+    return md5_bytes(text.encode())
+
+
+def md5_bytes(data):
+    return hashlib.md5(data).hexdigest()
 
 
 def identity_spec(field, **kwargs):
@@ -120,6 +129,18 @@ def test_matrix_size_below_one_rejected(gf3, mode, n):
         run_campaign(spec)
 
 
+@pytest.mark.parametrize("family", [
+    lambda n, field: gen_triangular(n, field),
+    lambda n, field: gen_sym(n, field),
+    lambda n, field: gen_sl(n, field),
+    lambda n, field: gen_random(n, field, 1, 5),
+], ids=["triangular", "sym", "sl", "random"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_family_with_matrix_size_below_one_rejected(gf3, family, n):
+    with pytest.raises(PreconditionError, match=f"matrix size n must be >= 1, got {n}"):
+        family(n, gf3)
+
+
 @pytest.mark.parametrize("extra", [[], ["--contains-identity"], ["--random", "5"]])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_cli_campaign_with_matrix_size_below_one_exits_1(extra, n, capsys):
@@ -134,7 +155,9 @@ def test_negative_random_count_rejected(gf3, capsys):
     with pytest.raises(PreconditionError, match="sample count must be >= 0, got -5"):
         run_campaign(identity_spec(gf3, mode="random", count=-5))
     assert main(CAMPAIGN + ["--random", "-5"]) == 1
-    assert capsys.readouterr().err == "error: sample count must be >= 0, got -5\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sample count must be >= 0, got -5\n"
 
 
 def test_cli_random_campaign_with_impossible_dimension_exits_1(capsys):
@@ -263,21 +286,44 @@ def test_goodness_table_matches_every_lift(field_args, constraints):
 
 
 def test_n3_goodness_table_matches_every_lift(gf3):
-    reduction = _Reduction(gf3, 3, [Mat.identity(gf3, 3)])
-    table = _goodness_table(reduction)
-    assert type(table) is bytearray  # one byte per class
-    assert list(table) == goodness_by_full_lifts(
-        gf3, 3, reduction.rows, reduction.section_cols
-    )
+    # E00 is not scalar, so each of its classes has 3 lifts to decide
+    for constraint in (Mat.identity(gf3, 3), Mat.unit(gf3, 3, 0, 0)):
+        reduction = _Reduction(gf3, 3, [constraint])
+        table = _goodness_table(reduction)
+        assert type(table) is bytearray  # one byte per class
+        assert list(table) == goodness_by_full_lifts(
+            gf3, 3, reduction.rows, reduction.section_cols
+        )
+
+
+def test_n3_gf5_goodness_table_digest(gf5):
+    table = _goodness_table(_Reduction(gf5, 3, [Mat.identity(gf5, 3)]))
+    assert md5_bytes(table) == "0b59f8df36fc4e44d2367e7ad4bb92e6"
+
+
+def test_n3_gf3_goodness_table_computes_no_matrix_char_poly(gf3, monkeypatch):
+    def refuse(m):
+        raise RuntimeError("the goodness table built a Mat for a char poly")
+
+    for module in (weaktri.linalg, weaktri.survey, weaktri.triang):
+        monkeypatch.setattr(module, "char_poly", refuse, raising=False)
+    table = _goodness_table(_Reduction(gf3, 3, [Mat.identity(gf3, 3)]))
+    assert md5_bytes(table) == "20ed74362afa4c2257181f19a7d2fd54"
 
 
 def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
-    table = counting_char_polys(monkeypatch, weaktri.survey)
+    table = []
+
+    def counted(field, n, entries):
+        table.append(tuple(entries))
+        return char_poly_coeffs(field, n, entries)
+
+    monkeypatch.setattr(weaktri.survey, "char_poly_coeffs", counted)
     sweeps = counting_char_polys(monkeypatch, weaktri.triang)
     report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
     assert (report.total, report.hit_count) == (25_095_280, 52)
     # the zero class and the (3^8 - 1)/2 lines of the quotient by F.I
-    assert len(table) == 3281
+    assert len(table) == len(set(table)) == 3281
     # all 52 hits pass the recovery gate, so no element is swept
     assert len(sweeps) == 0
     assert "non_flag" not in report.to_text()
