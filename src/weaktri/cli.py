@@ -4,15 +4,11 @@ Exit codes: 0 success (or verdict true), 1 usage/input error, 2 negative
 check verdict, 3 theorem-violation alarm (or pencil violation), 4 budget
 exceeded.  Reports are plain text with a ``# key: value`` header block;
 identical inputs produce byte-identical stdout (timing goes to stderr).
-
-The element-sweep budget resolves as: --budget flag, else the
-WEAKTRI_BUDGET environment variable, else the library default.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -41,21 +37,6 @@ from .survey import (
 from .pencils import verify_pencil_division
 from .triang import space_weakly_triangularizable
 
-BUDGET_ENV = "WEAKTRI_BUDGET"
-
-
-def _resolve_budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
-
-
 def _read_spacefile(path, exploratory=False):
     if path == "-":
         text = sys.stdin.read()
@@ -78,14 +59,13 @@ def _add_budget_arg(sub, what="element-sweep budget"):
     sub.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help=f"{what} (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})",
+        default=DEFAULT_BUDGET,
+        help=f"{what} (default: {DEFAULT_BUDGET})",
     )
 
 
 def cmd_check(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
-    budget = _resolve_budget(args)
     mode = args.mode
     # a refused mode prints nothing on stdout
     if mode != "exhaustive":
@@ -97,11 +77,11 @@ def cmd_check(args):
             raise ValueError(f"sample count must be >= 0, got {count}")
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     if mode == "exhaustive":
-        verdict = space_weakly_triangularizable(space, budget=budget)
+        verdict = space_weakly_triangularizable(space, budget=args.budget)
     else:
         print(f"# seed: {seed}")
         verdict = space_weakly_triangularizable(
-            space, mode="sample", count=count, seed=seed, budget=budget
+            space, mode="sample", count=count, seed=seed, budget=args.budget
         )
     print(f"# mode: {mode}")
     print(f"# checked: {verdict.checked}")
@@ -117,8 +97,7 @@ def cmd_check(args):
 
 def cmd_recover(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
-    budget = _resolve_budget(args)
-    flag, trace = recover_flag(space, budget=budget)
+    flag, trace = recover_flag(space, budget=args.budget)
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     print("# recovered: yes")
     for i, vec in enumerate(flag.basis, start=1):
@@ -146,8 +125,7 @@ def cmd_adapted(args):
 
 def cmd_lemma31(args):
     field = parse_field(args.field, exploratory=args.exploratory)
-    budget = _resolve_budget(args)
-    report = verify_pencil_division(field, args.degree, budget=budget)
+    report = verify_pencil_division(field, args.degree, budget=args.budget)
     print(f"# field: {field.descriptor()}")
     print(f"# degree: {args.degree}")
     print(report.summary())
@@ -174,7 +152,7 @@ def cmd_campaign(args):
         count=count,
         seed=args.seed,
         shards=args.shards,
-        budget=_resolve_budget(args),
+        budget=args.budget,
         journal=args.journal,
     )
     started = time.time()

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError, TheoremViolationError
-from .linalg import span_rows
+from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
+from .linalg import rref, span_rows
 from .spaces import DEFAULT_BUDGET
 
 
@@ -70,28 +70,25 @@ def enumerate_subspaces(m, k, field, must_contain=(), budget=None):
     of the quotient by the constraint span and lifting back.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
-    constraints = [tuple(v) for v in must_contain]
-    if not constraints:
-        if grassmann_count(m, k, field.q) > limit:
-            raise BudgetExceededError(
-                f"{grassmann_count(m, k, field.q)} subspaces exceed budget {limit}"
-            )
-        yield from _enumerate_plain(m, k, field)
-        return
-    reduced = span_rows(constraints, field)
+    reduced, section = reduce_constraints(list(must_contain), m, field)
     r = len(reduced)
-    if r != len(constraints):
-        raise ValueError("must_contain vectors are linearly dependent")
     if r > k:
         raise ValueError(f"cannot fit a {r}-dimensional constraint span in dimension {k}")
-    if grassmann_count(m - r, k - r, field.q) > limit:
-        raise BudgetExceededError(
-            f"{grassmann_count(m - r, k - r, field.q)} subspaces exceed budget {limit}"
-        )
-    pivots = [next(i for i, e in enumerate(row) if e) for row in reduced]
-    section = [c for c in range(m) if c not in pivots]
+    count = grassmann_count(m - r, k - r, field.q)
+    if count > limit:
+        raise BudgetExceededError(f"{count} subspaces exceed budget {limit}")
     for sub in _enumerate_plain(m - r, k - r, field):
-        yield lift_quotient_rows(reduced, section, sub, field)
+        yield lift_quotient_rows(reduced, section, sub, field) if r else sub
+
+
+def reduce_constraints(rows, m, field):
+    """(RREF rows, section columns) of linearly independent constraint
+    vectors of F^m.  The section columns are the non-pivot columns: the
+    coordinates of the quotient by the constraint span."""
+    reduced, pivots = rref(rows, field)
+    if len(reduced) != len(rows):
+        raise PreconditionError("constraints are linearly dependent")
+    return reduced, [c for c in range(m) if c not in pivots]
 
 
 def lift_quotient_rows(constraint_rows, section_cols, quotient_rows, field):

@@ -1,16 +1,35 @@
-"""The pruned scan of a campaign: every candidate subspace with a given RREF
-pivot pattern, decided against a goodness table over the quotient classes.
+"""The quotient a campaign scans, its packed class format, its goodness table
+and its pruned scan.
 
-The scan works on packed vectors.  Each quotient vector of F^m is its packed
-class index (digit c is coordinate c, little-endian base q), cut into a few
-balanced base-q chunks.  Chunk add and scalar-mul tables, built from
-``field.add`` and ``field.mul`` once per campaign (once per worker on a
-pool), add two chunks or scale one, so testing a combination of rows costs
-one lookup per chunk and one in the goodness table.  Coordinates come back
-only when a hit's rows are unpacked.
+A campaign's candidates are the subspaces of M_n(F), vectorized as F^(n^2),
+that contain the constraint span.  ``Quotient`` reduces modulo that span
+once: the constraint rows in RREF and the section columns, the non-pivot
+columns, where quotient coordinate c is the matrix entry at column
+``section_cols[c]``.  A quotient space lifts back to a candidate through
+``space_from``.
 
-A pool worker receives the goodness table once, through the pool
-initializer, and builds its own chunk tables; a task is a pattern.
+Each quotient vector of F^k is its packed class index (digit c is coordinate
+c, little-endian base q), cut into a few balanced base-q chunks.  Chunk add
+and scalar-mul tables, built from ``field.add`` and ``field.mul`` once per
+campaign (once per worker on a pool), add two chunks or scale one, so
+testing a combination of rows costs one lookup per chunk and one in the
+goodness table.  Coordinates come back only when a hit's rows are unpacked.
+
+The goodness table holds one byte per class: the class is bad when some lift
+of it over the constraint span has a characteristic polynomial that
+``gf.splits_over`` rejects (the one split decision of the package).
+Badness is invariant under nonzero scalars, so only class 0 and the classes
+whose top nonzero digit is 1 are decided, with their digits written into one
+flat entry list for ``linalg.char_poly_coeffs``; a bad class marks all its
+nonzero multiples bad.  Splitting is also invariant under adding multiples
+of I, so the lifts run over the constraint span modulo F.I.
+
+The scan enumerates RREF bases row by row, bottom row first, one pivot
+pattern at a time.  Any candidate whose partial span hits a bad class is
+rejected together with its entire subtree (all such candidates contain that
+same bad element), with skipped counts tracked exactly.  A pool worker
+receives the goodness table once, through the pool initializer, and builds
+its own chunk tables; a task is a pattern.
 """
 
 from __future__ import annotations
@@ -20,15 +39,95 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TheoremViolationError
-from .grassmann import pattern_size
+from .gf import Poly, splits_over
+from .grassmann import lift_quotient_rows, pattern_size, reduce_constraints
+from .linalg import Mat, char_poly_coeffs
+from .spaces import MatSpace
 
 # the most entries a chunk table may hold, unless one-digit chunks need more
 _CHUNK_TABLE_LIMIT = 1 << 20
 
 # in a pool worker: the (chunk tables, goodness table) of its campaign
 _WORKER = None
+
+
+class Quotient:
+    """The vectorized n-by-n matrices modulo the span of the constraint
+    matrices, which must be linearly independent."""
+
+    def __init__(self, field, n, constraints):
+        self.field = field
+        self.n = n
+        self.rows, self.section_cols = reduce_constraints(
+            [m.entries for m in constraints], n * n, field
+        )
+        self.dim = len(self.section_cols)
+
+    @cached_property
+    def chunks(self):
+        """The chunk tables, built on first use: a random campaign never
+        needs them."""
+        return _chunk_tables(self.field, self.dim)
+
+    def space_from(self, quotient_rows) -> MatSpace:
+        """The candidate space with these quotient rows, lifted over the
+        constraint span; its dimension drops by one per dependent row."""
+        F, n = self.field, self.n
+        rows = lift_quotient_rows(self.rows, self.section_cols, quotient_rows, F)
+        return MatSpace(F, n, (Mat(F, n, r) for r in rows))
+
+    def goodness_table(self):
+        """good[packed class] is 1 when every lift over the constraint span
+        splits, else 0; a bytearray, one byte per class.
+
+        Only class 0 and the classes whose top nonzero digit is 1 are
+        decided: for each top digit j, the classes q^j + lower digits, in
+        index order.  Every nonzero class is a nonzero multiple of exactly
+        one decided class.  Class 0 lifts to exactly the constraint span, so
+        good[0] is 0 when some constraint combination has a non-split
+        characteristic polynomial.
+        """
+        F, n, q = self.field, self.n, self.field.q
+        span = self.space_from(())  # the candidate with no quotient rows
+        lifts = [z.entries for z in span.enumerate_modulo_identity()]
+        good = bytearray(b"\x01") * q**self.dim
+        entries = [0] * (n * n)
+
+        def decide(index):
+            for z in lifts:
+                lift = [F.add(a, b) for a, b in zip(entries, z)] if any(z) else entries
+                if not splits_over(Poly(F, char_poly_coeffs(F, n, lift))):
+                    for multiple in self.chunks.multiples(index):
+                        good[multiple] = 0
+                    return
+
+        decide(0)
+        cols = self.section_cols
+        for j, top in enumerate(cols):
+            entries[top] = 1
+            lower = cols[:j][::-1]  # product varies its last digit, column 0, fastest
+            for index, digits in enumerate(itertools.product(range(q), repeat=j), q**j):
+                for col, v in zip(lower, digits):
+                    entries[col] = v
+                decide(index)
+        return good
+
+    def scan(self, good, patterns, shards):
+        """Yield (candidates_decided, hit_row_lists) for each pattern in
+        order, scanned against the goodness table ``good``: in process, or
+        on a pool of ``shards`` workers when more than one can be used."""
+        workers = min(shards, len(patterns), os.cpu_count() or 1)
+        if workers <= 1:
+            for pattern in patterns:
+                yield _scan_pattern(self.chunks, good, pattern)
+            return
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(self.field, self.dim, good)
+        ) as pool:
+            yield from pool.map(_scan_in_worker, patterns)
 
 
 def _chunk_widths(q, m):
@@ -52,23 +151,34 @@ def _chunk_widths(q, m):
 class _ChunkTables:
     """Arithmetic on packed vectors of F^m, one base-q chunk at a time.
 
-    Chunk j of a packed index is (index // q^offsets[j]) % q^widths[j].  For
-    chunk values a, b and a field element c, ``add[j][a][b]`` is chunk j of
-    the sum, ``mul[j][c][a]`` chunk j of c times the vector, and
-    ``test[j][a][b]`` is the sum's chunk shifted back into place, so the
-    packed index of a vector sum is the sum of its ``test`` lookups.
+    Chunk j of a packed index is (index // scales[j]) % sizes[j], where
+    scales[j] is q to the number of digits below chunk j and sizes[j] is q
+    to its width.  For chunk values a, b and a field element c,
+    ``add[j][a][b]`` is chunk j of the sum, ``mul[j][c][a]`` chunk j of c
+    times the vector, and ``test[j][a][b]`` is the sum's chunk shifted back
+    into place, so the packed index of a vector sum is the sum of its
+    ``test`` lookups.
     """
 
     q: int
     m: int
     widths: tuple
-    offsets: tuple
+    scales: tuple
+    sizes: tuple
     add: list
     mul: list
     test: list
 
     def split(self, index):
-        return tuple(index // self.q**o % self.q**w for o, w in zip(self.offsets, self.widths))
+        return tuple(index // s % z for s, z in zip(self.scales, self.sizes))
+
+    def multiples(self, index):
+        """The packed indices of c times the vector ``index``, c = 1 .. q-1."""
+        split = self.split(index)
+        return [
+            sum(mul[c][v] * s for mul, v, s in zip(self.mul, split, self.scales))
+            for c in range(1, self.q)
+        ]
 
     def coordinates(self, index):
         return tuple(index // self.q**c % self.q for c in range(self.m))
@@ -79,14 +189,15 @@ def _chunk_tables(field, m) -> _ChunkTables:
     ``field.mul``; chunks of one width share their add and mul tables."""
     q = field.q
     widths = _chunk_widths(q, m)
-    offsets = tuple(sum(widths[:j]) for j in range(len(widths)))
+    scales = tuple(q ** sum(widths[:j]) for j in range(len(widths)))
     by_width = {w: _width_tables(field, w) for w in set(widths)}
     add = [by_width[w][0] for w in widths]
     test = []
-    for o, table in zip(offsets, add):
-        shifted = [v * q**o for v in range(len(table))]  # one int object per value
-        test.append([[shifted[v] for v in row] for row in table] if o else table)
-    return _ChunkTables(q, m, widths, offsets, add, [by_width[w][1] for w in widths], test)
+    for scale, table in zip(scales, add):
+        shifted = [v * scale for v in range(len(table))]  # one int object per value
+        test.append([[shifted[v] for v in row] for row in table] if scale > 1 else table)
+    mul = [by_width[w][1] for w in widths]
+    return _ChunkTables(q, m, widths, scales, tuple(q**w for w in widths), add, mul, test)
 
 
 def _width_tables(field, width):
@@ -209,19 +320,3 @@ def _start_worker(field, m, good):
 
 def _scan_in_worker(pattern):
     return _scan_pattern(*_WORKER, pattern)
-
-
-def scan_patterns(field, m, good, patterns, shards):
-    """Yield (candidates_decided, hit_row_lists) for each pattern in order,
-    scanned against the goodness table ``good`` over F^m: in process, or on a
-    pool of ``shards`` workers when more than one can be used."""
-    workers = min(shards, len(patterns), os.cpu_count() or 1)
-    if workers <= 1:
-        chunks = _chunk_tables(field, m)
-        for pattern in patterns:
-            yield _scan_pattern(chunks, good, pattern)
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker, initargs=(field, m, good)
-    ) as pool:
-        yield from pool.map(_scan_in_worker, patterns)

@@ -1,40 +1,23 @@
-"""Named matrix-space families and exhaustive survey campaigns over the
-Grassmannian of matrix subspaces.
+"""Named matrix-space families and survey campaigns over the Grassmannian of
+matrix subspaces: the campaign policy.
 
-A campaign sweeps every candidate subspace of the target dimension (optionally
-constrained to contain given matrices, e.g. the identity), decides weak
-triangularizability for each, and verifies every hit by one policy, whatever
-the mode, independently of the scan.  Weakly triangularizable spaces have
-dimension at most t_n = n(n+1)/2.  A hit of dimension t_n is verified by
-``recover_flag``, whose flag gate decides and whose element sweep only
-explains a failed gate: a non-split element is the alarm that the scan
-accepted it, and a weakly triangularizable hit that is not a flag space is
-counted in its own report line over characteristic 2 (exploratory fields,
-where the theorem does not hold) and is a recovery alarm otherwise.  Below
-t_n the element sweep is the whole check; above t_n a hit that survives it
-is a theorem-violation alarm.
+A campaign sweeps the candidate subspaces of the target dimension (optionally
+constrained to contain given matrices, e.g. the identity), exhaustively or by
+seeded random samples, decides weak triangularizability for each, and
+verifies every hit by one policy, whatever the mode, independently of the
+scan.  Weakly triangularizable spaces have dimension at most t_n =
+n(n+1)/2.  A hit of dimension t_n is verified by ``recover_flag``, whose flag
+gate decides and whose element sweep only explains a failed gate: a
+non-split element is the alarm that the scan accepted it, and a weakly
+triangularizable hit that is not a flag space is counted in its own report
+line over characteristic 2 (exploratory fields, where the theorem does not
+hold) and is a recovery alarm otherwise.  Below t_n the element sweep is the
+whole check; above t_n a hit that survives it is a theorem-violation alarm.
 
-The exhaustive scan reduces modulo the constraint span and enumerates RREF
-bases row by row, bottom row first.  A goodness table holds one byte per
-quotient class: the class is bad when some lift of it over the constraint
-span has a characteristic polynomial that ``gf.splits_over`` rejects (the one
-split decision of the package).  Badness is invariant under nonzero scalars,
-so only class 0 and the classes whose top nonzero digit is 1 are decided.
-They are enumerated directly, top digit by top digit, with their digits
-written into one flat entry list; ``linalg.char_poly_coeffs`` reads each
-lift's characteristic polynomial off flat entries, with no Mat per class.  A
-bad class marks all its nonzero multiples bad through the scan's scalar-mul
-chunk tables.  Splitting is also invariant under adding multiples of I, so
-when I is in the constraint span the lifts run over that span modulo F.I
-(only the zero lift for a lone identity constraint).  Any candidate whose
-partial span hits a bad class is rejected together with its entire subtree
-(all such candidates contain that same bad element), with skipped counts
-tracked exactly.
-
-The pivot pattern is the unit of work.  ``scan.scan_patterns`` decides each
-pattern's candidates in one call, on packed class indices, in process or on
-a pool of ``shards`` worker processes that each receive the goodness table
-once; the worker count never changes the report.  With a journal, each
+The quotient by the constraint span, its goodness table and the pruned scan
+belong to ``scan.Quotient``; an exhaustive campaign builds the table once and
+scans one pivot pattern at a time, in process or on a pool of ``shards``
+workers; the worker count never changes the report.  With a journal, each
 pattern's count and hits are appended (and fsynced) as soon as they arrive,
 and the journal is the resume state: rerunning the same campaign on it skips
 the patterns it has already decided.
@@ -42,7 +25,6 @@ the patterns it has already decided.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import re
@@ -50,15 +32,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
-from .gf import FieldCtx, Poly, splits_over
-from .grassmann import (
-    enumerate_subspaces,
-    grassmann_count,
-    lift_quotient_rows,
-    pivot_patterns,
-)
-from .linalg import Mat, char_poly_coeffs, rref
-from .scan import _chunk_tables, scan_patterns
+from .gf import FieldCtx
+from .grassmann import enumerate_subspaces, grassmann_count, pivot_patterns
+from .linalg import Mat
+from .scan import Quotient
 from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
@@ -151,12 +128,9 @@ def count_flags(n, field) -> int:
     agree).
     """
     check_matrix_size(n)
-    q = field.q
-    formula = 1
-    for i in range(2, n + 1):
-        step, rem = divmod(q**i - 1, q - 1)
-        if rem:
-            raise TheoremViolationError(f"q - 1 does not divide q^{i} - 1")
+    formula = step = 1
+    for _ in range(2, n + 1):
+        step = step * field.q + 1  # (q^i - 1)/(q - 1) = 1 + q + ... + q^(i-1)
         formula *= step
     if n <= 3 and formula <= _CHAIN_CHECK_LIMIT:
         direct = _count_chains(n, field)
@@ -256,83 +230,6 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-# -- quotient reduction -----------------------------------------------------------
-
-
-class _Reduction:
-    """Coordinates of the quotient of the vectorized ambient space by the
-    constraint span, with the section used to lift classes back."""
-
-    def __init__(self, field, n, constraints):
-        self.field = field
-        self.n = n
-        self.m = n * n
-        rows = [m.entries for m in constraints]
-        reduced, pivots = rref(rows, field)
-        if len(reduced) != len(rows):
-            raise PreconditionError("constraint matrices are linearly dependent")
-        self.rows = reduced
-        self.section_cols = [c for c in range(self.m) if c not in pivots]
-        self.quotient_dim = self.m - len(reduced)
-
-    def space_from(self, quotient_rows) -> MatSpace:
-        """The candidate space with these quotient rows, lifted over the
-        constraint span."""
-        rows = lift_quotient_rows(self.rows, self.section_cols, quotient_rows, self.field)
-        return MatSpace.from_span(
-            [Mat(self.field, self.n, r) for r in rows], field=self.field, n=self.n
-        )
-
-    def constraint_span_elements(self):
-        """The constraint span, modulo F.I when I is in it."""
-        span = MatSpace(self.field, self.n, (Mat(self.field, self.n, r) for r in self.rows))
-        return [z.entries for z in span.enumerate_modulo_identity()]
-
-
-def _goodness_table(reduction: _Reduction):
-    """good[packed class] is 1 when every lift over the constraint span
-    splits, else 0; a bytearray, one byte per class.
-
-    Only class 0 and the classes whose top nonzero digit is 1 are decided:
-    for each top digit j, the classes q^j + lower digits, in index order.
-    Their digits are written into one flat entry list at the section
-    columns, and each lift's characteristic polynomial comes from
-    ``char_poly_coeffs`` on flat entries.  Every nonzero class is a nonzero
-    multiple of exactly one decided class, so a bad decided class marks all
-    its nonzero multiples bad through the scalar-mul chunk tables of the
-    scan.  Class 0 lifts to exactly the constraint span, so good[0] is 0
-    when some constraint combination has a non-split characteristic
-    polynomial.
-    """
-    field, n = reduction.field, reduction.n
-    q, k = field.q, reduction.quotient_dim
-    span = reduction.constraint_span_elements()
-    cols = reduction.section_cols
-    chunks = _chunk_tables(field, k)
-    weights = [q**o for o in chunks.offsets]
-    good = bytearray(b"\x01") * q**k
-    entries = [0] * reduction.m
-
-    def decide(index):
-        for z in span:
-            lift = [field.add(a, b) for a, b in zip(entries, z)] if any(z) else entries
-            if not splits_over(Poly(field, char_poly_coeffs(field, n, lift))):
-                split = chunks.split(index)
-                for c in range(1, q):
-                    good[sum(mul[c][v] * w for mul, v, w in zip(chunks.mul, split, weights))] = 0
-                return
-
-    decide(0)
-    for j, top in enumerate(cols):
-        entries[top] = 1
-        lower = cols[:j][::-1]  # product varies its last digit, column 0, fastest
-        for index, digits in enumerate(itertools.product(range(q), repeat=j), q**j):
-            for col, v in zip(lower, digits):
-                entries[col] = v
-            decide(index)
-    return good
-
-
 # -- journal ----------------------------------------------------------------------
 
 _JOURNAL_ENTRY = re.compile(r"pattern ([0-9,]*) total ([0-9]+) hits ([0-9]+)")
@@ -342,7 +239,13 @@ _HIT_BLOCK = re.compile(r"^(?=field )", re.MULTILINE)
 
 
 def _journal_header(spec):
-    return f"# campaign journal: {spec.summary_line()}"
+    """The summary line, which names a constraint other than I only as
+    "custom", and the entries of each such constraint."""
+    identity = Mat.identity(spec.field, spec.n)
+    customs = "".join(
+        f" custom={','.join(map(str, m.entries))}" for m in spec.constraints if m != identity
+    )
+    return f"# campaign journal: {spec.summary_line()}{customs}"
 
 
 def _append_to_journal(path, text):
@@ -438,39 +341,40 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
-    reduction = _Reduction(field, n, spec.constraints)
-    sub_dim = spec.dim - len(spec.constraints)
+    quotient = Quotient(field, n, spec.constraints)
     run = {"exhaustive": _run_exhaustive, "random": _run_random}.get(spec.mode)
     if run is None:
         raise ValueError(f"unknown campaign mode {spec.mode!r}")
-    report, spaces = run(spec, reduction, sub_dim)
+    if spec.journal and spec.mode == "random":
+        raise PreconditionError("a random campaign keeps no journal")
+    report, spaces = run(spec, quotient, spec.dim - len(spec.constraints))
     report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]
     report.counts_non_flag = field.p == 2
     _verify_hits(spec, report)
     return report
 
 
-def _run_exhaustive(spec, reduction, sub_dim):
+def _run_exhaustive(spec, quotient, sub_dim):
     limit = DEFAULT_BUDGET if spec.budget is None else spec.budget
-    expected = grassmann_count(reduction.quotient_dim, sub_dim, spec.field.q)
+    expected = grassmann_count(quotient.dim, sub_dim, spec.field.q)
     if expected > limit:
         raise BudgetExceededError(
             f"{expected} candidates exceed the campaign budget {limit}"
         )
     report = CampaignReport(spec.summary_line(), 0, expected)
-    patterns = pivot_patterns(reduction.quotient_dim, sub_dim)
+    patterns = pivot_patterns(quotient.dim, sub_dim)
     done = _open_journal(spec, patterns) if spec.journal else {}
 
-    good = _goodness_table(reduction)
+    good = quotient.goodness_table()
     if not good[0]:
-        # a bad element inside the constraint span dooms every candidate
+        # the zero class is bad: an element of the constraint span dooms
+        # every candidate
         report.total = expected
         return report, []
 
     todo = [p for p in patterns if p not in done]
-    scans = scan_patterns(spec.field, reduction.quotient_dim, good, todo, spec.shards)
-    for pattern, (decided, rows) in zip(todo, scans):
-        spaces = [reduction.space_from(r) for r in rows]
+    for pattern, (decided, rows) in zip(todo, quotient.scan(good, todo, spec.shards)):
+        spaces = [quotient.space_from(r) for r in rows]
         if spec.journal:
             _append_journal_entry(spec.journal, pattern, decided, spaces)
         done[pattern] = (decided, spaces)
@@ -483,7 +387,7 @@ def _run_exhaustive(spec, reduction, sub_dim):
     return report, [s for _, spaces in done.values() for s in spaces]
 
 
-def _run_random(spec, reduction, sub_dim):
+def _run_random(spec, quotient, sub_dim):
     """Seeded random search: the report and the hits among `count` samples."""
     field = spec.field
     rng = random.Random(spec.seed)
@@ -493,14 +397,13 @@ def _run_random(spec, reduction, sub_dim):
     for _ in range(spec.count):
         while True:
             rows = [
-                tuple(rng.randrange(field.q) for _ in range(reduction.quotient_dim))
+                tuple(rng.randrange(field.q) for _ in range(quotient.dim))
                 for _ in range(sub_dim)
             ]
-            reduced, _pivots = rref(rows, field)
-            if len(reduced) == sub_dim:
+            space = quotient.space_from(rows)
+            if space.dim == spec.dim:
                 break
         report.total += 1
-        space = reduction.space_from(reduced)
         if space.key() in seen:
             continue
         seen.add(space.key())

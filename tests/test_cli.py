@@ -32,6 +32,13 @@ def test_budget_exceeded_exits_4(sl2, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_budget_comes_from_the_flag_alone(sl2, monkeypatch, capsys):
+    # no environment variable sets the budget
+    monkeypatch.setenv("WEAKTRI_BUDGET", "1")
+    assert main(["check", sl2]) == 2
+    assert "verdict false" in capsys.readouterr().out
+
+
 def test_theorem_violation_exits_3(sl2, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise TheoremViolationError("deliberate")

@@ -6,6 +6,9 @@ strips bare ``assert`` statements.  Imports must be used; the package
 module-level private (``_``-prefixed) function, class or constant must be
 referenced somewhere in the package outside its own definition.
 
+No module imports a private name from another package module: a name that
+another module needs is public in the module that owns it.
+
 A public top-level function or public method must be referenced too, by
 package code other than its own definition and the ``__init__`` re-exports;
 otherwise only tests reach it, and it belongs in ``tests/oracles.py`` or
@@ -161,6 +164,37 @@ def test_detects_unreferenced_private():
     one = ast.parse("_LIMIT = 3\n_KEPT = 4\ndef _rec(k):\n    return _rec(k - 1)\n")
     other = ast.parse("from .one import _KEPT\n")
     assert _unreferenced_privates([one, other]) == ["_LIMIT", "_rec"]
+
+
+def _private_imports(trees):
+    """Sorted "module: name" of the private (``_``-prefixed, not dunder)
+    names that a module imports from a package module; ``trees`` maps module
+    names to parsed sources."""
+    return sorted(
+        f"{module}: {alias.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "weaktri")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_no_private_imports_across_modules():
+    imported = _private_imports({path.stem: _tree(path) for path in MODULES})
+    assert not imported, f"private names imported from another module: {imported}"
+
+
+def test_detects_private_import():
+    trees = {
+        "one": ast.parse(
+            "from __future__ import annotations\nfrom os import _exit\n"
+            "from .two import _helper, public, __doc__\nfrom weaktri.two import _LIMIT\n"
+        ),
+        "two": ast.parse("from . import _three\nimport weaktri._four\n"),
+    }
+    assert _private_imports(trees) == ["one: _LIMIT", "one: _helper", "two: _three"]
 
 
 def test_detects_assert_and_unused_import():

@@ -10,14 +10,7 @@ import weaktri.scan
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import pivot_patterns
 from weaktri.linalg import Mat
-from weaktri.scan import (
-    _CHUNK_TABLE_LIMIT,
-    _chunk_tables,
-    _chunk_widths,
-    _scan_pattern,
-    scan_patterns,
-)
-from weaktri.survey import _goodness_table, _Reduction
+from weaktri.scan import _CHUNK_TABLE_LIMIT, Quotient, _chunk_tables, _chunk_widths, _scan_pattern
 
 from oracles import scan_pattern_by_rows
 
@@ -106,17 +99,22 @@ def test_every_chunk_table_entry(field_args, m):
     field = FieldCtx(*field_args)
     q = field.q
     chunks = _chunk_tables(field, m)
-    for j, (offset, width) in enumerate(zip(chunks.offsets, chunks.widths)):
+    for j, (scale, width) in enumerate(zip(chunks.scales, chunks.widths)):
         values = [[a // q**c % q for c in range(width)] for a in range(q**width)]
         for a, da in enumerate(values):
             for b, db in enumerate(values):
                 total = packed([field.add(x, y) for x, y in zip(da, db)], q)
-                assert (chunks.add[j][a][b], chunks.test[j][a][b]) == (total, total * q**offset)
+                assert (chunks.add[j][a][b], chunks.test[j][a][b]) == (total, total * scale)
             for c in range(q):
                 assert chunks.mul[j][c][a] == packed([field.mul(c, x) for x in da], q)
     for index in (0, 1, q**m - 1, q ** (m - 1) + q):
         split = chunks.split(index)
-        assert sum(v * q**o for v, o in zip(split, chunks.offsets)) == index
+        assert sum(v * s for v, s in zip(split, chunks.scales)) == index
+        assert chunks.scales[0] == 1 and chunks.sizes == tuple(q**w for w in chunks.widths)
+        digits = chunks.coordinates(index)
+        assert chunks.multiples(index) == [
+            packed([field.mul(c, d) for d in digits], q) for c in range(1, q)
+        ]
 
 
 # -- the packed scan against the reference ------------------------------------------
@@ -125,15 +123,14 @@ def test_every_chunk_table_entry(field_args, m):
 @pytest.mark.parametrize("field_args", [GF2, (3,), (5,), GF9])
 def test_n2_identity_campaign_patterns_match_the_reference(field_args):
     field = FieldCtx(*field_args)
-    reduction = _Reduction(field, 2, [Mat.identity(field, 2)])
-    good = _goodness_table(reduction)
-    hits, rejected = assert_scans_agree(field, reduction.quotient_dim, good, range(4))
+    quotient = Quotient(field, 2, [Mat.identity(field, 2)])
+    good = quotient.goodness_table()
+    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4))
     assert hits and rejected
 
 
 def test_n3_identity_campaign_patterns_match_the_reference(gf3):
-    reduction = _Reduction(gf3, 3, [Mat.identity(gf3, 3)])
-    good = _goodness_table(reduction)
+    good = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
     assert assert_scans_agree(gf3, 8, good, [5]) == (52, 25_095_280 - 52)
 
 
@@ -183,10 +180,12 @@ def test_pool_tasks_do_not_carry_the_goodness_table(gf3, monkeypatch):
     monkeypatch.setattr(weaktri.scan.os, "cpu_count", lambda: 2)
     patterns = [(0,), (0, 1), (1, 2), (0, 1, 2)]
     task_bytes = []
-    for m in (3, 6):  # 27 and 729 classes
-        good = synthetic_goodness(3, m, 0, 0.9)
-        pooled = list(scan_patterns(gf3, m, good, patterns, 2))
-        assert pooled == list(scan_patterns(gf3, m, good, patterns, 1))
+    # quotients of dimension 3 and 6: 27 and 729 classes
+    for n, constraints in ((2, [(0, 0)]), (3, [(0, 0), (1, 1), (2, 2)])):
+        quotient = Quotient(gf3, n, [Mat.unit(gf3, n, i, j) for i, j in constraints])
+        good = synthetic_goodness(3, quotient.dim, 0, 0.9)
+        pooled = list(quotient.scan(good, patterns, 2))
+        assert pooled == list(quotient.scan(good, patterns, 1))
         pool = RecordingPool.last
         assert pool.initargs_bytes > len(good)  # the table goes once, to the worker
         task_bytes.append(pool.task_bytes)

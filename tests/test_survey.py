@@ -4,6 +4,7 @@ import pytest
 
 import weaktri.flags
 import weaktri.linalg
+import weaktri.scan
 import weaktri.survey
 import weaktri.triang
 
@@ -12,11 +13,10 @@ from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import grassmann_count
 from weaktri.linalg import Mat, char_poly_coeffs
+from weaktri.scan import Quotient
 from weaktri.survey import (
     CampaignSpec,
     _count_chains,
-    _goodness_table,
-    _Reduction,
     count_flags,
     gen_random,
     gen_sl,
@@ -61,7 +61,7 @@ def counting_sweeps(monkeypatch):
 
 def accept_every_class(monkeypatch):
     monkeypatch.setattr(
-        weaktri.survey, "_goodness_table", lambda r: bytearray(b"\x01") * r.field.q**r.quotient_dim
+        Quotient, "goodness_table", lambda quotient: bytearray(b"\x01") * quotient.field.q**quotient.dim
     )
 
 
@@ -197,12 +197,50 @@ def test_killed_campaign_resumes_from_its_journal(gf5, tmp_path):
 
 
 def test_journal_of_another_campaign_refused(gf3, gf5, tmp_path):
+    def unit_spec(j, journal):
+        constraint = Mat.unit(gf3, 2, 0, j)
+        return CampaignSpec(n=2, field=gf3, dim=2, constraints=(constraint,), journal=journal)
+
+    # another field, or only another custom constraint (E00 against E01)
+    pairs = [
+        (lambda path: identity_spec(gf3, journal=path), lambda path: identity_spec(gf5, journal=path)),
+        (lambda path: unit_spec(0, path), lambda path: unit_spec(1, path)),
+    ]
+    for i, (first, second) in enumerate(pairs):
+        journal = tmp_path / f"campaign{i}.journal"
+        run_campaign(first(str(journal)))
+        before = journal.read_text()
+        with pytest.raises(PreconditionError, match="different campaign"):
+            run_campaign(second(str(journal)))
+        assert journal.read_text() == before
+
+
+def test_random_campaign_refuses_a_journal(gf3, tmp_path, capsys):
     journal = tmp_path / "campaign.journal"
-    run_campaign(identity_spec(gf3, journal=str(journal)))
-    before = journal.read_text()
-    with pytest.raises(PreconditionError, match="different campaign"):
-        run_campaign(identity_spec(gf5, journal=str(journal)))
-    assert journal.read_text() == before
+    with pytest.raises(PreconditionError, match="a random campaign keeps no journal"):
+        run_campaign(identity_spec(gf3, mode="random", count=20, journal=str(journal)))
+    assert main(CAMPAIGN + ["--random", "20", "--journal", str(journal)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a random campaign keeps no journal\n"
+    assert not journal.exists()
+
+
+@pytest.mark.parametrize("mode, builds", [("exhaustive", 1), ("random", 0)])
+def test_chunk_tables_built_once_per_campaign(gf3, monkeypatch, mode, builds):
+    # the goodness table and the in-process scan share one build; random
+    # mode needs none
+    built = []
+
+    class Counted(weaktri.scan._ChunkTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.m)
+
+    monkeypatch.setattr(weaktri.scan, "_ChunkTables", Counted)
+    report = run_campaign(identity_spec(gf3, mode=mode, count=20))
+    assert report.all_hits_ok and not report.alarms
+    assert built == [3] * builds
 
 
 # byte offsets into the n=2 GF(5) journal: inside its first pattern line, after
@@ -243,7 +281,7 @@ def test_campaign_below_the_optimal_dimension(gf3):
 def test_hit_above_the_optimal_dimension_is_an_alarm(gf3, monkeypatch):
     # no weakly triangularizable space exceeds n(n+1)/2, so make both the
     # scan and the element sweep accept everything
-    monkeypatch.setattr(weaktri.survey, "_goodness_table", lambda r: [True] * r.field.q**r.quotient_dim)
+    monkeypatch.setattr(Quotient, "goodness_table", lambda quotient: [True] * quotient.field.q**quotient.dim)
     monkeypatch.setattr(weaktri.survey, "space_weakly_triangularizable", lambda *a, **k: True)
     report = run_campaign(CampaignSpec(n=2, field=gf3, dim=4))
     assert (report.total, report.hit_count) == (1, 1)
@@ -279,25 +317,25 @@ def test_n3_hits_are_exactly_the_flags(gf3):
 def test_goodness_table_matches_every_lift(field_args, constraints):
     field = FieldCtx(*field_args)
     mats = {"I": Mat.identity(field, 2), "E00": Mat.unit(field, 2, 0, 0), "E01": Mat.unit(field, 2, 0, 1)}
-    reduction = _Reduction(field, 2, [mats[name] for name in constraints.split(",") if name])
-    assert list(_goodness_table(reduction)) == goodness_by_full_lifts(
-        field, 2, reduction.rows, reduction.section_cols
+    quotient = Quotient(field, 2, [mats[name] for name in constraints.split(",") if name])
+    assert list(quotient.goodness_table()) == goodness_by_full_lifts(
+        field, 2, quotient.rows, quotient.section_cols
     )
 
 
 def test_n3_goodness_table_matches_every_lift(gf3):
     # E00 is not scalar, so each of its classes has 3 lifts to decide
     for constraint in (Mat.identity(gf3, 3), Mat.unit(gf3, 3, 0, 0)):
-        reduction = _Reduction(gf3, 3, [constraint])
-        table = _goodness_table(reduction)
+        quotient = Quotient(gf3, 3, [constraint])
+        table = quotient.goodness_table()
         assert type(table) is bytearray  # one byte per class
         assert list(table) == goodness_by_full_lifts(
-            gf3, 3, reduction.rows, reduction.section_cols
+            gf3, 3, quotient.rows, quotient.section_cols
         )
 
 
 def test_n3_gf5_goodness_table_digest(gf5):
-    table = _goodness_table(_Reduction(gf5, 3, [Mat.identity(gf5, 3)]))
+    table = Quotient(gf5, 3, [Mat.identity(gf5, 3)]).goodness_table()
     assert md5_bytes(table) == "0b59f8df36fc4e44d2367e7ad4bb92e6"
 
 
@@ -305,9 +343,9 @@ def test_n3_gf3_goodness_table_computes_no_matrix_char_poly(gf3, monkeypatch):
     def refuse(m):
         raise RuntimeError("the goodness table built a Mat for a char poly")
 
-    for module in (weaktri.linalg, weaktri.survey, weaktri.triang):
+    for module in (weaktri.linalg, weaktri.scan, weaktri.triang):
         monkeypatch.setattr(module, "char_poly", refuse, raising=False)
-    table = _goodness_table(_Reduction(gf3, 3, [Mat.identity(gf3, 3)]))
+    table = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
     assert md5_bytes(table) == "20ed74362afa4c2257181f19a7d2fd54"
 
 
@@ -318,7 +356,7 @@ def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
         table.append(tuple(entries))
         return char_poly_coeffs(field, n, entries)
 
-    monkeypatch.setattr(weaktri.survey, "char_poly_coeffs", counted)
+    monkeypatch.setattr(weaktri.scan, "char_poly_coeffs", counted)
     sweeps = counting_char_polys(monkeypatch, weaktri.triang)
     report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
     assert (report.total, report.hit_count) == (25_095_280, 52)
