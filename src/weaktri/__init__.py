@@ -16,7 +16,6 @@ from .errors import (
 )
 from .flags import (
     Flag,
-    LevelRecord,
     RecoveryTrace,
     extract_structure_maps,
     flag_space,
@@ -31,7 +30,7 @@ from .gf import (
     splits_over,
 )
 from .grassmann import enumerate_subspaces, grassmann_count
-from .linalg import Mat, Vec, char_poly, det, invert, kernel_basis, rref, rref_solve, span_rows
+from .linalg import Mat, char_poly, det, invert, kernel_basis, rref, rref_solve, span_rows
 from .pencils import (
     CounterexampleReport,
     PencilReport,

@@ -2,14 +2,15 @@
 
 A nonzero vector x is adapted to S when S has no element whose range is
 exactly the line F.x and whose trace is zero.  This is decided by exact
-linear algebra on the coordinates of S.
+linear algebra on the coordinates of S.  A vector is a tuple of field
+elements.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import Vec, kernel_basis
+from .linalg import kernel_basis
 from .spaces import MatSpace
 
 
@@ -23,27 +24,22 @@ def projective_reps(field, n):
     """
     for lead in range(n - 1, -1, -1):
         for tail in itertools.product(field.elements(), repeat=n - lead - 1):
-            yield Vec(field, (0,) * lead + (1,) + tail)
+            yield (0,) * lead + (1,) + tail
 
 
-def _normalize(x: Vec) -> Vec:
-    lead = next((i for i, e in enumerate(x.entries) if e), None)
-    if lead is None:
-        raise ValueError("the zero vector spans no line")
-    if x[lead] == 1:
-        return x
-    return x.scale(x.field.inv(x[lead]))
-
-
-def range_constrained(space: MatSpace, x: Vec) -> MatSpace:
+def range_constrained(space: MatSpace, x) -> MatSpace:
     """The subspace {u in S : im(u) is contained in F.x}.
 
     Solved as linear constraints on S-coordinates: each column of u must be
     its x-leading entry times x.
     """
-    xn = _normalize(x)
     F, n = space.field, space.n
-    lead = next(i for i, e in enumerate(xn.entries) if e)
+    x = tuple(F.coerce(e) for e in x)
+    lead = next((i for i, e in enumerate(x) if e), None)
+    if lead is None:
+        raise ValueError("the zero vector spans no line")
+    inv = F.inv(x[lead])
+    xn = tuple(F.mul(inv, e) for e in x)
     rows = []
     for col in range(n):
         for i in range(n):
@@ -63,7 +59,7 @@ def range_constrained(space: MatSpace, x: Vec) -> MatSpace:
     return MatSpace.from_span(mats, field=F, n=n)
 
 
-def is_adapted_vector(space: MatSpace, x: Vec) -> bool:
+def is_adapted_vector(space: MatSpace, x) -> bool:
     """True when no element of S has range F.x together with trace zero:
     the trace functional is injective on {u in S : im(u) <= F.x}, so that
     space has dimension <= 1 with nonzero trace on a generator."""

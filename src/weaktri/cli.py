@@ -101,7 +101,7 @@ def cmd_recover(args):
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     print("# recovered: yes")
     for i, vec in enumerate(flag.basis, start=1):
-        print(f"e{i} " + " ".join(str(e) for e in vec.entries))
+        print(f"e{i} " + " ".join(str(e) for e in vec))
     text = trace.to_text()
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -119,7 +119,7 @@ def cmd_adapted(args):
     if vec is None:
         print("none")
     else:
-        print("adapted " + " ".join(str(e) for e in vec.entries))
+        print("adapted " + " ".join(str(e) for e in vec))
     return 0
 
 
@@ -252,7 +252,10 @@ def build_parser():
                    help="random mode: check COUNT seeded samples instead")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--exploratory", action="store_true")
-    _add_budget_arg(p)
+    _add_budget_arg(p, "campaign budget: first the nominal candidate count of an exhaustive "
+                       "campaign must not exceed it (exit 4); then it bounds each element "
+                       "sweep: of a hit whose flag gate fails, of a hit not of dimension "
+                       "n(n+1)/2, and of a random sample")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("gen", help="emit a named space as a spacefile")

@@ -11,7 +11,8 @@ span(e_1, ..., e_(i-1)).  Conjugation by P carries both facts to
 P T_n P^-1 and to P's column flag.  So one kernel solve on the Gram
 matrix gives the radical N, the chain V_n = F^n, V_(k-1) = N V_k gives
 the flag, and e_i is the canonical (RREF) row of V_i whose pivot column
-is new against V_(i-1).
+is new against V_(i-1).  Flag basis vectors, like every vector in the
+package, are tuples of packed field elements.
 
 The one correctness gate is the exact equality flag_space(result) == input,
 and it decides.  Over odd characteristic every optimal weakly
@@ -35,22 +36,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, TheoremViolationError
-from .linalg import Mat, Vec, kernel_basis, rref, span_rows
+from .linalg import Mat, kernel_basis, rref, span_rows
 from .spaces import MatSpace
 from .triang import space_weakly_triangularizable
 
 
 class Flag:
-    """Complete flag of F^n given by an ordered basis (e_1, ..., e_n)."""
+    """Complete flag of F^n given by an ordered basis (e_1, ..., e_n), each
+    vector a tuple of field elements."""
 
     __slots__ = ("field", "n", "basis")
 
     def __init__(self, field, basis):
-        vecs = tuple(v if isinstance(v, Vec) else Vec(field, v) for v in basis)
+        vecs = tuple(tuple(field.coerce(e) for e in v) for v in basis)
         n = len(vecs)
-        if any(v.n != n for v in vecs):
+        if any(len(v) != n for v in vecs):
             raise ValueError("flag basis vectors have the wrong length")
-        reduced, _ = rref([v.entries for v in vecs], field)
+        reduced, _ = rref(vecs, field)
         if len(reduced) != n:
             raise ValueError("flag basis is linearly dependent")
         self.field = field
@@ -59,7 +61,7 @@ class Flag:
 
     @classmethod
     def standard(cls, field, n):
-        return cls(field, tuple(Vec.unit(field, n, i) for i in range(n)))
+        return cls(field, Mat.identity(field, n).rows())
 
     def basis_matrix(self) -> Mat:
         """Change-of-basis matrix whose columns are the flag basis."""
@@ -70,7 +72,7 @@ class Flag:
 
     def subspace(self, i):
         """Canonical RREF rows of V_i = span(e_1, ..., e_i)."""
-        return span_rows([v.entries for v in self.basis[:i]], self.field)
+        return span_rows(self.basis[:i], self.field)
 
     def chain(self):
         return tuple(self.subspace(i) for i in range(self.n + 1))
@@ -105,33 +107,25 @@ def flag_space(flag: Flag) -> MatSpace:
 
 
 @dataclass
-class LevelRecord:
-    """Audit record for one level of flag recovery."""
-
-    n: int
-    kind: str
-    checks: dict = dc_field(default_factory=dict)
-
-
-@dataclass
 class RecoveryTrace:
-    """Per-level audit of a flag recovery run."""
+    """Audit of a flag recovery run: each check of its one radical step, by
+    name, with its outcome.  A trace with no checks records no level."""
 
     ambient: int
     field_descriptor: str
-    levels: list = dc_field(default_factory=list)
+    checks: dict = dc_field(default_factory=dict)
 
     def all_checks_pass(self):
-        return all(all(rec.checks.values()) for rec in self.levels)
+        return all(self.checks.values())
 
     def to_text(self):
         lines = [
             f"# trace ambient: {self.ambient}",
             f"# trace field: {self.field_descriptor}",
         ]
-        for depth, rec in enumerate(self.levels, start=1):
-            lines.append(f"level {depth}: n={rec.n} kind={rec.kind}")
-            for key, ok in sorted(rec.checks.items()):
+        if self.checks:
+            lines.append(f"level 1: n={self.ambient} kind=radical")
+            for key, ok in sorted(self.checks.items()):
                 lines.append(f"  check {key}: {'pass' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -175,11 +169,9 @@ def _flag_by_gate(space):
             f"optimal spaces have dimension {expected}, got {space.dim}"
         )
     trace = RecoveryTrace(n, F.descriptor())
-    rec = LevelRecord(n=n, kind="radical")
-    trace.levels.append(rec)
 
     def require(check, ok, message):
-        rec.checks[check] = ok
+        trace.checks[check] = ok
         if not ok:
             raise TheoremViolationError(message, trace=trace)
 
@@ -193,8 +185,7 @@ def _flag_by_gate(space):
     # V_n = F^n and V_(k-1) = N V_k, each as (RREF rows, pivot columns)
     subspaces = [(Mat.identity(F, n).rows(), list(range(n)))]
     while len(subspaces) <= n:
-        vecs = [Vec(F, v) for v in subspaces[-1][0]]
-        subspaces.append(rref([u.apply(v).entries for u in radical for v in vecs], F))
+        subspaces.append(rref([u.apply(v) for u in radical for v in subspaces[-1][0]], F))
     subspaces.reverse()  # subspaces[i] is V_i
     require(
         "chain_steps",
@@ -249,7 +240,7 @@ def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
     space T_n in the flag basis.  Every block fact of T_n (its units,
     slices, unique completions, vanishing corner and residual maps, and its
     descent to T_(n-1) through F.e_n) then holds by construction and has
-    nothing left to decide; the returned trace records no levels, so
+    nothing left to decide; the returned trace records no checks, so
     ``all_checks_pass()`` is true.  A flag that does not generate the space
     raises PreconditionError.
     """

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .linalg import rref, span_rows
-from .spaces import DEFAULT_BUDGET
+from .spaces import check_budget
 
 
 def grassmann_count(m: int, k: int, q: int) -> int:
@@ -69,14 +69,11 @@ def enumerate_subspaces(m, k, field, must_contain=(), budget=None):
     include; those are handled by enumerating (k - r)-dimensional subspaces
     of the quotient by the constraint span and lifting back.
     """
-    limit = DEFAULT_BUDGET if budget is None else budget
     reduced, section = reduce_constraints(list(must_contain), m, field)
     r = len(reduced)
     if r > k:
         raise ValueError(f"cannot fit a {r}-dimensional constraint span in dimension {k}")
-    count = grassmann_count(m - r, k - r, field.q)
-    if count > limit:
-        raise BudgetExceededError(f"{count} subspaces exceed budget {limit}")
+    check_budget(grassmann_count(m - r, k - r, field.q), budget, "subspaces exceed budget")
     for sub in _enumerate_plain(m - r, k - r, field):
         yield lift_quotient_rows(reduced, section, sub, field) if r else sub
 

@@ -1,76 +1,17 @@
-"""Vectors, square matrices, exact Gaussian elimination, and characteristic
+"""Square matrices, exact Gaussian elimination, and characteristic
 polynomials over a FieldCtx.
 
-Row-space utilities work on plain tuples of packed field elements so the
-subspace-enumeration layers can stay allocation-light; Vec and Mat wrap the
-same representation for the public API.  ``char_poly_coeffs`` is the one
-characteristic-polynomial kernel: it reads a flat row-major entry tuple, and
-``char_poly`` wraps its coefficients in a Poly.
+A vector is a plain tuple of packed field elements: the row-space
+utilities, ``Mat.apply`` and ``Mat.row`` all take or return such tuples,
+and a Mat keeps its entries as one row-major tuple of them.
+``char_poly_coeffs`` is the one characteristic-polynomial kernel: it reads
+a flat row-major entry tuple, and ``char_poly`` wraps its coefficients in a
+Poly.
 """
 
 from __future__ import annotations
 
 from .gf import Poly
-
-
-class Vec:
-    """Immutable vector of packed field elements."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = tuple(field.coerce(e) for e in entries)
-
-    @classmethod
-    def unit(cls, field, n, i):
-        return cls(field, tuple(1 if j == i else 0 for j in range(n)))
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    @property
-    def is_zero(self):
-        return not any(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __add__(self, other):
-        F = self.field
-        return Vec(F, tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        F = self.field
-        return Vec(F, tuple(F.sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        F = self.field
-        return Vec(F, tuple(F.neg(a) for a in self.entries))
-
-    def scale(self, c):
-        F = self.field
-        return Vec(F, tuple(F.mul(c, a) for a in self.entries))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vec)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __repr__(self):
-        return f"Vec{self.entries}"
 
 
 class Mat:
@@ -151,7 +92,8 @@ class Mat:
             return self.scale(other)
         return NotImplemented
 
-    def apply(self, v: Vec) -> Vec:
+    def apply(self, v):
+        """M v for a vector v, a tuple of packed field elements."""
         F, n = self.field, self.n
         out = []
         for i in range(n):
@@ -159,7 +101,7 @@ class Mat:
             for j in range(n):
                 acc = F.add(acc, F.mul(self.entries[i * n + j], v[j]))
             out.append(acc)
-        return Vec(F, out)
+        return tuple(out)
 
     def trace(self):
         F, n = self.field, self.n

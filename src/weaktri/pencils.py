@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BudgetExceededError, TheoremViolationError
+from .errors import TheoremViolationError
 from .gf import FieldCtx, Poly, splits_over
-from .spaces import DEFAULT_BUDGET
+from .spaces import check_budget
 
 
 def pencil_splits_all(p: Poly, q: Poly) -> bool:
@@ -75,10 +75,7 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
         raise ValueError("the divisibility statement needs a field with more than 2 elements")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    total = field.q ** (2 * degree - 1)
-    if total > limit:
-        raise BudgetExceededError(f"{total} pairs exceed budget {limit}")
+    check_budget(field.q ** (2 * degree - 1), budget, "pairs exceed budget")
     report = PencilReport(field.descriptor(), degree, 0, 0)
     for p in _monic_polys(field, degree):
         for q in _monic_polys(field, degree - 1):

@@ -15,6 +15,14 @@ from .linalg import Mat, invert, rref
 DEFAULT_BUDGET = 2**28
 
 
+def check_budget(count, budget, what):
+    """Raise BudgetExceededError "<count> <what> <limit>" when ``count``
+    exceeds the budget; ``budget=None`` means DEFAULT_BUDGET."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if count > limit:
+        raise BudgetExceededError(f"{count} {what} {limit}")
+
+
 def check_matrix_size(n):
     """Refuse a matrix size below 1, as a space file does."""
     if n < 1:
@@ -109,7 +117,7 @@ class MatSpace:
         Prefix sums are shared across the sweep, so each element costs one
         scaled vector addition instead of a full combination.
         """
-        self._check_sweep_budget(budget)
+        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
         for _rank, m in self._sweep(range(self.dim), (0,) * (self.n * self.n), 0):
             yield m
 
@@ -126,7 +134,7 @@ class MatSpace:
         order, so the first class with some property holds the first
         element with it.  The budget bounds the q^d elements swept.
         """
-        self._check_sweep_budget(budget)
+        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
         d, q = self.dim, self.field.q
         pinned = self._identity_lead()
         yield 0, Mat.zeros(self.field, self.n)
@@ -140,7 +148,7 @@ class MatSpace:
         ``enumerate_elements`` order: those whose coefficient is 0 at the
         leading coordinate of I's coefficient vector (every element when I
         is outside the space)."""
-        self._check_sweep_budget(budget)
+        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
         pinned = self._identity_lead()
         rest = [i for i in range(self.dim) if i != pinned]
         for _rank, m in self._sweep(rest, (0,) * (self.n * self.n), 0):
@@ -153,13 +161,6 @@ class MatSpace:
         if coords is None:
             return None
         return next(i for i, c in enumerate(coords) if c)
-
-    def _check_sweep_budget(self, budget):
-        limit = DEFAULT_BUDGET if budget is None else budget
-        if self.element_count() > limit:
-            raise BudgetExceededError(
-                f"{self.element_count()} elements exceed the sweep budget {limit}"
-            )
 
     def _sweep(self, positions, start, rank):
         """Yield (rank, start + sum c_i basis[i]) over every choice of the

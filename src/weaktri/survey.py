@@ -30,13 +30,13 @@ import random
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx
 from .grassmann import enumerate_subspaces, grassmann_count, pivot_patterns
 from .linalg import Mat
 from .scan import Quotient
-from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
+from .spaces import MatSpace, check_budget, check_matrix_size, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
@@ -355,12 +355,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
 
 
 def _run_exhaustive(spec, quotient, sub_dim):
-    limit = DEFAULT_BUDGET if spec.budget is None else spec.budget
     expected = grassmann_count(quotient.dim, sub_dim, spec.field.q)
-    if expected > limit:
-        raise BudgetExceededError(
-            f"{expected} candidates exceed the campaign budget {limit}"
-        )
+    check_budget(expected, spec.budget, "candidates exceed the campaign budget")
     report = CampaignReport(spec.summary_line(), 0, expected)
     patterns = pivot_patterns(quotient.dim, sub_dim)
     done = _open_journal(spec, patterns) if spec.journal else {}

@@ -23,7 +23,7 @@ import itertools
 from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import Poly
 from weaktri.grassmann import enumerate_subspaces, pattern_size
-from weaktri.linalg import Mat, Vec, char_poly, invert, kernel_basis, span_rows
+from weaktri.linalg import Mat, char_poly, invert, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.triang import is_triangularizable
 
@@ -78,7 +78,7 @@ def monic_polys(field, degree):
 
 def adapted_by_sweep(space, x) -> bool:
     """Adaptedness by enumerating every element of the space."""
-    line = _line_of(x)
+    line = span_rows([tuple(x)], space.field)
     for m in space.enumerate_elements():
         if m.trace() == 0 and _column_space(m) == line:
             return False
@@ -96,10 +96,6 @@ def adapted_hyperplane_by_sweep(space, spanning) -> bool:
         if kern == target:
             return False
     return True
-
-
-def _line_of(x):
-    return span_rows([tuple(x)], x.field)
 
 
 def _column_space(m: Mat):
@@ -228,7 +224,7 @@ def invariant_subspaces(space):
         rows
         for k in range(n + 1)
         for rows in enumerate_subspaces(n, k, F)
-        if all(in_span(rows, b.apply(Vec(F, v)), F) for b in space.basis for v in rows)
+        if all(in_span(rows, b.apply(v), F) for b in space.basis for v in rows)
     ]
 
 

@@ -5,8 +5,9 @@ from weaktri.cli import main
 from weaktri.errors import TheoremViolationError
 from weaktri.flags import Flag, flag_space
 from weaktri.gf import FieldCtx
-from weaktri.spaces import format_spacefile, parse_spacefile
-from weaktri.survey import gen_triangular
+from weaktri.linalg import Mat
+from weaktri.spaces import MatSpace, format_spacefile, parse_spacefile
+from weaktri.survey import CampaignSpec, gen_triangular, run_campaign
 
 from conftest import random_invertible, seeded
 
@@ -120,6 +121,46 @@ def test_recover_a_conjugate_of_t4_over_gf7(tmp_path, capsys):
     assert lines[:2] == ["# space: n=4 dim=10 field=GF(7)", "# recovered: yes"]
     basis = [[int(t) for t in line.split()[1:]] for line in lines[2:6]]
     assert flag_space(Flag(gf7, basis)) == space
+
+
+def test_recover_a_failed_gate_prints_its_trace(tmp_path, capsys):
+    # an optimal weakly triangularizable space over GF(2) that is no flag
+    # space: one of the non-flag hits of the n=3 GF(2) dim-6 campaign on I
+    gf2 = FieldCtx(2, exploratory=True)
+
+    def unit(i, j):
+        return Mat.unit(gf2, 3, i, j)
+
+    space = MatSpace.from_span(
+        [unit(0, 0), unit(1, 0), unit(1, 1) + unit(2, 2), unit(1, 2), unit(2, 0), unit(2, 1)]
+    )
+    report = run_campaign(
+        CampaignSpec(n=3, field=gf2, dim=6, constraints=(Mat.identity(gf2, 3),))
+    )
+    assert space in [hit.space for hit in report.hits if hit.non_flag]
+    path = tmp_path / "nonflag.space"
+    path.write_text(format_spacefile(space))
+    assert main(["recover", str(path), "--exploratory"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "THEOREM VIOLATION: radical chain does not drop one dimension per step to 0\n"
+        "# trace ambient: 3\n"
+        "# trace field: GF(2)\n"
+        "level 1: n=3 kind=radical\n"
+        "  check chain_steps: FAIL\n"
+        "  check radical_dim: pass\n"
+    )
+
+
+def test_campaign_help_says_what_the_budget_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["campaign", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET campaign budget: first the nominal candidate count" in text
+    assert "must not exceed it (exit 4)" in text
+    assert "of a hit whose flag gate fails" in text
+    assert "element-sweep budget" not in text
 
 
 def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):

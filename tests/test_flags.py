@@ -8,7 +8,7 @@ from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import Flag, extract_structure_maps, flag_space, recover_flag
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat, Vec, span_rows
+from weaktri.linalg import Mat, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.survey import gen_random, gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
@@ -68,7 +68,7 @@ class TestFlagSpace:
                 rows = flag.subspace(i)
                 for b in space.basis:
                     for v in rows:
-                        assert in_span(rows, b.apply(Vec(gf5, v)), gf5)
+                        assert in_span(rows, b.apply(v), gf5)
 
 
 class TestInvariantSubspaces:
@@ -111,7 +111,8 @@ class TestBaseCase:
         flag, trace = recover_flag(triangular_space(gf3, 2))
         assert flag.subspace(1) == ((1, 0),)
         assert trace.all_checks_pass()
-        assert [(rec.n, rec.kind) for rec in trace.levels] == [(2, "radical")]
+        assert trace.ambient == 2
+        assert trace.to_text().splitlines()[2] == "level 1: n=2 kind=radical"
 
     def test_conjugate_equivariance(self, gf3, gf5):
         rng = seeded(7)
@@ -195,8 +196,9 @@ class TestRecoverFlag:
             F, n = space.field, space.n
             flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
             hyperplane = flag.subspace(n - 1)
-            last = max(i for i in range(n) if not in_span(hyperplane, Vec.unit(F, n, i), F))
-            assert find_adapted_vector(space) == Vec.unit(F, n, last)
+            units = Mat.identity(F, n).rows()
+            last = max(i for i in range(n) if not in_span(hyperplane, units[i], F))
+            assert find_adapted_vector(space) == units[last]
 
     def test_wrong_dimension_rejected(self, gf3):
         with pytest.raises(PreconditionError, match="dimension"):
@@ -286,7 +288,7 @@ class TestExtraction:
                 flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
                 trace = extract_structure_maps(space, flag)
                 assert trace.all_checks_pass()
-                assert (trace.ambient, trace.levels) == (n, [])
+                assert (trace.ambient, trace.checks) == (n, {})
 
     def test_small_n_rejected(self, gf3):
         with pytest.raises(PreconditionError):

@@ -9,7 +9,7 @@ referenced somewhere in the package outside its own definition.
 No module imports a private name from another package module: a name that
 another module needs is public in the module that owns it.
 
-A public top-level function or public method must be referenced too, by
+A public top-level function, class or method must be referenced too, by
 package code other than its own definition and the ``__init__`` re-exports;
 otherwise only tests reach it, and it belongs in ``tests/oracles.py`` or
 nowhere.  Entry points that are kept anyway are listed in ``ENTRY_POINTS``
@@ -98,13 +98,13 @@ ENTRY_POINTS = {
 
 def _public_definitions(module, tree):
     """{"module.qualname": (name, node)} of the public top-level functions
-    and the public methods of top-level classes."""
+    and classes and the public methods of top-level classes."""
     found = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             members = [(node.name, node)]
         elif isinstance(node, ast.ClassDef):
-            members = [
+            members = [(node.name, node)] + [
                 (f"{node.name}.{sub.name}", sub)
                 for sub in node.body
                 if isinstance(sub, ast.FunctionDef)
@@ -219,8 +219,11 @@ def test_detects_unreferenced_public():
             "def used():\n    pass\ndef lonely(k):\n    return lonely(k - 1)\n"
             "class C:\n    def m(self):\n        return self.other()\n"
             "    def other(self):\n        pass\n"
+            # a class that only its own body and the re-exports name
+            "class Solo:\n    def __eq__(self, other):\n        return isinstance(other, Solo)\n"
+            "class Kept:\n    pass\nclass _Hidden:\n    pass\n"
         ),
-        "two": ast.parse("from .one import used\n"),
-        "__init__": ast.parse("from .one import lonely\n"),
+        "two": ast.parse("from .one import used, Kept\n"),
+        "__init__": ast.parse("from .one import lonely, Solo\n"),
     }
-    assert _unreferenced_publics(trees) == ["one.C.m", "one.lonely"]
+    assert _unreferenced_publics(trees) == ["one.C", "one.C.m", "one.Solo", "one.lonely"]

@@ -1,5 +1,7 @@
 import pytest
 
+from weaktri.cli import main
+from weaktri.errors import BudgetExceededError
 from weaktri.gf import FieldCtx, Poly
 from weaktri.pencils import char2_odd_counterexample, pencil_splits_all, verify_pencil_division
 
@@ -12,6 +14,18 @@ def test_split_pencils_force_divisibility(field_args, degree, expected):
     report = verify_pencil_division(FieldCtx(*field_args), degree)
     assert (report.pairs_checked, report.hypothesis_hits, len(report.violations)) == expected
     assert report.ok
+
+
+def test_budget_bounds_the_pairs(capsys):
+    # 3^7 = 2187 monic (p, q) pairs of degrees (4, 3) over GF(3)
+    with pytest.raises(BudgetExceededError, match="^2187 pairs exceed budget 2186$"):
+        verify_pencil_division(FieldCtx(3), 4, budget=2186)
+    report = verify_pencil_division(FieldCtx(3), 4, budget=2187)
+    assert (report.pairs_checked, report.hypothesis_hits, len(report.violations)) == (2187, 30, 0)
+    assert main(["lemma31", "--field", "GF(3)", "--degree", "4", "--budget", "2186"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 2187 pairs exceed budget 2186\n"
 
 
 @pytest.mark.parametrize("degree", [3, 5])
