@@ -27,9 +27,20 @@ of I, so the lifts run over the constraint span modulo F.I.
 The scan enumerates RREF bases row by row, bottom row first, one pivot
 pattern at a time.  Any candidate whose partial span hits a bad class is
 rejected together with its entire subtree (all such candidates contain that
-same bad element), with skipped counts tracked exactly.  A pool worker
-receives the goodness table once, through the pool initializer, and builds
-its own chunk tables; a task is a pattern.
+same bad element), with skipped counts tracked exactly.
+
+Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
+matrix entry (i, j) by d_i/d_j and keeps every characteristic polynomial.
+When every constraint row lies on the diagonal, as I does, it fixes the
+constraint span pointwise, so the torus modulo scalars, (q-1)^(n-1)
+elements with d_0 = 1, acts on the quotient by scaling each coordinate; it
+keeps pivot patterns once each row is divided by its pivot entry, and it
+keeps goodness.  Otherwise the group is trivial.  The scan decides one
+bottom row per orbit, the one of smallest packed index, weights its
+rejected subtree by the orbit size and maps each of its hits onto every
+other bottom row of the orbit.  A pool worker receives the goodness table
+and the group once, through the pool initializer, and builds its own chunk
+tables; a task is a pattern.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from .spaces import MatSpace
 # the most entries a chunk table may hold, unless one-digit chunks need more
 _CHUNK_TABLE_LIMIT = 1 << 20
 
-# in a pool worker: the (chunk tables, goodness table) of its campaign
+# in a pool worker: the (chunk tables, goodness table, group) of its campaign
 _WORKER = None
 
 
@@ -71,6 +82,21 @@ class Quotient:
         """The chunk tables, built on first use: a random campaign never
         needs them."""
         return _chunk_tables(self.field, self.dim)
+
+    @cached_property
+    def torus(self):
+        """The diagonal-conjugation group on the quotient, built on first
+        use: the torus modulo scalars when every constraint row lies on the
+        diagonal, else the trivial group."""
+        F, n = self.field, self.n
+        identity = ((1,) * self.dim,)
+        if any(v for row in self.rows for e, v in enumerate(row) if e % (n + 1)):
+            return _Torus(F, identity)
+        factors = []
+        for d in itertools.product(range(1, F.q), repeat=n - 1):
+            d = (1,) + d
+            factors.append(tuple(F.mul(d[e // n], F.inv(d[e % n])) for e in self.section_cols))
+        return _Torus(F, tuple(factors))
 
     def space_from(self, quotient_rows) -> MatSpace:
         """The candidate space with these quotient rows, lifted over the
@@ -118,14 +144,24 @@ class Quotient:
     def scan(self, good, patterns, shards):
         """Yield (candidates_decided, hit_row_lists) for each pattern in
         order, scanned against the goodness table ``good``: in process, or
-        on a pool of ``shards`` workers when more than one can be used."""
+        on a pool of ``shards`` workers when more than one can be used.
+
+        ``good`` must be constant on the orbits of ``self.torus`` (the
+        trivial group unless every constraint row lies on the diagonal), as
+        a goodness table is: the scan decides one bottom row per orbit, the
+        one of smallest packed index, counts its rejected candidates once
+        per row of the orbit and maps its hits onto the other rows.  The
+        hits of a pattern come in depth-first order, bottom row first, each
+        row ordered by its coordinates."""
         workers = min(shards, len(patterns), os.cpu_count() or 1)
         if workers <= 1:
             for pattern in patterns:
-                yield _scan_pattern(self.chunks, good, pattern)
+                yield _scan_pattern(self.chunks, good, self.torus, pattern)
             return
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(self.field, self.dim, good)
+            max_workers=workers,
+            initializer=_start_worker,
+            initargs=(self.field, self.dim, good, self.torus),
         ) as pool:
             yield from pool.map(_scan_in_worker, patterns)
 
@@ -218,7 +254,41 @@ def _width_tables(field, width):
     return add, mul
 
 
-def _scan_pattern(chunks, good, pattern):
+class _Torus:
+    """A group of coordinate scalings of F^m: element g multiplies
+    coordinate c by ``factors[g][c]``, and element 0 is the identity.
+
+    It acts on RREF rows: the image of a row is divided by its pivot entry,
+    so it is an RREF row with the same pivot, and on RREF bases row by row.
+    """
+
+    def __init__(self, field, factors):
+        q, m = field.q, len(factors[0])
+        self.q = q
+        self.factors = factors
+        # _shifted[p][g][c - p - 1][v]: coordinate c > p of the image under g
+        # of a row with pivot p and digit v at c, shifted into place
+        self._shifted = [[] for _ in range(m)]
+        for p, per_element in enumerate(self._shifted):
+            for f in factors:
+                ratios = [field.mul(field.inv(f[p]), x) for x in f]
+                per_element.append(
+                    [[field.mul(ratios[c], v) * q**c for v in range(q)] for c in range(p + 1, m)]
+                )
+
+    @property
+    def order(self):
+        return len(self.factors)
+
+    def image(self, g, index, pivot):
+        """The packed index of the image under element g of the RREF row
+        with packed index ``index`` and pivot ``pivot``."""
+        q = self.q
+        tables = self._shifted[pivot][g]
+        return q**pivot + sum(t[index // q**c % q] for c, t in enumerate(tables, pivot + 1))
+
+
+def _scan_pattern(chunks, good, torus, pattern):
     """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
     returns (candidates_decided, hit_row_lists).
 
@@ -228,7 +298,16 @@ def _scan_pattern(chunks, good, pattern):
     row + w for every w in the nonzero span of the rows below it: one
     ``test`` lookup per chunk gives the packed index, and one more reads
     ``good``.  A rejected row takes every completion of the rows above it
-    along.  ``good`` is any table indexed by packed class.
+    along.
+
+    ``good`` must be constant on the orbits of the group ``torus``.  Of the
+    live bottom rows only the canonical one of each orbit, the one of
+    smallest packed index, is scanned: its rejected candidates count once
+    per row of the orbit, and each of its hits is mapped by one group
+    element per other row of the orbit.  Dead bottom rows count one by one,
+    since badness is constant on an orbit.  The hits are returned in the
+    depth-first order of a scan without the group: bottom row first, each
+    row ordered by its coordinates.
     """
     k = len(pattern)
     if k == 0:
@@ -250,15 +329,37 @@ def _scan_pattern(chunks, good, pattern):
         levels.append((live, dead, skip))
         skip *= q ** len(frees)
     passes = _passes_two if len(chunks.widths) == 2 else _passes
+    live, dead, skip = levels[-1]
+    bad = dead * skip
+    chosen = [None] * k
     hits = []
-    bad = _descend(chunks, good, passes, levels, k - 1, [], [None] * k, hits)
+    for index, split, _ in live:
+        # the first element that maps the row to each row of its orbit
+        orbit = {}
+        for g in range(torus.order):
+            orbit.setdefault(torus.image(g, index, pattern[-1]), g)
+        if min(orbit) < index:
+            continue
+        chosen[-1] = index
+        found = []
+        if k == 1:
+            found.append(tuple(chosen))
+        else:
+            grown = _grow(chunks, split, [])
+            bad += len(orbit) * _descend(chunks, good, passes, levels, k - 2, grown, chosen, found)
+        hits.extend(
+            tuple(map(torus.image, itertools.repeat(g), hit, pattern))
+            for hit in found
+            for g in orbit.values()
+        )
     expected = pattern_size(pattern, m, q)
     got = bad + len(hits)
     if got != expected:
         raise TheoremViolationError(
             f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
         )
-    return expected, [tuple(map(chunks.coordinates, rows)) for rows in hits]
+    rows = (tuple(map(chunks.coordinates, hit)) for hit in hits)
+    return expected, sorted(rows, key=lambda hit: hit[::-1])
 
 
 def _descend(chunks, good, passes, levels, i, span, chosen, hits):
@@ -313,9 +414,9 @@ def _grow(chunks, split, span):
     return grown
 
 
-def _start_worker(field, m, good):
+def _start_worker(field, m, good, torus):
     global _WORKER
-    _WORKER = (_chunk_tables(field, m), good)
+    _WORKER = (_chunk_tables(field, m), good, torus)
 
 
 def _scan_in_worker(pattern):

@@ -1,5 +1,6 @@
-"""The campaign's packed scan: its chunk plan and tables, its per-pattern
-verdicts against the row-list reference, and what the worker pool sends."""
+"""The campaign's packed scan: its chunk plan and tables, its diagonal
+conjugation group, its per-pattern verdicts against the row-list reference,
+and what the worker pool sends."""
 
 import pickle
 import random
@@ -10,7 +11,14 @@ import weaktri.scan
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import pivot_patterns
 from weaktri.linalg import Mat
-from weaktri.scan import _CHUNK_TABLE_LIMIT, Quotient, _chunk_tables, _chunk_widths, _scan_pattern
+from weaktri.scan import (
+    _CHUNK_TABLE_LIMIT,
+    Quotient,
+    _chunk_tables,
+    _chunk_widths,
+    _scan_pattern,
+    _Torus,
+)
 
 from oracles import scan_pattern_by_rows
 
@@ -22,35 +30,44 @@ def packed(digits, q):
     return sum(d * q**c for c, d in enumerate(digits))
 
 
-def assert_scans_agree(field, m, good, ks):
-    """The packed scan and the row-list reference return the same candidate
-    count and the same hit rows on every pattern with k rows, k in ``ks``;
-    returns the hit and rejection totals."""
+def trivial_group(field, m):
+    return _Torus(field, ((1,) * m,))
+
+
+def assert_scans_agree(field, m, good, ks, torus=None):
+    """The packed scan through the group ``torus`` (the trivial group by
+    default) and the row-list reference return the same candidate count and
+    the same hit rows in the same order on every pattern with k rows, k in
+    ``ks``; returns the hit and rejection totals."""
     chunks = _chunk_tables(field, m)
+    torus = torus or trivial_group(field, m)
     hits = rejected = 0
     for k in ks:
         for pattern in pivot_patterns(m, k):
-            decided, rows = _scan_pattern(chunks, good, pattern)
-            want_decided, want_rows = scan_pattern_by_rows(field, m, good, pattern)
-            assert (decided, sorted(rows)) == (want_decided, sorted(want_rows)), pattern
+            got = _scan_pattern(chunks, good, torus, pattern)
+            assert got == scan_pattern_by_rows(field, m, good, pattern), pattern
+            decided, rows = got
             hits += len(rows)
             rejected += decided - len(rows)
     return hits, rejected
 
 
-def synthetic_goodness(q, m, seed, density):
+def synthetic_goodness(q, m, seed, density, factors=None):
     """A seeded table over prime q that, like a real goodness table, is
-    constant on each class's nonzero multiples."""
+    constant on each class's nonzero multiples and on the orbits of the
+    coordinate scalings ``factors`` (one factor list per group element)."""
     rng = random.Random(seed)
+    factors = factors or [(1,) * m]
     good = bytearray(q**m)
     for index in range(1, q**m):
         digits = [index // q**c % q for c in range(m)]
-        top = next(d for d in reversed(digits) if d)
-        if top == 1:
-            good[index] = rng.random() < density
-        else:
-            inv = pow(top, q - 2, q)
-            good[index] = good[packed([inv * d % q for d in digits], q)]
+        # the first class of its orbit under scalars and the group decides
+        first = min(
+            packed([s * f * d % q for f, d in zip(scales, digits)], q)
+            for scales in factors
+            for s in range(1, q)
+        )
+        good[index] = rng.random() < density if first == index else good[first]
     return good
 
 
@@ -117,6 +134,46 @@ def test_every_chunk_table_entry(field_args, m):
         ]
 
 
+# -- the diagonal-conjugation group ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field_args, n, constraints, order",
+    [
+        ((3,), 3, ["I"], 4),
+        ((5,), 3, ["I"], 16),
+        (GF2, 3, ["I"], 1),
+        ((3,), 2, ["I"], 2),
+        (GF9, 2, ["I"], 8),
+        ((3,), 2, [], 2),
+        ((3,), 3, [(0, 0), (1, 1), (2, 2)], 4),
+        ((3,), 2, [(0, 1)], 1),
+        ((5,), 3, ["I", (1, 0)], 1),
+    ],
+)
+def test_group_order(field_args, n, constraints, order):
+    # the torus modulo scalars, (q-1)^(n-1), on diagonal constraints; else
+    # only the identity
+    field = FieldCtx(*field_args)
+    mats = [Mat.identity(field, n) if c == "I" else Mat.unit(field, n, *c) for c in constraints]
+    torus = Quotient(field, n, mats).torus
+    assert torus.order == len(set(torus.factors)) == order
+    assert torus.factors[0] == (1,) * (n * n - len(constraints))
+
+
+@pytest.mark.parametrize("field_args, n", [((3,), 3), ((5,), 2), (GF9, 2)])
+def test_group_keeps_goodness(field_args, n):
+    field = FieldCtx(*field_args)
+    quotient = Quotient(field, n, [Mat.identity(field, n)])
+    good, q, m = quotient.goodness_table(), field.q, quotient.dim
+    assert 0 < sum(good) < q**m
+    for index in range(q**m):
+        digits = [index // q**c % q for c in range(m)]
+        for scales in quotient.torus.factors:
+            image = packed([field.mul(f, d) for f, d in zip(scales, digits)], q)
+            assert good[image] == good[index]
+
+
 # -- the packed scan against the reference ------------------------------------------
 
 
@@ -125,13 +182,25 @@ def test_n2_identity_campaign_patterns_match_the_reference(field_args):
     field = FieldCtx(*field_args)
     quotient = Quotient(field, 2, [Mat.identity(field, 2)])
     good = quotient.goodness_table()
-    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4))
+    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4), quotient.torus)
+    assert hits and rejected
+
+
+@pytest.mark.parametrize("field_args", [(3,), (5,)])
+def test_off_diagonal_constraint_scans_without_the_torus(field_args):
+    field = FieldCtx(*field_args)
+    quotient = Quotient(field, 2, [Mat.unit(field, 2, 0, 1)])
+    assert quotient.torus.order == 1
+    good = quotient.goodness_table()
+    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4), quotient.torus)
     assert hits and rejected
 
 
 def test_n3_identity_campaign_patterns_match_the_reference(gf3):
-    good = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
-    assert assert_scans_agree(gf3, 8, good, [5]) == (52, 25_095_280 - 52)
+    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    good = quotient.goodness_table()
+    assert quotient.torus.order == 4
+    assert assert_scans_agree(gf3, 8, good, [5], quotient.torus) == (52, 25_095_280 - 52)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +252,9 @@ def test_pool_tasks_do_not_carry_the_goodness_table(gf3, monkeypatch):
     # quotients of dimension 3 and 6: 27 and 729 classes
     for n, constraints in ((2, [(0, 0)]), (3, [(0, 0), (1, 1), (2, 2)])):
         quotient = Quotient(gf3, n, [Mat.unit(gf3, n, i, j) for i, j in constraints])
-        good = synthetic_goodness(3, quotient.dim, 0, 0.9)
+        # the table must be constant on the orbits of the group, of order 2 and 4
+        assert quotient.torus.order == 2 ** (n - 1)
+        good = synthetic_goodness(3, quotient.dim, 0, 0.9, quotient.torus.factors)
         pooled = list(quotient.scan(good, patterns, 2))
         assert pooled == list(quotient.scan(good, patterns, 1))
         pool = RecordingPool.last

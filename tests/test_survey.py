@@ -312,6 +312,20 @@ def test_n3_hits_are_exactly_the_flags(gf3):
     assert md5(report.to_text()) == "c1b97b3482959de16c1c723d56f314df"
 
 
+# the journal lists each pattern's hits in the scan's depth-first order
+@pytest.mark.parametrize("n, q, dim, digest", [
+    (2, 3, 3, "96f51daf9fe480276e4555aa33810b19"),
+    (2, 5, 3, "25e9612143b137d5a7791134bd58359b"),
+    (3, 3, 6, "71ea21084a4f23696feae52c13c9d197"),
+])
+def test_identity_campaign_journal_digest(n, q, dim, digest, tmp_path, capsys):
+    journal = tmp_path / "campaign.journal"
+    argv = ["campaign", "--n", str(n), "--field", f"GF({q})", "--dim", str(dim),
+            "--contains-identity", "--journal", str(journal)]
+    assert main(argv) == 0
+    assert md5_bytes(journal.read_bytes()) == digest
+
+
 @pytest.mark.parametrize("field_args", [(3,), (5,), (3, 2, (1, 0, 1))])
 @pytest.mark.parametrize("constraints", ["", "I", "E00", "I,E01"])
 def test_goodness_table_matches_every_lift(field_args, constraints):
