@@ -235,7 +235,8 @@ def build_parser():
     p.add_argument("--field", required=True, help="field descriptor, e.g. GF(3)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--exploratory", action="store_true")
-    _add_budget_arg(p)
+    _add_budget_arg(p, "budget of the sweep: the q^(2d-1) monic (p, q) pairs of degrees "
+                       "(d, d-1) must not exceed it (exit 4)")
     p.set_defaults(func=cmd_lemma31)
 
     p = sub.add_parser("campaign", help="sweep subspaces for weakly triangularizable hits")

@@ -1,9 +1,15 @@
-"""Brute-force verification that split pencils force divisibility.
+"""Exhaustive verification that split pencils force divisibility.
 
 For monic p of degree d and monic q of degree d-1 over a finite field with
 more than two elements, if p - lambda*q splits for every lambda in the field
 then q divides p.  Over GF(2) this fails for every odd d, witnessed by
-p = t^d and q = t^d - (t-1)^d; both facts are checked by exhaustive sweeps.
+p = t^d and q = t^d - (t-1)^d.
+
+``verify_pencil_division`` checks the statement on every monic pair.  Each
+pencil p - lambda*q is itself monic of degree d, so the sweep first decides
+all q^d monic degree-d polynomials with ``splits_over`` and keeps the split
+ones, as coefficient tuples, in a split table.  A pencil is then decided by
+one set lookup on its coefficient tuple.
 """
 
 from __future__ import annotations
@@ -59,14 +65,26 @@ class PencilReport:
         return line
 
 
-def _monic_polys(field, degree):
-    for tail in itertools.product(field.elements(), repeat=degree):
-        yield Poly(field, tail + (1,))
+def _monic_coeffs(field, degree):
+    """Coefficient tuples, constant term first, of the monic polynomials of
+    ``degree``, in lexicographic order of their tails."""
+    return [tail + (1,) for tail in itertools.product(field.elements(), repeat=degree)]
 
 
 def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilReport:
     """Sweep all monic (p, q) of degrees (d, d-1); whenever the pencil splits
     for every lambda, q must divide p.
+
+    Every pair is counted and decided, p in the outer loop and q in the
+    inner one, in the order of their coefficient tails.  The split table
+    holds the monic degree-d coefficient tuples that split; each of the q^d
+    candidates is decided once by ``splits_over``, and the q^(2d-1) pairs
+    the budget bounds are at least as many.  A p that does not split
+    rejects its whole row of q^(d-1) pairs, counted at once, since its
+    lambda = 0 pencil is p itself.  For a split p, the pencils
+    lambda = 1, ..., q-1 of each q are looked up in the table until the
+    first miss, and only a pair whose pencils all split is tested for
+    divisibility.
 
     Any violating pair ends up in the report; an empty list certifies the
     statement for this field and degree.
@@ -76,15 +94,24 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
     if degree < 1:
         raise ValueError("degree must be >= 1")
     check_budget(field.q ** (2 * degree - 1), budget, "pairs exceed budget")
+    monics = _monic_coeffs(field, degree)
+    split = frozenset(p for p in monics if splits_over(Poly(field, p)))
+    divisors = _monic_coeffs(field, degree - 1)
+    # lambda*q for lambda != 0, padded with a zero t^d coefficient
+    multiples = [
+        [tuple(field.mul(lam, c) for c in q) + (0,) for lam in field.elements() if lam]
+        for q in divisors
+    ]
     report = PencilReport(field.descriptor(), degree, 0, 0)
-    for p in _monic_polys(field, degree):
-        for q in _monic_polys(field, degree - 1):
-            report.pairs_checked += 1
-            if not pencil_splits_all(p, q):
-                continue
-            report.hypothesis_hits += 1
-            if not (p % q).is_zero:
-                report.violations.append((p.coeffs, q.coeffs))
+    for p in monics:
+        report.pairs_checked += len(divisors)
+        if p not in split:
+            continue
+        for q, lam_qs in zip(divisors, multiples):
+            if all(tuple(map(field.sub, p, lam_q)) in split for lam_q in lam_qs):
+                report.hypothesis_hits += 1
+                if not (Poly(field, p) % Poly(field, q)).is_zero:
+                    report.violations.append((p, q))
     return report
 
 

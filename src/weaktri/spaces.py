@@ -17,8 +17,11 @@ DEFAULT_BUDGET = 2**28
 
 def check_budget(count, budget, what):
     """Raise BudgetExceededError "<count> <what> <limit>" when ``count``
-    exceeds the budget; ``budget=None`` means DEFAULT_BUDGET."""
+    exceeds the budget; ``budget=None`` means DEFAULT_BUDGET.  A negative
+    budget is refused with PreconditionError."""
     limit = DEFAULT_BUDGET if budget is None else budget
+    if limit < 0:
+        raise PreconditionError(f"budget must be >= 0, got {limit}")
     if count > limit:
         raise BudgetExceededError(f"{count} {what} {limit}")
 

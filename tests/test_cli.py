@@ -177,6 +177,45 @@ def test_lemma31_over_gf5(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["--field", "GF(2^2;1,1,1)", "--degree", "3", "--exploratory"],
+            "# field: GF(2^2; 1,1,1)\n# degree: 3\n1024 pairs, 40 with split pencils, 0 violations\n",
+        ),
+        (
+            ["--field", "GF(3^2;1,0,1)", "--degree", "1"],
+            "# field: GF(3^2; 1,0,1)\n# degree: 1\n9 pairs, 9 with split pencils, 0 violations\n",
+        ),
+    ],
+)
+def test_lemma31_stdout_over_extension_fields(argv, stdout, capsys):
+    assert main(["lemma31"] + argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_lemma31_help_says_what_the_budget_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["lemma31", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET budget of the sweep: the q^(2d-1) monic (p, q) pairs" in text
+    assert "must not exceed it (exit 4)" in text
+    assert "element-sweep budget" not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "SL2"], ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3"]],
+)
+def test_negative_budget_exits_1(sl2, argv, capsys):
+    argv = [sl2 if a == "SL2" else a for a in argv]
+    assert main(argv + ["--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
+    # zero is a budget that the first count exceeds
+    assert main(argv + ["--budget", "0"]) == 4
+
+
+@pytest.mark.parametrize(
     "extra, n, dim",
     [
         (["--kind", "sym", "--n", "3"], 3, 6),

@@ -1,14 +1,33 @@
 import pytest
+from oracles import monic_polys
 
+from weaktri import pencils
 from weaktri.cli import main
-from weaktri.errors import BudgetExceededError
+from weaktri.errors import BudgetExceededError, PreconditionError
 from weaktri.gf import FieldCtx, Poly
 from weaktri.pencils import char2_odd_counterexample, pencil_splits_all, verify_pencil_division
+
+GF9 = (3, 2, (1, 0, 1))
+GF4 = (2, 2, (1, 1, 1))
+
+
+def _field(field_args):
+    return FieldCtx(*field_args, exploratory=field_args[0] == 2)
+
+
+def _all_pairs(field, degree):
+    """Every monic (p, q) of degrees (d, d-1), p outer and q inner."""
+    return [(p, q) for p in monic_polys(field, degree) for q in monic_polys(field, degree - 1)]
 
 
 @pytest.mark.parametrize(
     "field_args, degree, expected",
-    [((5,), 3, (3125, 75, 0)), ((3,), 4, (2187, 30, 0))],
+    [
+        ((5,), 3, (3125, 75, 0)),
+        ((3,), 4, (2187, 30, 0)),
+        ((7,), 3, (16807, 196, 0)),
+        (GF9, 2, (729, 81, 0)),
+    ],
 )
 def test_split_pencils_force_divisibility(field_args, degree, expected):
     report = verify_pencil_division(FieldCtx(*field_args), degree)
@@ -26,6 +45,63 @@ def test_budget_bounds_the_pairs(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: 2187 pairs exceed budget 2186\n"
+
+
+def test_negative_budget_is_refused(capsys):
+    with pytest.raises(PreconditionError, match="^budget must be >= 0, got -1$"):
+        verify_pencil_division(FieldCtx(3), 2, budget=-1)
+    assert main(["lemma31", "--field", "GF(3)", "--degree", "2", "--budget", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0, got -1\n"
+    # a zero budget is a budget: every sweep exceeds it
+    with pytest.raises(BudgetExceededError, match="^27 pairs exceed budget 0$"):
+        verify_pencil_division(FieldCtx(3), 2, budget=0)
+    assert main(["lemma31", "--field", "GF(3)", "--degree", "2", "--budget", "0"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: 27 pairs exceed budget 0\n"
+
+
+@pytest.mark.parametrize(
+    "field_args, degree",
+    [((3,), 1), ((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2), (GF4, 2), (GF4, 3)],
+)
+def test_sweep_agrees_with_every_pencil_decided(field_args, degree):
+    field = _field(field_args)
+    pairs = _all_pairs(field, degree)
+    report = verify_pencil_division(field, degree)
+    hits = sum(pencil_splits_all(p, q) for p, q in pairs)
+    assert (report.pairs_checked, report.hypothesis_hits) == (len(pairs), hits)
+
+
+@pytest.mark.parametrize("field_args, degree", [((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2)])
+def test_violations_come_in_pair_order(field_args, degree, monkeypatch):
+    # with every pencil declared split, each pair with q not dividing p violates
+    monkeypatch.setattr(pencils, "splits_over", lambda f: True)
+    field = _field(field_args)
+    pairs = _all_pairs(field, degree)
+    expected = [(p.coeffs, q.coeffs) for p, q in pairs if not (p % q).is_zero]
+    report = verify_pencil_division(field, degree)
+    assert (report.pairs_checked, report.hypothesis_hits) == (len(pairs), len(pairs))
+    assert report.violations == expected
+    lines = report.summary().splitlines()
+    assert lines[0] == f"{len(pairs)} pairs, {len(pairs)} with split pencils, {len(expected)} violations"
+    assert lines[1:] == [
+        f"violation p={','.join(map(str, p))} q={','.join(map(str, q))}" for p, q in expected
+    ]
+
+
+def test_each_monic_polynomial_is_decided_once(monkeypatch):
+    calls = []
+    splits_over = pencils.splits_over
+
+    def counted(f):
+        calls.append(f.coeffs)
+        return splits_over(f)
+
+    monkeypatch.setattr(pencils, "splits_over", counted)
+    report = verify_pencil_division(FieldCtx(7), 3)
+    assert report.pairs_checked == 7**5
+    assert len(calls) <= 7**3
 
 
 @pytest.mark.parametrize("degree", [3, 5])
