@@ -22,7 +22,14 @@ from .errors import (
 from .flags import recover_flag
 from .gf import parse_field
 from .linalg import Mat
-from .spaces import DEFAULT_BUDGET, MatSpace, check_matrix_size, format_spacefile, parse_spacefile
+from .spaces import (
+    DEFAULT_BUDGET,
+    MatSpace,
+    check_budget,
+    check_matrix_size,
+    format_spacefile,
+    parse_spacefile,
+)
 from .survey import (
     DEFAULT_SEED,
     CampaignSpec,
@@ -36,6 +43,16 @@ from .survey import (
 )
 from .pencils import verify_pencil_division
 from .triang import space_weakly_triangularizable
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which means a negative check
+    verdict; the message still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
 
 def _read_spacefile(path, exploratory=False):
     if path == "-":
@@ -138,28 +155,16 @@ def cmd_campaign(args):
     constraints = ()
     if args.contains_identity:
         constraints = (Mat.identity(field, args.n),)
-    mode = "exhaustive"
-    count = 0
-    if args.random is not None:
-        mode = "random"
-        count = args.random
     spec = CampaignSpec(
         n=args.n,
         field=field,
         dim=args.dim,
         constraints=constraints,
-        mode=mode,
-        count=count,
-        seed=args.seed,
-        shards=args.shards,
         budget=args.budget,
         journal=args.journal,
     )
     started = time.time()
     report = run_campaign(spec)
-    if mode == "random":
-        # after the run, so that a refused campaign prints nothing on stdout
-        print(f"# seed: {args.seed}")
     sys.stdout.write(report.to_text())
     print(f"elapsed: {time.time() - started:.1f}s", file=sys.stderr)
     return 3 if report.alarms else 0
@@ -209,7 +214,7 @@ def cmd_flags(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weaktri",
         description="Exact-arithmetic weak-triangularizability toolkit over finite fields",
     )
@@ -244,19 +249,13 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--contains-identity", action="store_true")
-    p.add_argument("--shards", type=int, default=1,
-                   help="worker processes for the scan; the report does not depend on it")
     p.add_argument("--journal", default=None, metavar="FILE",
                    help="record each decided pivot pattern; a rerun on the same journal "
                         "resumes from it (delete it to start from scratch)")
-    p.add_argument("--random", type=int, default=None, metavar="COUNT",
-                   help="random mode: check COUNT seeded samples instead")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--exploratory", action="store_true")
-    _add_budget_arg(p, "campaign budget: first the nominal candidate count of an exhaustive "
-                       "campaign must not exceed it (exit 4); then it bounds each element "
-                       "sweep: of a hit whose flag gate fails, of a hit not of dimension "
-                       "n(n+1)/2, and of a random sample")
+    _add_budget_arg(p, "campaign budget: first the nominal candidate count must not exceed "
+                       "it (exit 4); then it bounds each element sweep: of a hit whose flag "
+                       "gate fails, and of a hit not of dimension n(n+1)/2")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("gen", help="emit a named space as a spacefile")
@@ -283,6 +282,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "budget"):
+            # a negative budget is refused before any command prints
+            check_budget(0, args.budget, "")
         return args.func(args)
     except SpaceFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

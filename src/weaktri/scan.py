@@ -11,9 +11,9 @@ columns, where quotient coordinate c is the matrix entry at column
 Each quotient vector of F^k is its packed class index (digit c is coordinate
 c, little-endian base q), cut into a few balanced base-q chunks.  Chunk add
 and scalar-mul tables, built from ``field.add`` and ``field.mul`` once per
-campaign (once per worker on a pool), add two chunks or scale one, so
-testing a combination of rows costs one lookup per chunk and one in the
-goodness table.  Coordinates come back only when a hit's rows are unpacked.
+campaign, add two chunks or scale one, so testing a combination of rows
+costs one lookup per chunk and one in the goodness table.  Coordinates come
+back only when a hit's rows are unpacked.
 
 The goodness table holds one byte per class: the class is bad when some lift
 of it over the constraint span has a characteristic polynomial that
@@ -38,17 +38,13 @@ keeps pivot patterns once each row is divided by its pivot entry, and it
 keeps goodness.  Otherwise the group is trivial.  The scan decides one
 bottom row per orbit, the one of smallest packed index, weights its
 rejected subtree by the orbit size and maps each of its hits onto every
-other bottom row of the orbit.  A pool worker receives the goodness table
-and the group once, through the pool initializer, and builds its own chunk
-tables; a task is a pattern.
+other bottom row of the orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,9 +56,6 @@ from .spaces import MatSpace
 
 # the most entries a chunk table may hold, unless one-digit chunks need more
 _CHUNK_TABLE_LIMIT = 1 << 20
-
-# in a pool worker: the (chunk tables, goodness table, group) of its campaign
-_WORKER = None
 
 
 class Quotient:
@@ -76,12 +69,7 @@ class Quotient:
             [m.entries for m in constraints], n * n, field
         )
         self.dim = len(self.section_cols)
-
-    @cached_property
-    def chunks(self):
-        """The chunk tables, built on first use: a random campaign never
-        needs them."""
-        return _chunk_tables(self.field, self.dim)
+        self.chunks = _chunk_tables(field, self.dim)
 
     @cached_property
     def torus(self):
@@ -141,10 +129,9 @@ class Quotient:
                 decide(index)
         return good
 
-    def scan(self, good, patterns, shards):
+    def scan(self, good, patterns):
         """Yield (candidates_decided, hit_row_lists) for each pattern in
-        order, scanned against the goodness table ``good``: in process, or
-        on a pool of ``shards`` workers when more than one can be used.
+        order, scanned against the goodness table ``good``.
 
         ``good`` must be constant on the orbits of ``self.torus`` (the
         trivial group unless every constraint row lies on the diagonal), as
@@ -153,17 +140,8 @@ class Quotient:
         per row of the orbit and maps its hits onto the other rows.  The
         hits of a pattern come in depth-first order, bottom row first, each
         row ordered by its coordinates."""
-        workers = min(shards, len(patterns), os.cpu_count() or 1)
-        if workers <= 1:
-            for pattern in patterns:
-                yield _scan_pattern(self.chunks, good, self.torus, pattern)
-            return
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_start_worker,
-            initargs=(self.field, self.dim, good, self.torus),
-        ) as pool:
-            yield from pool.map(_scan_in_worker, patterns)
+        for pattern in patterns:
+            yield _scan_pattern(self.chunks, good, self.torus, pattern)
 
 
 def _chunk_widths(q, m):
@@ -413,11 +391,3 @@ def _grow(chunks, split, span):
         grown.extend(zip(*sums))
     return grown
 
-
-def _start_worker(field, m, good, torus):
-    global _WORKER
-    _WORKER = (_chunk_tables(field, m), good, torus)
-
-
-def _scan_in_worker(pattern):
-    return _scan_pattern(*_WORKER, pattern)

@@ -1,26 +1,25 @@
 """Named matrix-space families and survey campaigns over the Grassmannian of
 matrix subspaces: the campaign policy.
 
-A campaign sweeps the candidate subspaces of the target dimension (optionally
-constrained to contain given matrices, e.g. the identity), exhaustively or by
-seeded random samples, decides weak triangularizability for each, and
-verifies every hit by one policy, whatever the mode, independently of the
-scan.  Weakly triangularizable spaces have dimension at most t_n =
-n(n+1)/2.  A hit of dimension t_n is verified by ``recover_flag``, whose flag
-gate decides and whose element sweep only explains a failed gate: a
-non-split element is the alarm that the scan accepted it, and a weakly
-triangularizable hit that is not a flag space is counted in its own report
-line over characteristic 2 (exploratory fields, where the theorem does not
-hold) and is a recovery alarm otherwise.  Below t_n the element sweep is the
-whole check; above t_n a hit that survives it is a theorem-violation alarm.
+A campaign sweeps every candidate subspace of the target dimension
+(optionally constrained to contain given matrices, e.g. the identity),
+decides weak triangularizability for each, and verifies every hit by one
+policy, independently of the scan.  Weakly triangularizable spaces have
+dimension at most t_n = n(n+1)/2.  A hit of dimension t_n is verified by
+``recover_flag``, whose flag gate decides and whose element sweep only
+explains a failed gate: a non-split element is the alarm that the scan
+accepted it, and a weakly triangularizable hit that is not a flag space is
+counted in its own report line over characteristic 2 (exploratory fields,
+where the theorem does not hold) and is a recovery alarm otherwise.  Below
+t_n the element sweep is the whole check; above t_n a hit that survives it
+is a theorem-violation alarm.
 
 The quotient by the constraint span, its goodness table and the pruned scan
-belong to ``scan.Quotient``; an exhaustive campaign builds the table once and
-scans one pivot pattern at a time, in process or on a pool of ``shards``
-workers; the worker count never changes the report.  With a journal, each
-pattern's count and hits are appended (and fsynced) as soon as they arrive,
-and the journal is the resume state: rerunning the same campaign on it skips
-the patterns it has already decided.
+belong to ``scan.Quotient``; a campaign builds the table once and scans one
+pivot pattern at a time.  With a journal, each pattern's count and hits are
+appended (and fsynced) as soon as they arrive, and the journal is the resume
+state: rerunning the same campaign on it skips the patterns it has already
+decided.
 """
 
 from __future__ import annotations
@@ -165,10 +164,6 @@ class CampaignSpec:
     field: FieldCtx
     dim: int
     constraints: tuple = ()
-    mode: str = "exhaustive"
-    count: int = 0
-    seed: int = DEFAULT_SEED
-    shards: int = 1
     budget: int | None = None
     journal: str | None = None
 
@@ -179,7 +174,7 @@ class CampaignSpec:
         )
         return (
             f"n={self.n} field={self.field.descriptor()} dim={self.dim} "
-            f"constraints={names or 'none'} mode={self.mode}"
+            f"constraints={names or 'none'} mode=exhaustive"
         )
 
 
@@ -194,7 +189,7 @@ class HitRecord:
 class CampaignReport:
     spec_line: str
     total: int
-    expected_total: int | None
+    expected_total: int
     hits: list = dc_field(default_factory=list)
     alarms: list = dc_field(default_factory=list)
     # characteristic 2 only: optimal hits there need not be flag spaces
@@ -212,7 +207,7 @@ class CampaignReport:
         lines = [
             f"# campaign: {self.spec_line}",
             f"# total: {self.total}",
-            f"# expected_total: {self.expected_total if self.expected_total is not None else '-'}",
+            f"# expected_total: {self.expected_total}",
             f"# hits: {self.hit_count}",
         ]
         if self.counts_non_flag:
@@ -328,37 +323,27 @@ def _read_journal_entry(text, field):
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run the sweep described by ``spec`` and fully verify every hit."""
-    field, n = spec.field, spec.n
+    field, n, k = spec.field, spec.n, len(spec.constraints)
     check_matrix_size(n)
-    if not len(spec.constraints) <= spec.dim <= n * n:
-        raise PreconditionError(
-            f"target dimension {spec.dim} outside [{len(spec.constraints)}, {n * n}]"
-        )
-    if spec.shards < 1:
-        raise PreconditionError(f"need at least one shard, got {spec.shards}")
-    if spec.count < 0:
-        raise PreconditionError(f"sample count must be >= 0, got {spec.count}")
+    if not k <= spec.dim <= n * n:
+        raise PreconditionError(f"target dimension {spec.dim} outside [{k}, {n * n}]")
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
+    # refused before the quotient builds its chunk tables
+    expected = grassmann_count(n * n - k, spec.dim - k, field.q)
+    check_budget(expected, spec.budget, "candidates exceed the campaign budget")
     quotient = Quotient(field, n, spec.constraints)
-    run = {"exhaustive": _run_exhaustive, "random": _run_random}.get(spec.mode)
-    if run is None:
-        raise ValueError(f"unknown campaign mode {spec.mode!r}")
-    if spec.journal and spec.mode == "random":
-        raise PreconditionError("a random campaign keeps no journal")
-    report, spaces = run(spec, quotient, spec.dim - len(spec.constraints))
+    report, spaces = _run_exhaustive(spec, quotient, expected)
     report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]
     report.counts_non_flag = field.p == 2
     _verify_hits(spec, report)
     return report
 
 
-def _run_exhaustive(spec, quotient, sub_dim):
-    expected = grassmann_count(quotient.dim, sub_dim, spec.field.q)
-    check_budget(expected, spec.budget, "candidates exceed the campaign budget")
+def _run_exhaustive(spec, quotient, expected):
     report = CampaignReport(spec.summary_line(), 0, expected)
-    patterns = pivot_patterns(quotient.dim, sub_dim)
+    patterns = pivot_patterns(quotient.dim, spec.dim - len(spec.constraints))
     done = _open_journal(spec, patterns) if spec.journal else {}
 
     good = quotient.goodness_table()
@@ -369,7 +354,7 @@ def _run_exhaustive(spec, quotient, sub_dim):
         return report, []
 
     todo = [p for p in patterns if p not in done]
-    for pattern, (decided, rows) in zip(todo, quotient.scan(good, todo, spec.shards)):
+    for pattern, (decided, rows) in zip(todo, quotient.scan(good, todo)):
         spaces = [quotient.space_from(r) for r in rows]
         if spec.journal:
             _append_journal_entry(spec.journal, pattern, decided, spaces)
@@ -381,31 +366,6 @@ def _run_exhaustive(spec, quotient, sub_dim):
             f"candidate count {report.total} disagrees with the Gaussian binomial {expected}"
         )
     return report, [s for _, spaces in done.values() for s in spaces]
-
-
-def _run_random(spec, quotient, sub_dim):
-    """Seeded random search: the report and the hits among `count` samples."""
-    field = spec.field
-    rng = random.Random(spec.seed)
-    report = CampaignReport(spec.summary_line(), 0, None)
-    seen = set()
-    hits = []
-    for _ in range(spec.count):
-        while True:
-            rows = [
-                tuple(rng.randrange(field.q) for _ in range(quotient.dim))
-                for _ in range(sub_dim)
-            ]
-            space = quotient.space_from(rows)
-            if space.dim == spec.dim:
-                break
-        report.total += 1
-        if space.key() in seen:
-            continue
-        seen.add(space.key())
-        if space_weakly_triangularizable(space, budget=spec.budget):
-            hits.append(space)
-    return report, hits
 
 
 def _verify_hits(spec, report):

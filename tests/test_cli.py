@@ -49,20 +49,6 @@ def test_theorem_violation_exits_3(sl2, monkeypatch, capsys):
     assert "THEOREM VIOLATION: deliberate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shards", ["0", "-3"])
-def test_fewer_than_one_shard_exits_1(shards, capsys):
-    assert main(CAMPAIGN + ["--shards", shards]) == 1
-    assert "shard" in capsys.readouterr().err
-
-
-def test_campaign_stdout_does_not_depend_on_shards(capsys):
-    assert main(CAMPAIGN + ["--shards", "1"]) == 0
-    one = capsys.readouterr().out
-    assert "# hits_verified: yes\n" in one
-    assert main(CAMPAIGN + ["--shards", "2"]) == 0
-    assert capsys.readouterr().out == one
-
-
 def test_flags_of_a_large_field_exit_0(capsys):
     assert main(["flags", "--n", "3", "--field", "GF(1000003)"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1000011000041000052"
@@ -161,6 +147,7 @@ def test_campaign_help_says_what_the_budget_bounds(capsys):
     assert "must not exceed it (exit 4)" in text
     assert "of a hit whose flag gate fails" in text
     assert "element-sweep budget" not in text
+    assert "random" not in text and "--shards" not in text and "--seed" not in text
 
 
 def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):
@@ -205,14 +192,53 @@ def test_lemma31_help_says_what_the_budget_bounds(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check", "SL2"], ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3"]],
+    [
+        ["check", "SL2"],
+        ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3"],
+        ["recover", "T3"],
+        ["lemma31", "--field", "GF(3)", "--degree", "2"],
+    ],
 )
-def test_negative_budget_exits_1(sl2, argv, capsys):
-    argv = [sl2 if a == "SL2" else a for a in argv]
+def test_negative_budget_exits_1(sl2, t3, argv, capsys):
+    argv = [{"SL2": sl2, "T3": t3}.get(a, a) for a in argv]
     assert main(argv + ["--budget", "-1"]) == 1
-    assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
-    # zero is a budget that the first count exceeds
-    assert main(argv + ["--budget", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget must be >= 0, got -1\n"
+    assert captured.out == ""
+    # zero is a budget that the first count exceeds; T3 passes the flag gate,
+    # so its recovery counts nothing
+    assert main(argv + ["--budget", "0"]) == (0 if argv[0] == "recover" else 4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # removed campaign options
+        CAMPAIGN + ["--shards", "2"],
+        CAMPAIGN + ["--random", "5"],
+        CAMPAIGN + ["--seed", "7"],
+        CAMPAIGN + ["--bogus"],
+        ["check"],
+        ["lemma31", "--field", "GF(3)", "--degree", "x"],
+        [],
+    ],
+)
+def test_usage_error_exits_1(argv, capsys):
+    # exit 2 is a negative check verdict, not argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and captured.err.startswith("usage: weaktri")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["campaign", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: weaktri")
 
 
 @pytest.mark.parametrize(

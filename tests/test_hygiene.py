@@ -14,9 +14,16 @@ package code other than its own definition and the ``__init__`` re-exports;
 otherwise only tests reach it, and it belongs in ``tests/oracles.py`` or
 nowhere.  Entry points that are kept anyway are listed in ``ENTRY_POINTS``
 with the reason.
+
+Importing the package loads neither ``multiprocessing`` nor
+``concurrent.futures``: every command runs in one process, and those imports
+would cost each run tens of milliseconds.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +92,7 @@ def _unreferenced_privates(trees):
 
 # "module.qualname" of public definitions the package itself never calls
 ENTRY_POINTS = {
+    "cli._Parser.error": "argparse calls it on a usage error",
     "flags.extract_structure_maps": "the recover-mix benchmark calls it and its tracer wraps it",
     "flags.RecoveryTrace.all_checks_pass": "the recover-mix benchmark checks traces with it",
     "flags.Flag.chain": "the recover-mix benchmark compares recovered flags by their chain",
@@ -131,6 +139,18 @@ def _unreferenced_publics(trees):
         for key, (name, node) in _public_definitions(module, tree).items()
         if everywhere[name] == _references(node)[name]
     )
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, weaktri\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_modules_found():

@@ -1,13 +1,11 @@
 """The campaign's packed scan: its chunk plan and tables, its diagonal
-conjugation group, its per-pattern verdicts against the row-list reference,
-and what the worker pool sends."""
+conjugation group and its per-pattern verdicts against the row-list
+reference."""
 
-import pickle
 import random
 
 import pytest
 
-import weaktri.scan
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import pivot_patterns
 from weaktri.linalg import Mat
@@ -218,47 +216,3 @@ def test_plain_list_table_is_accepted(gf3):
     good = list(map(bool, synthetic_goodness(3, 4, 0, 0.9)))
     assert assert_scans_agree(gf3, 4, good, range(5))[0] > 1
 
-
-# -- the worker pool ------------------------------------------------------------------
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: runs its initializer once, as a
-    worker does, and records the pickled size of every task it is given."""
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.initargs_bytes = len(pickle.dumps(initargs))
-        self.task_bytes = []
-        initializer(*initargs)
-        RecordingPool.last = self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        weaktri.scan._WORKER = None
-
-    def map(self, fn, items):
-        for item in items:
-            self.task_bytes.append(len(pickle.dumps((fn, item))))
-            yield fn(item)
-
-
-def test_pool_tasks_do_not_carry_the_goodness_table(gf3, monkeypatch):
-    monkeypatch.setattr(weaktri.scan, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(weaktri.scan.os, "cpu_count", lambda: 2)
-    patterns = [(0,), (0, 1), (1, 2), (0, 1, 2)]
-    task_bytes = []
-    # quotients of dimension 3 and 6: 27 and 729 classes
-    for n, constraints in ((2, [(0, 0)]), (3, [(0, 0), (1, 1), (2, 2)])):
-        quotient = Quotient(gf3, n, [Mat.unit(gf3, n, i, j) for i, j in constraints])
-        # the table must be constant on the orbits of the group, of order 2 and 4
-        assert quotient.torus.order == 2 ** (n - 1)
-        good = synthetic_goodness(3, quotient.dim, 0, 0.9, quotient.torus.factors)
-        pooled = list(quotient.scan(good, patterns, 2))
-        assert pooled == list(quotient.scan(good, patterns, 1))
-        pool = RecordingPool.last
-        assert pool.initargs_bytes > len(good)  # the table goes once, to the worker
-        task_bytes.append(pool.task_bytes)
-    assert task_bytes[0] == task_bytes[1]
-    assert len(task_bytes[0]) == len(patterns) and max(task_bytes[0]) < 120

@@ -9,7 +9,7 @@ import weaktri.survey
 import weaktri.triang
 
 from weaktri.cli import main
-from weaktri.errors import PreconditionError, TheoremViolationError
+from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import grassmann_count
 from weaktri.linalg import Mat, char_poly_coeffs
@@ -83,22 +83,10 @@ def test_hits_are_exactly_the_flags(field_args):
     assert "# hits_verified: yes\n" in report.to_text()
 
 
-def test_two_shards_give_the_same_report(gf5):
-    one = run_campaign(identity_spec(gf5, shards=1)).to_text()
-    assert run_campaign(identity_spec(gf5, shards=2)).to_text() == one
-    assert run_campaign(identity_spec(gf5, shards=1)).to_text() == one
-
-
 def test_non_split_constraint_dooms_every_candidate(gf3):
     rotation = Mat(gf3, 2, (0, 2, 1, 0))  # char poly t^2 + 1 has no root in GF(3)
     report = run_campaign(CampaignSpec(n=2, field=gf3, dim=2, constraints=(rotation,)))
     assert (report.total, report.hit_count) == (grassmann_count(3, 1, 3), 0)
-
-
-@pytest.mark.parametrize("shards", [0, -3])
-def test_fewer_than_one_shard_rejected(gf3, shards):
-    with pytest.raises(PreconditionError, match="shard"):
-        run_campaign(identity_spec(gf3, shards=shards))
 
 
 @pytest.mark.parametrize("n, q", [(2, 3), (2, 7), (3, 3), (3, 5)])
@@ -112,19 +100,17 @@ def test_large_flag_count_skips_the_chain_enumeration():
     assert count_flags(3, FieldCtx(q)) == (q + 1) * (q * q + q + 1)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "random"])
 @pytest.mark.parametrize("dim, constrained", [(5, False), (0, True)])
-def test_dimension_outside_the_ambient_range_rejected(gf3, mode, dim, constrained):
+def test_dimension_outside_the_ambient_range_rejected(gf3, dim, constrained):
     constraints = (Mat.identity(gf3, 2),) if constrained else ()
-    spec = CampaignSpec(n=2, field=gf3, dim=dim, constraints=constraints, mode=mode, count=0)
+    spec = CampaignSpec(n=2, field=gf3, dim=dim, constraints=constraints)
     with pytest.raises(PreconditionError, match="outside"):
         run_campaign(spec)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "random"])
 @pytest.mark.parametrize("n", [0, -1])
-def test_matrix_size_below_one_rejected(gf3, mode, n):
-    spec = CampaignSpec(n=n, field=gf3, dim=1, mode=mode, count=5)
+def test_matrix_size_below_one_rejected(gf3, n):
+    spec = CampaignSpec(n=n, field=gf3, dim=1)
     with pytest.raises(PreconditionError, match=f"matrix size n must be >= 1, got {n}"):
         run_campaign(spec)
 
@@ -141,7 +127,7 @@ def test_family_with_matrix_size_below_one_rejected(gf3, family, n):
         family(n, gf3)
 
 
-@pytest.mark.parametrize("extra", [[], ["--contains-identity"], ["--random", "5"]])
+@pytest.mark.parametrize("extra", [[], ["--contains-identity"]])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_cli_campaign_with_matrix_size_below_one_exits_1(extra, n, capsys):
     argv = ["campaign", "--n", n, "--field", "GF(3)", "--dim", "1"] + extra
@@ -151,19 +137,12 @@ def test_cli_campaign_with_matrix_size_below_one_exits_1(extra, n, capsys):
     assert captured.out == ""
 
 
-def test_negative_random_count_rejected(gf3, capsys):
-    with pytest.raises(PreconditionError, match="sample count must be >= 0, got -5"):
-        run_campaign(identity_spec(gf3, mode="random", count=-5))
-    assert main(CAMPAIGN + ["--random", "-5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: sample count must be >= 0, got -5\n"
-
-
-def test_cli_random_campaign_with_impossible_dimension_exits_1(capsys):
-    argv = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "5", "--random", "0"]
+def test_cli_campaign_with_impossible_dimension_exits_1(capsys):
+    argv = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "5"]
     assert main(argv) == 1
-    assert "outside" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "outside" in captured.err
+    assert captured.out == ""
 
 
 def test_resume_from_an_empty_journal(tmp_path, capsys):
@@ -191,7 +170,7 @@ def test_killed_campaign_resumes_from_its_journal(gf5, tmp_path):
     # killed after the first pattern's entry
     cut = tmp_path / "cut.journal"
     cut.write_text("".join(lines[: entries[1]]))
-    resumed = run_campaign(identity_spec(gf5, shards=2, journal=str(cut))).to_text()
+    resumed = run_campaign(identity_spec(gf5, journal=str(cut))).to_text()
     assert resumed == fresh
     assert cut.read_text() == whole.read_text()
 
@@ -215,21 +194,9 @@ def test_journal_of_another_campaign_refused(gf3, gf5, tmp_path):
         assert journal.read_text() == before
 
 
-def test_random_campaign_refuses_a_journal(gf3, tmp_path, capsys):
-    journal = tmp_path / "campaign.journal"
-    with pytest.raises(PreconditionError, match="a random campaign keeps no journal"):
-        run_campaign(identity_spec(gf3, mode="random", count=20, journal=str(journal)))
-    assert main(CAMPAIGN + ["--random", "20", "--journal", str(journal)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: a random campaign keeps no journal\n"
-    assert not journal.exists()
-
-
-@pytest.mark.parametrize("mode, builds", [("exhaustive", 1), ("random", 0)])
-def test_chunk_tables_built_once_per_campaign(gf3, monkeypatch, mode, builds):
-    # the goodness table and the in-process scan share one build; random
-    # mode needs none
+def test_chunk_tables_built_once_per_campaign(gf3, monkeypatch):
+    # the goodness table and the scan share one build; a campaign over its
+    # budget is refused before it
     built = []
 
     class Counted(weaktri.scan._ChunkTables):
@@ -238,9 +205,12 @@ def test_chunk_tables_built_once_per_campaign(gf3, monkeypatch, mode, builds):
             built.append(self.m)
 
     monkeypatch.setattr(weaktri.scan, "_ChunkTables", Counted)
-    report = run_campaign(identity_spec(gf3, mode=mode, count=20))
+    with pytest.raises(BudgetExceededError):
+        run_campaign(identity_spec(gf3, budget=12))
+    assert built == []
+    report = run_campaign(identity_spec(gf3))
     assert report.all_hits_ok and not report.alarms
-    assert built == [3] * builds
+    assert built == [3]
 
 
 # byte offsets into the n=2 GF(5) journal: inside its first pattern line, after
@@ -287,21 +257,6 @@ def test_hit_above_the_optimal_dimension_is_an_alarm(gf3, monkeypatch):
     assert (report.total, report.hit_count) == (1, 1)
     assert report.alarms == ["weakly triangularizable hit of dimension 4 > n(n+1)/2"]
     assert "# hits_verified: NO\n" in report.to_text()
-
-
-@pytest.mark.parametrize("q, hits", [(3, 4), (5, 6)])
-def test_random_campaign_verifies_its_hits(q, hits, capsys):
-    argv = ["campaign", "--n", "2", "--field", f"GF({q})", "--dim", "3",
-            "--contains-identity", "--random", "200"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "# total: 200\n" in out
-    assert f"# hits: {hits}\n# hits_verified: yes\n# alarms: 0\n" in out
-
-
-def test_random_campaign_report_digest(capsys):
-    assert main(CAMPAIGN + ["--random", "200"]) == 0
-    assert md5(capsys.readouterr().out) == "66f25fb88fbc2fbb995ab5e76fad32f0"
 
 
 def test_n3_hits_are_exactly_the_flags(gf3):
