@@ -39,19 +39,16 @@ def range_constrained(space: MatSpace, x) -> MatSpace:
     if lead is None:
         raise ValueError("the zero vector spans no line")
     inv = F.inv(x[lead])
-    xn = tuple(F.mul(inv, e) for e in x)
+    xn = F.axpy(inv, x)
     rows = []
     for col in range(n):
+        leads = [b.entry(lead, col) for b in space.basis]
         for i in range(n):
             if i == lead:
                 continue
             # entry (i, col) - x_i * entry (lead, col) = 0
-            rows.append(
-                tuple(
-                    F.sub(b.entry(i, col), F.mul(xn[i], b.entry(lead, col)))
-                    for b in space.basis
-                )
-            )
+            entries = [b.entry(i, col) for b in space.basis]
+            rows.append(tuple(F.axpy(F.neg(xn[i]), leads, entries)))
     if not space.basis:
         return space
     coeff_vectors = kernel_basis(rows, F)

@@ -72,7 +72,7 @@ def _add_spacefile_arg(sub):
     )
 
 
-def _add_budget_arg(sub, what="element-sweep budget"):
+def _add_budget_arg(sub, what):
     sub.add_argument(
         "--budget",
         type=int,
@@ -223,13 +223,15 @@ def build_parser():
     p = sub.add_parser("check", help="decide weak triangularizability of a space")
     _add_spacefile_arg(p)
     p.add_argument("--mode", default="exhaustive", help="exhaustive or sample:N:SEED")
-    _add_budget_arg(p)
+    _add_budget_arg(p, "budget of the exhaustive check: it decides one element per class of "
+                       "M ~ cM (and M ~ M + lambda I when I is in the space), and the class "
+                       "count must not exceed it (exit 4)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the invariant flag of an optimal space")
     _add_spacefile_arg(p)
     p.add_argument("--trace", default=None, help="write the recovery trace to a file")
-    _add_budget_arg(p, "budget of the element sweep, which runs only when the flag gate fails")
+    _add_budget_arg(p, "budget of the class sweep, which runs only when the flag gate fails")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("adapted", help="first adapted vector of a space")
@@ -254,7 +256,7 @@ def build_parser():
                         "resumes from it (delete it to start from scratch)")
     p.add_argument("--exploratory", action="store_true")
     _add_budget_arg(p, "campaign budget: first the nominal candidate count must not exceed "
-                       "it (exit 4); then it bounds each element sweep: of a hit whose flag "
+                       "it (exit 4); then it bounds each class sweep: of a hit whose flag "
                        "gate fails, and of a hit not of dimension n(n+1)/2")
     p.set_defaults(func=cmd_campaign)
 

@@ -215,18 +215,13 @@ def _trace_form_radical(space):
     matrix G_ij = tr(b_i b_j) = sum_kl (b_i)_kl (b_j)_lk over the canonical
     basis, which is symmetric."""
     F, n = space.field, space.n
-    add, mul = F.add, F.mul
     mats = [b.entries for b in space.basis]
     transposed = [tuple(m[c * n + r] for r in range(n) for c in range(n)) for m in mats]
     d = len(mats)
     gram = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            acc = 0
-            for x, y in zip(mats[i], transposed[j]):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            gram[i][j] = gram[j][i] = acc
+            gram[i][j] = gram[j][i] = F.dot(mats[i], transposed[j])
     return [space.combination(c) for c in kernel_basis(gram, F)]
 
 

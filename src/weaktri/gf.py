@@ -18,6 +18,7 @@ decides splitting by this one divisibility test, in any characteristic.
 from __future__ import annotations
 
 import functools
+import operator
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -181,6 +182,45 @@ class FieldCtx:
 
     def elements(self):
         return range(self.q)
+
+    # -- rows ----------------------------------------------------------------
+    #
+    # The one vector kernel: the package's row loops (elimination, matrix
+    # products, conjugation, sweeps) go through these two, so the
+    # prime/extension fork is taken once per row, not once per entry.  Over
+    # GF(p) a row is one comprehension in plain integers with a single
+    # reduction per entry; over GF(p^k) products come from the log/exp
+    # tables, zero entries are skipped, and sums go through ``add`` (the
+    # digit path above _ADD_TABLE_LIMIT included).
+
+    def axpy(self, c, x, y=None):
+        """The list y + c*x for rows x and y of equal length; y=None is the
+        zero row, so ``axpy(c, x)`` scales x."""
+        if self.k == 1:
+            p = self.p
+            if y is None:
+                return [c * a % p for a in x]
+            return [(b + c * a) % p for a, b in zip(x, y)]
+        if not c:
+            return [0] * len(x) if y is None else list(y)
+        exp, log, order = self._exp, self._log, self.q - 1
+        lc = log[c]
+        if y is None:
+            return [exp[(lc + log[a]) % order] if a else 0 for a in x]
+        add = self.add
+        return [add(b, exp[(lc + log[a]) % order]) if a else b for a, b in zip(x, y)]
+
+    def dot(self, x, y):
+        """The sum of x_i * y_i; a longer row's extra entries are ignored,
+        as ``zip`` pairs them."""
+        if self.k == 1:
+            return sum(map(operator.mul, x, y)) % self.p
+        exp, log, order, add = self._exp, self._log, self.q - 1, self.add
+        acc = 0
+        for a, b in zip(x, y):
+            if a and b:
+                acc = add(acc, exp[(log[a] + log[b]) % order])
+        return acc
 
     # -- packing -------------------------------------------------------------
 

@@ -3,7 +3,9 @@ polynomials over a FieldCtx.
 
 A vector is a plain tuple of packed field elements: the row-space
 utilities, ``Mat.apply`` and ``Mat.row`` all take or return such tuples,
-and a Mat keeps its entries as one row-major tuple of them.
+and a Mat keeps its entries as one row-major tuple of them.  Row arithmetic
+(elimination, products, ``apply``) goes through ``FieldCtx.axpy`` and
+``FieldCtx.dot``, the package's one vector kernel.
 ``char_poly_coeffs`` is the one characteristic-polynomial kernel: it reads
 a flat row-major entry tuple, and ``char_poly`` wraps its coefficients in a
 Poly.
@@ -42,12 +44,14 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._wrap(field, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def unit(cls, field, n, i, j):
         """Matrix with a single 1 at row i, column j (0-based)."""
-        return cls(field, n, tuple(1 if (r, c) == (i, j) else 0 for r in range(n) for c in range(n)))
+        entries = [0] * (n * n)
+        entries[i * n + j] = 1
+        return cls._wrap(field, n, tuple(entries))
 
     def entry(self, i, j):
         return self.entries[i * self.n + j]
@@ -63,45 +67,32 @@ class Mat:
 
     def __add__(self, other):
         F = self.field
-        return Mat(F, self.n, tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)))
+        return Mat._wrap(F, self.n, tuple(F.axpy(1, other.entries, self.entries)))
 
     def __sub__(self, other):
         F = self.field
-        return Mat(F, self.n, tuple(F.sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return Mat._wrap(F, self.n, tuple(F.axpy(F.neg(1), other.entries, self.entries)))
 
     def __neg__(self):
-        F = self.field
-        return Mat(F, self.n, tuple(F.neg(a) for a in self.entries))
+        return self.scale(self.field.neg(1))
 
     def scale(self, c):
         F = self.field
-        return Mat(F, self.n, tuple(F.mul(c, a) for a in self.entries))
+        return Mat._wrap(F, self.n, tuple(F.axpy(c, self.entries)))
 
     def __mul__(self, other):
         F, n = self.field, self.n
         if isinstance(other, Mat):
-            out = [0] * (n * n)
-            for i in range(n):
-                for k in range(n):
-                    a = self.entries[i * n + k]
-                    if a:
-                        for j in range(n):
-                            out[i * n + j] = F.add(out[i * n + j], F.mul(a, other.entries[k * n + j]))
-            return Mat(F, n, out)
+            cols = [other.entries[j::n] for j in range(n)]
+            return Mat._wrap(F, n, tuple(F.dot(row, col) for row in self.rows() for col in cols))
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
     def apply(self, v):
         """M v for a vector v, a tuple of packed field elements."""
-        F, n = self.field, self.n
-        out = []
-        for i in range(n):
-            acc = 0
-            for j in range(n):
-                acc = F.add(acc, F.mul(self.entries[i * n + j], v[j]))
-            out.append(acc)
-        return tuple(out)
+        F = self.field
+        return tuple(F.dot(self.row(i), v) for i in range(self.n))
 
     def trace(self):
         F, n = self.field, self.n
@@ -147,11 +138,10 @@ def rref(rows, field):
         work[r], work[pivot] = work[pivot], work[r]
         inv = field.inv(work[r][c])
         if inv != 1:
-            work[r] = [field.mul(inv, e) for e in work[r]]
+            work[r] = field.axpy(inv, work[r])
         for i in range(m):
             if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+                work[i] = field.axpy(field.neg(work[i][c]), work[r], work[i])
         pivots.append(c)
         r += 1
         if r == m:
@@ -241,15 +231,7 @@ def char_poly_coeffs(field, n, entries):
         minors = a * e - b * d + a * i - c * g + ei_fh
         det3 = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
         return (-det3 % p, minors % p, -(a + e + i) % p, 1)
-    add, mul = field.add, field.mul
-
-    def dot(row, v):
-        acc = 0
-        for x, y in zip(row, v):
-            if y:
-                acc = add(acc, mul(x, y))
-        return acc
-
+    dot = field.dot
     c = [1]  # leading-first coefficients for the empty matrix
     for size in range(1, n + 1):
         last = size - 1
@@ -261,11 +243,6 @@ def char_poly_coeffs(field, n, entries):
             if step < last - 1:
                 # v <- A_last v on the leading principal block
                 v = [dot(rows[i], v) for i in range(last)]
-        nxt = []
-        for i in range(size + 1):
-            acc = 0
-            for j in range(max(0, i - len(t) + 1), min(i + 1, len(c))):
-                acc = add(acc, mul(t[i - j], c[j]))
-            nxt.append(acc)
-        c = nxt
+        # c <- T c for the lower-triangular Toeplitz T with first column t
+        c = [dot(t[i::-1], c) for i in range(size + 1)]
     return tuple(reversed(c))

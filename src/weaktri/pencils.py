@@ -99,7 +99,7 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
     divisors = _monic_coeffs(field, degree - 1)
     # lambda*q for lambda != 0, padded with a zero t^d coefficient
     multiples = [
-        [tuple(field.mul(lam, c) for c in q) + (0,) for lam in field.elements() if lam]
+        [tuple(field.axpy(lam, q)) + (0,) for lam in field.elements() if lam]
         for q in divisors
     ]
     report = PencilReport(field.descriptor(), degree, 0, 0)

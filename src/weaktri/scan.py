@@ -112,7 +112,7 @@ class Quotient:
 
         def decide(index):
             for z in lifts:
-                lift = [F.add(a, b) for a, b in zip(entries, z)] if any(z) else entries
+                lift = F.axpy(1, z, entries) if any(z) else entries
                 if not splits_over(Poly(F, char_poly_coeffs(F, n, lift))):
                     for multiple in self.chunks.multiples(index):
                         good[multiple] = 0
@@ -249,7 +249,7 @@ class _Torus:
         self._shifted = [[] for _ in range(m)]
         for p, per_element in enumerate(self._shifted):
             for f in factors:
-                ratios = [field.mul(field.inv(f[p]), x) for x in f]
+                ratios = field.axpy(field.inv(f[p]), f)
                 per_element.append(
                     [[field.mul(ratios[c], v) * q**c for v in range(q)] for c in range(p + 1, m)]
                 )

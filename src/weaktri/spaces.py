@@ -55,8 +55,9 @@ class MatSpace:
                     raise ValueError("spanning matrices over mixed fields or sizes")
         elif field is None or n is None:
             raise ValueError("empty span needs explicit field and n")
+        # rref's rows are reduced field elements already: wrap, do not coerce
         reduced, _ = rref([m.entries for m in mats], field)
-        return cls(field, n, (Mat(field, n, row) for row in reduced))
+        return cls(field, n, (Mat._wrap(field, n, row) for row in reduced))
 
     @property
     def dim(self):
@@ -94,7 +95,7 @@ class MatSpace:
             c = v[pivot]
             coords.append(c)
             if c:
-                v = [F.sub(a, F.mul(c, e)) for a, e in zip(v, b.entries)]
+                v = F.axpy(F.neg(c), b.entries, v)
         if any(v):
             return None
         return tuple(coords)
@@ -104,10 +105,8 @@ class MatSpace:
         acc = [0] * (self.n * self.n)
         for c, b in zip(coeffs, self.basis):
             if c:
-                for i, e in enumerate(b.entries):
-                    if e:
-                        acc[i] = F.add(acc[i], F.mul(c, e))
-        return Mat(F, self.n, acc)
+                acc = F.axpy(c, b.entries, acc)
+        return Mat._wrap(F, self.n, tuple(acc))
 
     # -- sweeps ------------------------------------------------------------------
 
@@ -135,11 +134,14 @@ class MatSpace:
         whose leading coefficient is 1 and whose coefficient is 0 at the
         leading coordinate of I's coefficient vector.  Classes come in rank
         order, so the first class with some property holds the first
-        element with it.  The budget bounds the q^d elements swept.
+        element with it.  The budget bounds the classes yielded:
+        1 + (q^d' - 1)/(q - 1), where d' is d - 1 when I is in the space and
+        d otherwise.
         """
-        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
         d, q = self.dim, self.field.q
         pinned = self._identity_lead()
+        free = d if pinned is None else d - 1
+        check_budget(1 + (q**free - 1) // (q - 1), budget, "classes exceed the sweep budget")
         yield 0, Mat.zeros(self.field, self.n)
         for lead in reversed(range(d)):
             if lead != pinned:
@@ -150,10 +152,11 @@ class MatSpace:
         """Yield one element per coset of F.I in the space, in
         ``enumerate_elements`` order: those whose coefficient is 0 at the
         leading coordinate of I's coefficient vector (every element when I
-        is outside the space)."""
-        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
+        is outside the space).  The budget bounds the cosets yielded: q^d',
+        where d' is d - 1 when I is in the space and d otherwise."""
         pinned = self._identity_lead()
         rest = [i for i in range(self.dim) if i != pinned]
+        check_budget(self.field.q ** len(rest), budget, "cosets exceed the sweep budget")
         for _rank, m in self._sweep(rest, (0,) * (self.n * self.n), 0):
             yield m
 
@@ -170,7 +173,7 @@ class MatSpace:
         coefficients c_i at ``positions``, in lexicographic order; the rank of
         an element is its position in ``enumerate_elements``."""
         F, n, d = self.field, self.n, self.dim
-        add, mul = F.add, F.mul
+        axpy = F.axpy
         nonzero = tuple(enumerate(F.elements()))[1:]
         rows = [(self.basis[i].entries, F.q ** (d - 1 - i)) for i in positions]
 
@@ -183,7 +186,7 @@ class MatSpace:
             for pos, c in nonzero:
                 yield from rec(
                     idx + 1,
-                    [add(a, mul(c, e)) for a, e in zip(acc, row)],
+                    axpy(c, row, acc),
                     rank + pos * weight,
                 )
 
@@ -192,13 +195,28 @@ class MatSpace:
     # -- transformed spaces -------------------------------------------------------
 
     def conjugate(self, p: Mat) -> MatSpace:
-        """The space {P m P^-1}; dimension is preserved."""
+        """The space {P m P^-1}; dimension is preserved.
+
+        P m P^-1 is the sum of (column i of P) (x) (m_ij row j of P^-1) over
+        the nonzero entries of m, so each basis element costs one outer
+        product per nonzero entry (one for each E_ij of T_n), and no matrix
+        product is formed.
+        """
         p_inv = invert(p)
         if p_inv is None:
             raise ValueError("conjugating matrix is singular")
-        return MatSpace.from_span(
-            [p * m * p_inv for m in self.basis], field=self.field, n=self.n
-        )
+        F, n = self.field, self.n
+        cols, rows = [p.col(i) for i in range(n)], p_inv.rows()
+        images = []
+        for m in self.basis:
+            image = [0] * (n * n)
+            for idx, e in enumerate(m.entries):
+                if e:
+                    row = F.axpy(e, rows[idx % n])
+                    outer = [x for a in cols[idx // n] for x in F.axpy(a, row)]
+                    image = F.axpy(1, outer, image)
+            images.append(Mat._wrap(F, n, tuple(image)))
+        return MatSpace.from_span(images, field=F, n=n)
 
 
 # -- space files ----------------------------------------------------------------

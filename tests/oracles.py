@@ -10,7 +10,8 @@ reductions (one element per class) of the sweep and the goodness table.
 The invariant-subspace sweep, ``is_chain``, ``is_upper_triangular``,
 ``triangularize`` and ``transpose_dual`` are references that the package
 itself never needs; the tests compare recovered flags, split verdicts and
-adaptedness against them.
+adaptedness against them.  ``naive_conjugate`` is conjugation by the
+product formula P m P^-1, which the package's outer-product sum must equal.
 
 ``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
 vectors were packed: rows are coordinate lists, and each combination is
@@ -250,6 +251,12 @@ def transpose_dual(space):
         field=space.field,
         n=n,
     )
+
+
+def naive_conjugate(space, p: Mat):
+    """{P m P^-1} by two matrix products per basis element."""
+    p_inv = invert(p)
+    return MatSpace.from_span([p * m * p_inv for m in space.basis], field=space.field, n=space.n)
 
 
 def is_upper_triangular(m: Mat) -> bool:

@@ -89,9 +89,10 @@ def test_recover_budget_bounds_only_a_failed_gate(t3, sl2, capsys):
     # T3 over GF(3) has 3^6 elements, but it passes the gate unswept
     assert main(["recover", t3, "--budget", "1"]) == 0
     assert capsys.readouterr().out == plain
-    # sl2 is optimal but fails the gate, so it is swept within the budget
+    # sl2 is optimal but fails the gate, so its 1 + (3^3 - 1)/2 = 14 classes
+    # are swept within the budget
     assert main(["recover", sl2, "--budget", "1"]) == 4
-    assert "27 elements exceed the sweep budget 1" in capsys.readouterr().err
+    assert "14 classes exceed the sweep budget 1" in capsys.readouterr().err
     assert main(["recover", sl2]) == 1
     assert "not weakly triangularizable; witness" in capsys.readouterr().err
 
@@ -312,3 +313,16 @@ def test_check_stdout_equals_the_full_sweep(kind, n, tmp_path, capsys):
     path.write_text(capsys.readouterr().out)
     assert main(["check", str(path)]) == (0 if kind == "triangular" else 2)
     assert capsys.readouterr().out == CHECK_STDOUT[kind, n]
+
+
+def test_check_budget_counts_the_classes_decided(tmp_path, capsys):
+    # T4 over GF(3) has 3^10 = 59049 elements but I is in it, so the check
+    # decides 1 + (3^9 - 1)/2 = 9842 classes, and the budget counts those
+    assert main(["gen", "--kind", "triangular", "--n", "4", "--field", "GF(3)"]) == 0
+    path = tmp_path / "t4.space"
+    path.write_text(capsys.readouterr().out)
+    assert main(["check", str(path), "--budget", "9842"]) == 0
+    assert capsys.readouterr().out == CHECK_STDOUT["triangular", "4"]
+    assert main(["check", str(path), "--budget", "9841"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "budget exceeded: 9842 classes exceed the sweep budget 9841\n"

@@ -226,12 +226,13 @@ class TestRecoverFlag:
         assert len(sweeps) == 0
 
     def test_budget_bounds_the_sweep_of_a_failed_gate(self, gf3, monkeypatch):
-        # the symmetric 2x2 matrices over GF(3): 3^3 = 27 elements, gate fails
+        # the symmetric 2x2 matrices over GF(3): 3^3 = 27 elements in
+        # 1 + (3^2 - 1)/2 = 5 classes (I is in the space), gate fails
         space = gen_sym(2, gf3)
-        with pytest.raises(BudgetExceededError, match="27 elements exceed the sweep budget 26"):
-            recover_flag(space, budget=26)
+        with pytest.raises(BudgetExceededError, match="5 classes exceed the sweep budget 4"):
+            recover_flag(space, budget=4)
         with pytest.raises(PreconditionError, match=re.escape("witness Mat[[0 1] [1 1]]")):
-            recover_flag(space, budget=27)
+            recover_flag(space, budget=5)
         sweeps = counting_char_polys(monkeypatch, weaktri.triang)
         with pytest.raises(TheoremViolationError):
             recover_flag(space, assume_weakly_triangularizable=True)

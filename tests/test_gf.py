@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,3 +172,53 @@ class TestSplitsOver:
                     want = splits_by_root_count(f)
                     assert splits_over(f) == want, f
                     assert splits_over(Poly(field, f.coeffs)) == want, f
+
+
+# GF(3^7) lies above the add-table limit, so its sums take the digit path
+ROW_FIELDS = [
+    (3,),
+    (101,),
+    (3, 2, (1, 0, 1)),
+    (3, 7, (1, 0, 2, 0, 0, 0, 0, 1)),
+    (2, 2, (1, 1, 1), True),
+]
+
+
+class TestRowKernel:
+    """axpy and dot against entry-by-entry add and mul."""
+
+    def rows(self, field, rng):
+        q, width = field.q, 6
+        yield [0] * width
+        yield [rng.randrange(1, q) for _ in range(width)]
+        for _ in range(20):
+            # about half the entries are zero
+            yield [rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(width)]
+
+    def test_one_field_takes_the_digit_path(self):
+        field = FieldCtx(*ROW_FIELDS[3])
+        assert field.q > gf._ADD_TABLE_LIMIT and field._add_table is None
+
+    @pytest.mark.parametrize("args", ROW_FIELDS, ids=lambda a: "-".join(map(str, a[:2])))
+    def test_axpy_and_dot_match_entrywise_arithmetic(self, args):
+        field = FieldCtx(*args)
+        rng = random.Random(17)
+        rows = list(self.rows(field, rng))
+        coeffs = {0, 1, field.q - 1} | {rng.randrange(field.q) for _ in range(4)}
+        for x in rows:
+            for y in rows[:6]:
+                want_dot = 0
+                for a, b in zip(x, y):
+                    want_dot = field.add(want_dot, field.mul(a, b))
+                assert field.dot(x, y) == want_dot
+                for c in coeffs:
+                    scaled = [field.mul(c, a) for a in x]
+                    assert field.axpy(c, x) == scaled
+                    assert field.axpy(c, x, y) == [field.add(b, s) for b, s in zip(y, scaled)]
+
+    def test_axpy_leaves_its_arguments_alone(self):
+        field = FieldCtx(3, 2, (1, 0, 1))
+        x, y = (1, 0, 5), [2, 3, 0]
+        out = field.axpy(0, x, y)
+        assert out == y and out is not y
+        assert field.axpy(4, x, y) != y and y == [2, 3, 0]

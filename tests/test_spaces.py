@@ -4,11 +4,12 @@ import pytest
 
 from weaktri.cli import main
 from weaktri.errors import BudgetExceededError, SpaceFileError
+from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, invert
 from weaktri.spaces import MatSpace, format_spacefile, parse_spacefile
 
 from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
-from oracles import is_upper_triangular, transpose_dual
+from oracles import is_upper_triangular, naive_conjugate, transpose_dual
 
 
 def unit(field, n, i, j):
@@ -165,6 +166,22 @@ class TestClasses:
         with pytest.raises(BudgetExceededError):
             list(full_space(gf3, 2).enumerate_classes(budget=10))
 
+    def test_budget_counts_what_each_sweep_yields(self, gf3, gf5, gf9):
+        # the class and coset sweeps are bounded by what they yield, both
+        # sides of the bound; the full sweep keeps q^dim
+        for space in self.spaces(gf3, gf5, gf9):
+            sweeps = {
+                "classes": space.enumerate_classes,
+                "cosets": space.enumerate_modulo_identity,
+                "elements": space.enumerate_elements,
+            }
+            for what, sweep in sweeps.items():
+                count = len(list(sweep()))
+                assert len(list(sweep(budget=count))) == count
+                message = f"^{count} {what} exceed the sweep budget {count - 1}$"
+                with pytest.raises(BudgetExceededError, match=message):
+                    next(iter(sweep(budget=count - 1)))
+
 
 class TestConjugation:
     def test_identity_fixes(self, gf3):
@@ -190,6 +207,31 @@ class TestConjugation:
     def test_singular_rejected(self, gf3):
         with pytest.raises(ValueError):
             triangular_space(gf3, 2).conjugate(Mat.zeros(gf3, 2))
+
+    @pytest.mark.parametrize("args", [(3,), (5,), (3, 2, (1, 0, 1)), (101,)], ids=str)
+    def test_equals_the_product_formula(self, args):
+        field = FieldCtx(*args)
+        rng = seeded(37)
+        for n in (1, 2, 3, 4):
+            for dim in sorted({1, n, n * n // 2 + 1, n * n}):
+                # dense random spanning sets, and the flag-space basis E_ij
+                dense = MatSpace.from_span([random_matrix(field, n, rng) for _ in range(dim)])
+                for space in (dense, triangular_space(field, n)):
+                    p = random_invertible(field, n, rng)
+                    assert space.conjugate(p) == naive_conjugate(space, p)
+
+    def test_forms_no_matrix_product(self, gf5, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("conjugate formed a matrix product")
+
+        rng = seeded(43)
+        space = MatSpace.from_span([random_matrix(gf5, 3, rng) for _ in range(4)])
+        p = random_invertible(gf5, 3, rng)
+        want = naive_conjugate(space, p)
+        monkeypatch.setattr(Mat, "__mul__", refuse)
+        with pytest.raises(AssertionError):
+            p * p
+        assert space.conjugate(p) == want
 
 
 class TestTransposeDual:
