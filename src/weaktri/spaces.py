@@ -148,15 +148,13 @@ class MatSpace:
                 rest = [i for i in range(lead + 1, d) if i != pinned]
                 yield from self._sweep(rest, self.basis[lead].entries, q ** (d - 1 - lead))
 
-    def enumerate_modulo_identity(self, budget=None):
+    def enumerate_modulo_identity(self):
         """Yield one element per coset of F.I in the space, in
         ``enumerate_elements`` order: those whose coefficient is 0 at the
         leading coordinate of I's coefficient vector (every element when I
-        is outside the space).  The budget bounds the cosets yielded: q^d',
-        where d' is d - 1 when I is in the space and d otherwise."""
+        is outside the space)."""
         pinned = self._identity_lead()
         rest = [i for i in range(self.dim) if i != pinned]
-        check_budget(self.field.q ** len(rest), budget, "cosets exceed the sweep budget")
         for _rank, m in self._sweep(rest, (0,) * (self.n * self.n), 0):
             yield m
 

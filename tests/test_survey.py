@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -400,7 +401,7 @@ def test_sweep_alarm_wins_over_a_failed_recovery(monkeypatch, capsys):
 def test_budget_bounds_only_the_swept_hits(monkeypatch, capsys):
     assert main(CAMPAIGN) == 0
     plain = capsys.readouterr().out
-    # the 4 hits pass the gate, so no 27-element sweep meets the budget
+    # the 4 hits pass the gate, so no class sweep meets the budget
     assert main(CAMPAIGN + ["--budget", "13"]) == 0
     assert capsys.readouterr().out == plain
     # the campaign budget still counts the 13 candidates
@@ -412,3 +413,21 @@ def test_budget_bounds_only_the_swept_hits(monkeypatch, capsys):
     fail_every_recovery(monkeypatch)
     assert main(CAMPAIGN + ["--budget", "13"]) == 3
     assert capsys.readouterr().out.count("# alarm: recovery alarm: deliberate\n") == 4
+
+
+def test_budget_trips_the_class_sweep_of_a_hit(gf3, monkeypatch):
+    # 1 plane and 4 three-dimensional spaces pass through E00 and E01, so a
+    # budget of 4 admits both campaigns; each hit's sweep holds 5 classes
+    upper = (Mat.unit(gf3, 2, 0, 0), Mat.unit(gf3, 2, 0, 1))
+    # span(E00, E01) is a hit below n(n+1)/2, so it is always swept
+    plane = CampaignSpec(n=2, field=gf3, dim=2, constraints=upper)
+    assert run_campaign(dataclasses.replace(plane, budget=5)).hit_count == 1
+    with pytest.raises(BudgetExceededError, match="^5 classes exceed the sweep budget 4$"):
+        run_campaign(dataclasses.replace(plane, budget=4))
+    # T_2 is the one optimal hit, swept when its gate fails
+    fail_every_recovery(monkeypatch)
+    optimal = CampaignSpec(n=2, field=gf3, dim=3, constraints=upper)
+    report = run_campaign(dataclasses.replace(optimal, budget=5))
+    assert (report.total, report.alarms) == (4, ["recovery alarm: deliberate"])
+    with pytest.raises(BudgetExceededError, match="^5 classes exceed the sweep budget 4$"):
+        run_campaign(dataclasses.replace(optimal, budget=4))
