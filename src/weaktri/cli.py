@@ -84,22 +84,22 @@ def _add_budget_arg(sub, what):
 def cmd_check(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
     mode = args.mode
-    # a refused mode prints nothing on stdout
-    if mode != "exhaustive":
+    # the verdict comes first, so a refused mode or budget prints nothing
+    if mode == "exhaustive":
+        verdict = space_weakly_triangularizable(space, budget=args.budget)
+    else:
         kind, *parts = mode.split(":")
         if kind != "sample" or len(parts) != 2:
             raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED")
         count, seed = map(int, parts)
         if count < 0:
             raise ValueError(f"sample count must be >= 0, got {count}")
-    print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
-    if mode == "exhaustive":
-        verdict = space_weakly_triangularizable(space, budget=args.budget)
-    else:
-        print(f"# seed: {seed}")
         verdict = space_weakly_triangularizable(
             space, mode="sample", count=count, seed=seed, budget=args.budget
         )
+    print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
+    if mode != "exhaustive":
+        print(f"# seed: {seed}")
     print(f"# mode: {mode}")
     print(f"# checked: {verdict.checked}")
     print(f"# certified: {'yes' if verdict.certified else 'no'}")

@@ -11,20 +11,24 @@ span(e_1, ..., e_(i-1)).  Conjugation by P carries both facts to
 P T_n P^-1 and to P's column flag.  So one kernel solve on the Gram
 matrix gives the radical N, the chain V_n = F^n, V_(k-1) = N V_k gives
 the flag, and e_i is the canonical (RREF) row of V_i whose pivot column
-is new against V_(i-1).  Flag basis vectors, like every vector in the
+is new against V_(i-1); column blocks of the radical give every u v of a
+chain step in one pass.  Flag basis vectors, like every vector in the
 package, are tuples of packed field elements.
 
 The one correctness gate is the exact equality flag_space(result) == input,
-and it decides.  Over odd characteristic every optimal weakly
-triangularizable space is a conjugate P T_n P^-1 of the upper-triangular
-matrices, and a space that passes the gate is one by construction: every
-element is P u P^-1 with u upper triangular, hence triangularizable, so no
-element sweep can add anything.  ``recover_flag`` therefore runs the gate
-first and sweeps the elements only to explain a failed gate: a non-split
-element makes the input a precondition failure, and a sweep that holds
-leaves the gate's TheoremViolationError standing.  The structure facts of
-the paper's block analysis hold on a space that passes the gate and are not
-re-checked: ``extract_structure_maps`` is that gate on a given flag.
+and it decides.  ``flag_space`` is the kernel of the constraints
+q_i M p_j = 0 for i > j, where p_j is the flag basis and q_i the rows of
+P^-1; one RREF with the columns reversed gives its canonical basis.  Over
+odd characteristic every optimal weakly triangularizable space is a
+conjugate P T_n P^-1 of the upper-triangular matrices, and a space that
+passes the gate is one by construction: every element is P u P^-1 with u
+upper triangular, hence triangularizable, so no element sweep can add
+anything.  ``recover_flag`` therefore runs the gate first and sweeps the
+elements only to explain a failed gate: a non-split element makes the
+input a precondition failure, and a sweep that holds leaves the gate's
+TheoremViolationError standing.  The structure facts of the paper's block
+analysis hold on a space that passes the gate and are not re-checked:
+``extract_structure_maps`` is that gate on a given flag.
 
 Every step that the theory guarantees on such a space raises
 TheoremViolationError when it fails; such an alarm is never swallowed and
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, TheoremViolationError
-from .linalg import Mat, kernel_basis, rref, span_rows
+from .linalg import Mat, invert, kernel_basis, rref, span_rows
 from .spaces import MatSpace
 from .triang import space_weakly_triangularizable
 
@@ -91,16 +95,27 @@ class Flag:
 def flag_space(flag: Flag) -> MatSpace:
     """All endomorphisms leaving every flag subspace invariant.
 
-    Upper-triangular in the flag basis, so the dimension is n(n+1)/2.  The
-    one construction of the span of the P E_ij P^-1, i <= j; the E_ij in
-    row-major order are already the canonical basis of T_n.
+    Upper-triangular in the flag basis, so the dimension is n(n+1)/2.  With
+    p_j the flag basis and q_i the rows of Q = P^-1, M keeps the flag exactly
+    when Q M P is upper triangular: q_i M p_j = 0 for i > j, n(n-1)/2
+    constraints on vec(M), each the row q_i (x) p_j with entry k*n + l equal
+    to q_i[k] p_j[l].  Their kernel is solved with the columns reversed, so
+    the RREF picks pivots right to left.  In the original order the kernel
+    vector of free column f then has its leading 1 at f, its other nonzero
+    entries only at pivot columns right of f and 0 at every other free
+    column: sorted by f, the kernel vectors are already the canonical basis.
     """
     F, n = flag.field, flag.n
-    upper = MatSpace(F, n, (Mat.unit(F, n, i, j) for i in range(n) for j in range(i, n)))
-    space = upper.conjugate(flag.basis_matrix())
-    if space.dim != n * (n + 1) // 2:
+    q = invert(flag.basis_matrix()).rows()
+    constraints = [
+        [x for a in q[i] for x in F.axpy(a, flag.basis[j])][::-1]
+        for i in range(n)
+        for j in range(i)
+    ]
+    kernel = kernel_basis(constraints, F, width=n * n)
+    if len(kernel) != n * (n + 1) // 2:
         raise TheoremViolationError("flag space has the wrong dimension")
-    return space
+    return MatSpace(F, n, (Mat._wrap(F, n, v[::-1]) for v in reversed(kernel)))
 
 
 # -- recovery trace -----------------------------------------------------------
@@ -182,10 +197,19 @@ def _flag_by_gate(space):
         "trace-form radical is not of dimension n(n-1)/2",
     )
 
-    # V_n = F^n and V_(k-1) = N V_k, each as (RREF rows, pivot columns)
+    # V_n = F^n and V_(k-1) = N V_k, each as (RREF rows, pivot columns); block
+    # l is column l of every u in N, so sum_l v_l block_l holds every u v
+    blocks = [[x for u in radical for x in u.entries[l::n]] for l in range(n)]
     subspaces = [(Mat.identity(F, n).rows(), list(range(n)))]
     while len(subspaces) <= n:
-        subspaces.append(rref([u.apply(v) for u in radical for v in subspaces[-1][0]], F))
+        images = []
+        for v in subspaces[-1][0]:
+            acc = [0] * (len(radical) * n)
+            for c, block in zip(v, blocks):
+                if c:
+                    acc = F.axpy(c, block, acc)
+            images += (acc[i : i + n] for i in range(0, len(acc), n))
+        subspaces.append(rref(images, F))
     subspaces.reverse()  # subspaces[i] is V_i
     require(
         "chain_steps",

@@ -186,8 +186,8 @@ class FieldCtx:
     # -- rows ----------------------------------------------------------------
     #
     # The one vector kernel: the package's row loops (elimination, matrix
-    # products, conjugation, sweeps) go through these two, so the
-    # prime/extension fork is taken once per row, not once per entry.  Over
+    # products, sweeps) go through these two, so the prime/extension fork
+    # is taken once per row, not once per entry.  Over
     # GF(p) a row is one comprehension in plain integers with a single
     # reduction per entry; over GF(p^k) products come from the log/exp
     # tables, zero entries are skipped, and sums go through ``add`` (the

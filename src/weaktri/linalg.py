@@ -2,10 +2,10 @@
 polynomials over a FieldCtx.
 
 A vector is a plain tuple of packed field elements: the row-space
-utilities, ``Mat.apply`` and ``Mat.row`` all take or return such tuples,
-and a Mat keeps its entries as one row-major tuple of them.  Row arithmetic
-(elimination, products, ``apply``) goes through ``FieldCtx.axpy`` and
-``FieldCtx.dot``, the package's one vector kernel.
+utilities and ``Mat.row`` take or return such tuples, and a Mat keeps its
+entries as one row-major tuple of them.  Row arithmetic (elimination and
+products) goes through ``FieldCtx.axpy`` and ``FieldCtx.dot``, the
+package's one vector kernel.
 ``char_poly_coeffs`` is the one characteristic-polynomial kernel: it reads
 a flat row-major entry tuple, and ``char_poly`` wraps its coefficients in a
 Poly.
@@ -89,11 +89,6 @@ class Mat:
             return self.scale(other)
         return NotImplemented
 
-    def apply(self, v):
-        """M v for a vector v, a tuple of packed field elements."""
-        F = self.field
-        return tuple(F.dot(self.row(i), v) for i in range(self.n))
-
     def trace(self):
         F, n = self.field, self.n
         acc = 0
@@ -168,9 +163,12 @@ def rref_solve(a_rows, b, field):
     return tuple(x)
 
 
-def kernel_basis(a_rows, field):
-    """Canonical basis of the null space of A, one vector per free column."""
-    width = len(a_rows[0]) if a_rows else 0
+def kernel_basis(a_rows, field, width=None):
+    """Canonical basis of the null space of A, one vector per free column.
+    ``width`` is the number of columns, read off the first row when None;
+    an A with no rows needs it."""
+    if width is None:
+        width = len(a_rows[0]) if a_rows else 0
     reduced, pivots = rref(a_rows, field)
     pivot_set = set(pivots)
     basis = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceededError, PreconditionError, SpaceFileError
 from .gf import parse_field
-from .linalg import Mat, invert, rref
+from .linalg import Mat, rref
 
 DEFAULT_BUDGET = 2**28
 
@@ -189,32 +189,6 @@ class MatSpace:
                 )
 
         yield from rec(0, start, rank)
-
-    # -- transformed spaces -------------------------------------------------------
-
-    def conjugate(self, p: Mat) -> MatSpace:
-        """The space {P m P^-1}; dimension is preserved.
-
-        P m P^-1 is the sum of (column i of P) (x) (m_ij row j of P^-1) over
-        the nonzero entries of m, so each basis element costs one outer
-        product per nonzero entry (one for each E_ij of T_n), and no matrix
-        product is formed.
-        """
-        p_inv = invert(p)
-        if p_inv is None:
-            raise ValueError("conjugating matrix is singular")
-        F, n = self.field, self.n
-        cols, rows = [p.col(i) for i in range(n)], p_inv.rows()
-        images = []
-        for m in self.basis:
-            image = [0] * (n * n)
-            for idx, e in enumerate(m.entries):
-                if e:
-                    row = F.axpy(e, rows[idx % n])
-                    outer = [x for a in cols[idx // n] for x in F.axpy(a, row)]
-                    image = F.axpy(1, outer, image)
-            images.append(Mat._wrap(F, n, tuple(image)))
-        return MatSpace.from_span(images, field=F, n=n)
 
 
 # -- space files ----------------------------------------------------------------

@@ -11,7 +11,9 @@ The invariant-subspace sweep, ``is_chain``, ``is_upper_triangular``,
 ``triangularize`` and ``transpose_dual`` are references that the package
 itself never needs; the tests compare recovered flags, split verdicts and
 adaptedness against them.  ``naive_conjugate`` is conjugation by the
-product formula P m P^-1, which the package's outer-product sum must equal.
+product formula P m P^-1, which ``flag_space`` must equal on T_n, and
+``apply`` is the product M v of a matrix and a vector, one dot product per
+row.
 
 ``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
 vectors were packed: rows are coordinate lists, and each combination is
@@ -217,6 +219,11 @@ def in_span(rows, v, field):
     return len(span_rows(list(rows) + [tuple(v)], field)) == len(span_rows(rows, field))
 
 
+def apply(m: Mat, v):
+    """M v for a vector v, a tuple of packed field elements."""
+    return tuple(m.field.dot(m.row(i), v) for i in range(m.n))
+
+
 def invariant_subspaces(space):
     """Every subspace U of F^n with S.U <= U, as canonical RREF bases, by a
     sweep over the whole Grassmannian of each dimension."""
@@ -225,7 +232,7 @@ def invariant_subspaces(space):
         rows
         for k in range(n + 1)
         for rows in enumerate_subspaces(n, k, F)
-        if all(in_span(rows, b.apply(v), F) for b in space.basis for v in rows)
+        if all(in_span(rows, apply(b, v), F) for b in space.basis for v in rows)
     ]
 
 

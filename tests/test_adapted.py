@@ -9,9 +9,10 @@ from weaktri.adapted import (
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
+from weaktri.survey import gen_triangular
 
 from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
-from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep, transpose_dual
+from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep, apply, transpose_dual
 
 
 class TestProjectiveReps:
@@ -106,9 +107,9 @@ class TestAdaptedVector:
         t2 = triangular_space(gf3, 2)
         for _ in range(15):
             p = random_invertible(gf3, 2, rng)
-            conj = t2.conjugate(p)
+            conj = gen_triangular(2, gf3, conjugate_by=p)
             for x in projective_reps(gf3, 2):
-                assert is_adapted_vector(t2, x) == is_adapted_vector(conj, p.apply(x))
+                assert is_adapted_vector(t2, x) == is_adapted_vector(conj, apply(p, x))
 
 
 def dual_line(field, spanning):
@@ -164,7 +165,7 @@ class TestDuality:
         for space in spaces:
             dual = transpose_dual(space)
             for x in projective_reps(gf3, 2):
-                image = rev.apply(x)
+                image = apply(rev, x)
                 spanning = kernel_basis([image], gf3)
                 assert is_adapted_vector(space, x) == adapted_hyperplane_by_sweep(
                     dual, spanning

@@ -326,3 +326,16 @@ def test_check_budget_counts_the_classes_decided(tmp_path, capsys):
     assert main(["check", str(path), "--budget", "9841"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "budget exceeded: 9842 classes exceed the sweep budget 9841\n"
+
+
+def test_check_refused_by_its_budget_prints_nothing(sl2, capsys):
+    # sl2 over GF(3) lacks I: 1 + (3^3 - 1)/2 = 14 classes
+    assert main(["check", sl2, "--budget", "13"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 14 classes exceed the sweep budget 13\n"
+    assert main(["check", sl2, "--budget", "14"]) == 2
+    assert capsys.readouterr().out == (
+        "# space: n=2 dim=3 field=GF(3)\n# mode: exhaustive\n# checked: 6\n"
+        "# certified: yes\nverdict false\nwitness 0 1 2 0\n"
+    )

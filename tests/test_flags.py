@@ -2,11 +2,17 @@ import re
 
 import pytest
 
-import weaktri.spaces
+import weaktri.flags
 import weaktri.triang
 from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from weaktri.flags import Flag, extract_structure_maps, flag_space, recover_flag
+from weaktri.flags import (
+    Flag,
+    _trace_form_radical,
+    extract_structure_maps,
+    flag_space,
+    recover_flag,
+)
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, span_rows
 from weaktri.spaces import MatSpace
@@ -20,7 +26,7 @@ from conftest import (
     seeded,
     triangular_space,
 )
-from oracles import in_span, invariant_subspaces, is_chain
+from oracles import apply, in_span, invariant_subspaces, is_chain
 
 
 def conjugate_chain(p, field, n):
@@ -68,7 +74,48 @@ class TestFlagSpace:
                 rows = flag.subspace(i)
                 for b in space.basis:
                     for v in rows:
-                        assert in_span(rows, b.apply(v), gf5)
+                        assert in_span(rows, apply(b, v), gf5)
+
+    def test_one_inversion_one_kernel_and_no_respan(self, gf5, monkeypatch):
+        # the constraint kernel is already canonical, so nothing is re-reduced
+        calls = []
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("invert", "kernel_basis"):
+            monkeypatch.setattr(weaktri.flags, name, counting(name, getattr(weaktri.flags, name)))
+        from_span = counting("from_span", MatSpace.from_span.__func__)
+        monkeypatch.setattr(MatSpace, "from_span", classmethod(from_span))
+        rng = seeded(5)
+        for n in (1, 2, 3, 4, 5):
+            p = random_invertible(gf5, n, rng)
+            flag = Flag(gf5, [p.col(j) for j in range(n)])
+            calls.clear()
+            assert flag_space(flag).dim == n * (n + 1) // 2
+            assert sorted(calls) == ["invert", "kernel_basis"]
+
+
+class TestRadicalChain:
+    # V_(k-1) = N V_k, built from column blocks of the radical, must be the
+    # RREF of every product u v, formed one matrix and one vector at a time
+    def test_matches_the_product_oracle(self, gf3, gf5, gf9):
+        rng = seeded(53)
+        for field in (gf3, gf5, gf9, FieldCtx(101)):
+            for n in (1, 2, 3, 4, 5):
+                space = gen_triangular(n, field, conjugate_by=random_invertible(field, n, rng))
+                radical = _trace_form_radical(space)
+                chain = [span_rows(Mat.identity(field, n).rows(), field)]
+                while len(chain) <= n:
+                    chain.append(
+                        span_rows([apply(u, v) for u in radical for v in chain[-1]], field)
+                    )
+                flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
+                assert flag.chain() == tuple(reversed(chain))
 
 
 class TestInvariantSubspaces:
@@ -119,7 +166,7 @@ class TestBaseCase:
         for field in (gf3, gf5):
             for _ in range(10):
                 p = random_invertible(field, 2, rng)
-                space = triangular_space(field, 2).conjugate(p)
+                space = gen_triangular(2, field, conjugate_by=p)
                 flag, _ = recover_flag(space)
                 assert flag.chain() == conjugate_chain(p, field, 2)
                 assert flag_space(flag) == space
@@ -145,7 +192,7 @@ class TestRecoverFlag:
         for field in (gf3, gf5):
             for n in (2, 3, 4):
                 p = random_invertible(field, n, rng)
-                space = triangular_space(field, n).conjugate(p)
+                space = gen_triangular(n, field, conjugate_by=p)
                 flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
                 assert flag.chain() == conjugate_chain(p, field, n)
                 assert flag_space(flag) == space
@@ -182,13 +229,13 @@ class TestRecoverFlag:
         # the largest l with e_l off the recovered hyperplane
         rng = seeded(31)
         spaces = [
-            triangular_space(field, n).conjugate(random_invertible(field, n, rng))
+            gen_triangular(n, field, conjugate_by=random_invertible(field, n, rng))
             for field in (gf3, gf5, gf9, FieldCtx(101))
             for n in (2, 3, 4, 5)
             for _ in range(3)
         ]
         spaces += [
-            triangular_space(field, n).conjugate(cycle(field, n))
+            gen_triangular(n, field, conjugate_by=cycle(field, n))
             for field in (gf3, gf5, gf9)
             for n in (3, 4)
         ]
@@ -218,7 +265,7 @@ class TestRecoverFlag:
         # 5^10 elements is swept and no budget applies
         sweeps = counting_char_polys(monkeypatch, weaktri.triang)
         p = random_invertible(gf5, 4, seeded(41))
-        space = triangular_space(gf5, 4).conjugate(p)
+        space = gen_triangular(4, gf5, conjugate_by=p)
         flag, _ = recover_flag(space)
         assert flag.chain() == conjugate_chain(p, gf5, 4)
         flag, _ = recover_flag(triangular_space(gf3, 4), budget=100)
@@ -285,7 +332,7 @@ class TestExtraction:
         for field in (gf3, gf5):
             for n in (3, 4, 5):
                 p = random_invertible(field, n, rng)
-                space = triangular_space(field, n).conjugate(p)
+                space = gen_triangular(n, field, conjugate_by=p)
                 flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
                 trace = extract_structure_maps(space, flag)
                 assert trace.all_checks_pass()
@@ -313,14 +360,14 @@ class TestExtraction:
 
     def test_one_inversion_per_extraction(self, gf3, monkeypatch):
         calls = []
-        real = weaktri.spaces.invert
-        monkeypatch.setattr(weaktri.spaces, "invert", lambda m: calls.append(m) or real(m))
+        real = weaktri.flags.invert
+        monkeypatch.setattr(weaktri.flags, "invert", lambda m: calls.append(m) or real(m))
         p = random_invertible(gf3, 3, seeded(29))
-        space = triangular_space(gf3, 3).conjugate(p)
+        space = gen_triangular(3, gf3, conjugate_by=p)
         flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
         calls.clear()
         assert extract_structure_maps(space, flag).all_checks_pass()
-        # the one inside flag_space's conjugation by the flag basis
+        # the one inside flag_space, which inverts the flag basis
         assert len(calls) == 1
 
 
@@ -329,7 +376,7 @@ class TestQuotientConsistency:
         rng = seeded(19)
         for n in (2, 3):
             p = random_invertible(gf3, n, rng)
-            space = triangular_space(gf3, n).conjugate(p)
+            space = gen_triangular(n, gf3, conjugate_by=p)
             flag, _ = recover_flag(space)
             found = invariant_subspaces(space)
             assert sorted(found, key=len) == sorted(flag.chain(), key=len)

@@ -16,7 +16,7 @@ from weaktri.linalg import (
 )
 
 from conftest import random_invertible, random_matrix, seeded
-from oracles import cofactor_char_poly
+from oracles import apply, cofactor_char_poly
 
 
 class TestRref:
@@ -25,6 +25,11 @@ class TestRref:
 
     def test_inconsistent(self, gf3):
         assert rref_solve([(0, 0), (0, 0)], (1, 0), gf3) is None
+
+    def test_kernel_of_no_rows_needs_the_width(self, gf3):
+        assert kernel_basis([], gf3) == []
+        assert kernel_basis([], gf3, width=2) == [(1, 0), (0, 1)]
+        assert kernel_basis([(1, 1)], gf3, width=2) == [(2, 1)]
 
     def test_kernel_line(self, gf3):
         kern = kernel_basis([(1, 1), (2, 2)], gf3)
@@ -63,8 +68,9 @@ class TestMat:
         assert m * Mat.identity(gf3, 3) == m
 
     def test_apply(self, gf3):
+        # the oracles' M v, which the invariant-subspace sweep relies on
         m = Mat(gf3, 2, (1, 2, 0, 1))
-        assert m.apply((1, 1)) == (0, 1)
+        assert apply(m, (1, 1)) == (0, 1)
 
     def test_invert_round_trip(self, gf5):
         rng = seeded(5)
