@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import kernel_basis
-from .spaces import MatSpace
+from .spaces import MatSpace, check_budget
 
 
 def projective_reps(field, n):
@@ -66,14 +66,18 @@ def is_adapted_vector(space: MatSpace, x) -> bool:
     return line.dim == 1 and line.basis[0].trace() != 0
 
 
-def find_adapted_vector(space: MatSpace):
+def find_adapted_vector(space: MatSpace, budget=None):
     """First adapted projective representative in scan order, or None.
 
     ``weaktri adapted`` runs it on arbitrary spaces.  On a flag space the
     adapted vectors are those off the flag's hyperplane, so the first one
-    is the unit vector e_l with the largest l off it.
+    is the unit vector e_l with the largest l off it.  The budget bounds the
+    lines tried, not the (q^n - 1)/(q - 1) lines of F^n: the line past it
+    raises BudgetExceededError, so a space whose first line is adapted
+    answers under any budget of at least 1, whatever q is.
     """
-    for x in projective_reps(space.field, space.n):
+    for tried, x in enumerate(projective_reps(space.field, space.n), start=1):
+        check_budget(tried, budget, "lines exceed the line-scan budget")
         if is_adapted_vector(space, x):
             return x
     return None

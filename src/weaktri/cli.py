@@ -131,7 +131,7 @@ def cmd_recover(args):
 
 def cmd_adapted(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
-    vec = find_adapted_vector(space)
+    vec = find_adapted_vector(space, budget=args.budget)
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     if vec is None:
         print("none")
@@ -236,6 +236,8 @@ def build_parser():
 
     p = sub.add_parser("adapted", help="first adapted vector of a space")
     _add_spacefile_arg(p)
+    _add_budget_arg(p, "budget of the line scan: the projective lines tried until one is "
+                       "adapted must not exceed it (exit 4)")
     p.set_defaults(func=cmd_adapted)
 
     p = sub.add_parser("lemma31", help="exhaustive split-pencil divisibility sweep")

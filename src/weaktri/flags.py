@@ -8,31 +8,20 @@ every u in T_n and equals u_ii for i = j, so u is in the radical exactly
 when its diagonal is zero.  The powers of N_n cut out the standard flag,
 N_n^k F^n = V_(n-k), because N_n maps span(e_1, ..., e_i) onto
 span(e_1, ..., e_(i-1)).  Conjugation by P carries both facts to
-P T_n P^-1 and to P's column flag.  So one kernel solve on the Gram
-matrix gives the radical N, the chain V_n = F^n, V_(k-1) = N V_k gives
-the flag, and e_i is the canonical (RREF) row of V_i whose pivot column
-is new against V_(i-1); column blocks of the radical give every u v of a
-chain step in one pass.  Flag basis vectors, like every vector in the
-package, are tuples of packed field elements.
+P T_n P^-1 and to P's column flag.  The radical N is read off the space's
+canonical basis as its annihilator, with no Gram matrix (``_flag_by_gate``
+gives the argument), the chain V_n = F^n, V_(k-1) = N V_k gives the flag,
+and e_i is the canonical (RREF) row of V_i whose pivot column is new
+against V_(i-1).  Vectors are tuples of packed field elements.
 
-The one correctness gate is the exact equality flag_space(result) == input,
-and it decides.  ``flag_space`` is the kernel of the constraints
-q_i M p_j = 0 for i > j, where p_j is the flag basis and q_i the rows of
-P^-1; one RREF with the columns reversed gives its canonical basis.  Over
-odd characteristic every optimal weakly triangularizable space is a
-conjugate P T_n P^-1 of the upper-triangular matrices, and a space that
-passes the gate is one by construction: every element is P u P^-1 with u
-upper triangular, hence triangularizable, so no element sweep can add
-anything.  ``recover_flag`` therefore runs the gate first and sweeps the
-elements only to explain a failed gate: a non-split element makes the
-input a precondition failure, and a sweep that holds leaves the gate's
-TheoremViolationError standing.  The structure facts of the paper's block
-analysis hold on a space that passes the gate and are not re-checked:
-``extract_structure_maps`` is that gate on a given flag.
-
-Every step that the theory guarantees on such a space raises
-TheoremViolationError when it fails; such an alarm is never swallowed and
-carries the recovery trace for audit.
+The one correctness gate is flag_space(result) == input, decided by
+containment.  Over odd characteristic every optimal weakly
+triangularizable space is a conjugate P T_n P^-1, and a space that passes
+the gate is one by construction: every element is P u P^-1 with u upper
+triangular, so no element sweep can add anything, and the structure facts
+of the paper's block analysis are not re-checked.  Every step that the
+theory guarantees on such a space raises TheoremViolationError when it
+fails; such an alarm is never swallowed and carries the recovery trace.
 """
 
 from __future__ import annotations
@@ -70,9 +59,7 @@ class Flag:
     def basis_matrix(self) -> Mat:
         """Change-of-basis matrix whose columns are the flag basis."""
         n = self.n
-        return Mat(
-            self.field, n, tuple(self.basis[j][i] for i in range(n) for j in range(n))
-        )
+        return Mat(self.field, n, tuple(self.basis[j][i] for i in range(n) for j in range(n)))
 
     def subspace(self, i):
         """Canonical RREF rows of V_i = span(e_1, ..., e_i)."""
@@ -82,11 +69,7 @@ class Flag:
         return tuple(self.subspace(i) for i in range(self.n + 1))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Flag)
-            and self.field == other.field
-            and self.basis == other.basis
-        )
+        return isinstance(other, Flag) and (self.field, self.basis) == (other.field, other.basis)
 
     def __repr__(self):
         return f"Flag(n={self.n} over {self.field.descriptor()})"
@@ -95,27 +78,42 @@ class Flag:
 def flag_space(flag: Flag) -> MatSpace:
     """All endomorphisms leaving every flag subspace invariant.
 
-    Upper-triangular in the flag basis, so the dimension is n(n+1)/2.  With
-    p_j the flag basis and q_i the rows of Q = P^-1, M keeps the flag exactly
-    when Q M P is upper triangular: q_i M p_j = 0 for i > j, n(n-1)/2
-    constraints on vec(M), each the row q_i (x) p_j with entry k*n + l equal
-    to q_i[k] p_j[l].  Their kernel is solved with the columns reversed, so
+    Upper-triangular in the flag basis, so the dimension is n(n+1)/2: the
+    kernel of ``_flag_constraints``, solved with the columns reversed, so
     the RREF picks pivots right to left.  In the original order the kernel
     vector of free column f then has its leading 1 at f, its other nonzero
     entries only at pivot columns right of f and 0 at every other free
     column: sorted by f, the kernel vectors are already the canonical basis.
     """
     F, n = flag.field, flag.n
-    q = invert(flag.basis_matrix()).rows()
-    constraints = [
-        [x for a in q[i] for x in F.axpy(a, flag.basis[j])][::-1]
-        for i in range(n)
-        for j in range(i)
-    ]
+    # reversing each q_i and p_j reverses every constraint row, with no row copy
+    q = [row[::-1] for row in invert(flag.basis_matrix()).rows()]
+    constraints = list(_flag_constraints(F, q, [p[::-1] for p in flag.basis]))
     kernel = kernel_basis(constraints, F, width=n * n)
     if len(kernel) != n * (n + 1) // 2:
         raise TheoremViolationError("flag space has the wrong dimension")
     return MatSpace(F, n, (Mat._wrap(F, n, v[::-1]) for v in reversed(kernel)))
+
+
+def _flag_constraints(F, q, p):
+    """With p_j the flag basis and q_i the rows of P^-1, M keeps the flag
+    exactly when q_i M p_j = 0 for i > j: yield these n(n-1)/2 rows
+    q_i (x) p_j on vec(M), entry k*n + l being q_i[k] p_j[l]."""
+    for i in range(1, len(p)):
+        for j in range(i):
+            yield [x for a in q[i] for x in F.axpy(a, p[j])]
+
+
+def _generates(flag, space):
+    """flag_space(flag) == space, decided by containment: the space has the
+    flag's field, size and dimension n(n+1)/2, and every canonical basis
+    matrix satisfies each flag constraint."""
+    F, n = flag.field, flag.n
+    if space.field != F or space.n != n or space.dim != n * (n + 1) // 2:
+        return False
+    q = invert(flag.basis_matrix()).rows()
+    rows = _flag_constraints(F, q, flag.basis)
+    return not any(F.dot(row, b.entries) for row in rows for b in space.basis)
 
 
 # -- recovery trace -----------------------------------------------------------
@@ -134,10 +132,7 @@ class RecoveryTrace:
         return all(self.checks.values())
 
     def to_text(self):
-        lines = [
-            f"# trace ambient: {self.ambient}",
-            f"# trace field: {self.field_descriptor}",
-        ]
+        lines = [f"# trace ambient: {self.ambient}", f"# trace field: {self.field_descriptor}"]
         if self.checks:
             lines.append(f"level 1: n={self.ambient} kind=radical")
             for key, ok in sorted(self.checks.items()):
@@ -176,13 +171,24 @@ def recover_flag(space: MatSpace, *, budget=None, assume_weakly_triangularizable
 def _flag_by_gate(space):
     """The trace-form radical, its chain and the gate flag_space == space;
     each step that fails raises TheoremViolationError with the trace.  A
-    space that is not of dimension n(n+1)/2 raises PreconditionError."""
+    space that is not of dimension n(n+1)/2 raises PreconditionError.
+
+    Radical: tr(uw) = <vec(u^T), vec(w)>, so the annihilator S^perp is the
+    transpose of the kernel of S's canonical rows, which are already
+    reduced.  The trace form on M_n is nondegenerate, so S^perp has
+    dimension n^2 - n(n+1)/2 = n(n-1)/2 and (S^perp)^perp = S.  The radical
+    S meet S^perp has dimension n(n-1)/2 exactly when S^perp <= S, that is
+    when S^perp is totally isotropic, and it is then S^perp itself.  So
+    radical_dim checks that isotropy and passes exactly where a Gram-matrix
+    kernel has dimension n(n-1)/2, on the same space: the chain, the flag
+    and every trace are those of the Gram kernel.  Gate: S has dimension
+    n(n+1)/2, that of flag_space(flag), so S <= flag_space(flag) is
+    equality; it is checked on S's canonical basis with no kernel.
+    """
     F, n = space.field, space.n
     expected = n * (n + 1) // 2
     if space.dim != expected:
-        raise PreconditionError(
-            f"optimal spaces have dimension {expected}, got {space.dim}"
-        )
+        raise PreconditionError(f"optimal spaces have dimension {expected}, got {space.dim}")
     trace = RecoveryTrace(n, F.descriptor())
 
     def require(check, ok, message):
@@ -191,24 +197,22 @@ def _flag_by_gate(space):
             raise TheoremViolationError(message, trace=trace)
 
     radical = _trace_form_radical(space)
-    require(
-        "radical_dim",
-        len(radical) == n * (n - 1) // 2,
-        "trace-form radical is not of dimension n(n-1)/2",
-    )
+    require("radical_dim", radical is not None, "trace-form radical is not of dimension n(n-1)/2")
 
     # V_n = F^n and V_(k-1) = N V_k, each as (RREF rows, pivot columns); block
-    # l is column l of every u in N, so sum_l v_l block_l holds every u v
+    # l is column l of every u in N, so sum_l v_l block_l holds every u v; an
+    # RREF does not depend on zero or repeated rows, so they are dropped
     blocks = [[x for u in radical for x in u.entries[l::n]] for l in range(n)]
     subspaces = [(Mat.identity(F, n).rows(), list(range(n)))]
     while len(subspaces) <= n:
-        images = []
+        images = set()
         for v in subspaces[-1][0]:
             acc = [0] * (len(radical) * n)
             for c, block in zip(v, blocks):
                 if c:
                     acc = F.axpy(c, block, acc)
-            images += (acc[i : i + n] for i in range(0, len(acc), n))
+            images.update(tuple(acc[i : i + n]) for i in range(0, len(acc), n))
+        images.discard((0,) * n)
         subspaces.append(rref(images, F))
     subspaces.reverse()  # subspaces[i] is V_i
     require(
@@ -228,25 +232,22 @@ def _flag_by_gate(space):
     flag = Flag(F, basis)
     require(
         "flag_space_equals_input",
-        flag_space(flag) == space,
+        _generates(flag, space),
         "recovered flag does not regenerate the space",
     )
     return flag, trace
 
 
 def _trace_form_radical(space):
-    """Basis of {u in S : tr(uw) = 0 for all w in S}: the kernel of the Gram
-    matrix G_ij = tr(b_i b_j) = sum_kl (b_i)_kl (b_j)_lk over the canonical
-    basis, which is symmetric."""
+    """Basis of {u in S : tr(uw) = 0 for all w in S} when it has dimension
+    n(n-1)/2, else None: S^perp, when tr(u_i u_j) = 0 for i <= j on it."""
     F, n = space.field, space.n
-    mats = [b.entries for b in space.basis]
-    transposed = [tuple(m[c * n + r] for r in range(n) for c in range(n)) for m in mats]
-    d = len(mats)
-    gram = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            gram[i][j] = gram[j][i] = F.dot(mats[i], transposed[j])
-    return [space.combination(c) for c in kernel_basis(gram, F)]
+    kernel = kernel_basis([b.entries for b in space.basis], F, width=n * n)
+    perp = [tuple(e for c in range(n) for e in x[c::n]) for x in kernel]  # x^T
+    dot = F.dot
+    if any(dot(x, perp[j]) for i, x in enumerate(kernel) for j in range(i, len(perp))):
+        return None
+    return [Mat._wrap(F, n, u) for u in perp]
 
 
 # -- structure-map extraction ---------------------------------------------------
@@ -255,16 +256,15 @@ def _trace_form_radical(space):
 def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
     """Check that ``flag`` generates the optimal space ``space``, for n >= 3.
 
-    The check is the whole extraction: flag_space(flag) == space makes the
-    space T_n in the flag basis.  Every block fact of T_n (its units,
-    slices, unique completions, vanishing corner and residual maps, and its
-    descent to T_(n-1) through F.e_n) then holds by construction and has
-    nothing left to decide; the returned trace records no checks, so
-    ``all_checks_pass()`` is true.  A flag that does not generate the space
-    raises PreconditionError.
+    The check is the whole extraction: the recovery gate, flag_space(flag)
+    == space by containment, makes the space T_n in the flag basis, where
+    every block fact of T_n (units, slices, unique completions, vanishing
+    corner and residual maps, descent to T_(n-1)) holds by construction.
+    The returned trace records no checks, so ``all_checks_pass()`` is true;
+    a flag that does not generate the space raises PreconditionError.
     """
     if flag.n < 3:
         raise PreconditionError("structure-map extraction needs n >= 3")
-    if flag_space(flag) != space:
+    if not _generates(flag, space):
         raise PreconditionError("flag does not generate the given space")
     return RecoveryTrace(space.n, space.field.descriptor())

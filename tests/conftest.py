@@ -43,6 +43,25 @@ def full_space(field, n):
     )
 
 
+def cycle(field, n):
+    """The permutation matrix with columns e_2, ..., e_n, e_1: its flag's
+    hyperplane holds e_2, ..., e_n."""
+    return Mat(field, n, [int(i == (j + 1) % n) for i in range(n) for j in range(n)])
+
+
+def gf2_non_flag_hit():
+    """An optimal weakly triangularizable space over GF(2) that is no flag
+    space: one of the non-flag hits of the n=3 GF(2) dim-6 campaign on I."""
+    gf2 = FieldCtx(2, exploratory=True)
+
+    def unit(i, j):
+        return Mat.unit(gf2, 3, i, j)
+
+    return MatSpace.from_span(
+        [unit(0, 0), unit(1, 0), unit(1, 1) + unit(2, 2), unit(1, 2), unit(2, 0), unit(2, 1)]
+    )
+
+
 def random_matrix(field, n, rng):
     return Mat(field, n, tuple(rng.randrange(field.q) for _ in range(n * n)))
 

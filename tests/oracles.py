@@ -13,7 +13,9 @@ itself never needs; the tests compare recovered flags, split verdicts and
 adaptedness against them.  ``naive_conjugate`` is conjugation by the
 product formula P m P^-1, which ``flag_space`` must equal on T_n, and
 ``apply`` is the product M v of a matrix and a vector, one dot product per
-row.
+row.  ``gram_radical`` is the trace-form radical as the kernel of the Gram
+matrix, which the annihilator that recovery reads off the canonical basis
+must span whenever that kernel has dimension n(n-1)/2.
 
 ``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
 vectors were packed: rows are coordinate lists, and each combination is
@@ -295,3 +297,11 @@ def triangularize(m: Mat) -> Mat:
     for i in range(n - 1):
         block += [0] + list(sub.row(i))
     return q * Mat(F, n, block)
+
+
+def gram_radical(space):
+    """Basis of {u in S : tr(uw) = 0 for all w in S}: the kernel of the Gram
+    matrix G_ij = tr(b_i b_j) over the canonical basis, whatever its
+    dimension, each kernel vector combined into a matrix of S."""
+    gram = [[(b * c).trace() for c in space.basis] for b in space.basis]
+    return [space.combination(v) for v in kernel_basis(gram, space.field, width=space.dim)]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from weaktri.adapted import (
@@ -6,12 +8,20 @@ from weaktri.adapted import (
     projective_reps,
     range_constrained,
 )
+from weaktri.errors import BudgetExceededError
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.survey import gen_triangular
 
-from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
+from conftest import (
+    cycle,
+    full_space,
+    random_invertible,
+    random_matrix,
+    seeded,
+    triangular_space,
+)
 from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep, apply, transpose_dual
 
 
@@ -149,6 +159,45 @@ class TestAdaptedHyperplane:
             assert is_adapted_vector(transpose_dual(t3), dual_line(gf3, spanning)) == (
                 adapted_hyperplane_by_sweep(t3, spanning)
             )
+
+
+class TestScanBudget:
+    # the budget bounds the lines tried, not the lines of F^n
+    def exceeds(self, tried, budget):
+        return pytest.raises(
+            BudgetExceededError,
+            match=re.escape(f"{tried} lines exceed the line-scan budget {budget}"),
+        )
+
+    def test_no_adapted_line(self, gf3):
+        # all 13 lines of F_3^3 are tried, and none is adapted
+        m3 = full_space(gf3, 3)
+        assert find_adapted_vector(m3, budget=13) is None
+        with self.exceeds(13, 12):
+            find_adapted_vector(m3, budget=12)
+
+    def test_adapted_line_after_the_hyperplane(self, gf3, gf5):
+        # the flag's hyperplane holds e_2 and e_3, so the first adapted line
+        # is e_1, the (q + 2)-th in scan order
+        for field in (gf3, gf5):
+            space = gen_triangular(3, field, conjugate_by=cycle(field, 3))
+            tried = field.q + 2
+            assert find_adapted_vector(space, budget=tried) == (1, 0, 0)
+            with self.exceeds(tried, tried - 1):
+                find_adapted_vector(space, budget=tried - 1)
+
+    def test_first_line_of_a_large_field(self):
+        # about 10^12 lines, but e_3 answers at the first
+        field = FieldCtx(1000003)
+        spaces = [
+            triangular_space(field, 3),
+            gen_triangular(3, field, conjugate_by=random_invertible(field, 3, seeded(23))),
+        ]
+        for space in spaces:
+            assert find_adapted_vector(space, budget=1) == (0, 0, 1)
+            assert find_adapted_vector(space) == (0, 0, 1)
+            with self.exceeds(1, 0):
+                find_adapted_vector(space, budget=0)
 
 
 class TestDuality:

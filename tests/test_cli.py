@@ -6,10 +6,10 @@ from weaktri.errors import TheoremViolationError
 from weaktri.flags import Flag, flag_space
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat
-from weaktri.spaces import MatSpace, format_spacefile, parse_spacefile
+from weaktri.spaces import format_spacefile, parse_spacefile
 from weaktri.survey import CampaignSpec, gen_triangular, run_campaign
 
-from conftest import random_invertible, seeded
+from conftest import gf2_non_flag_hit, random_invertible, seeded
 
 CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(5)", "--dim", "3", "--contains-identity"]
 
@@ -111,16 +111,8 @@ def test_recover_a_conjugate_of_t4_over_gf7(tmp_path, capsys):
 
 
 def test_recover_a_failed_gate_prints_its_trace(tmp_path, capsys):
-    # an optimal weakly triangularizable space over GF(2) that is no flag
-    # space: one of the non-flag hits of the n=3 GF(2) dim-6 campaign on I
-    gf2 = FieldCtx(2, exploratory=True)
-
-    def unit(i, j):
-        return Mat.unit(gf2, 3, i, j)
-
-    space = MatSpace.from_span(
-        [unit(0, 0), unit(1, 0), unit(1, 1) + unit(2, 2), unit(1, 2), unit(2, 0), unit(2, 1)]
-    )
+    space = gf2_non_flag_hit()
+    gf2 = space.field
     report = run_campaign(
         CampaignSpec(n=3, field=gf2, dim=6, constraints=(Mat.identity(gf2, 3),))
     )
@@ -157,6 +149,16 @@ def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):
     path.write_text(capsys.readouterr().out)
     assert main(["adapted", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "adapted 0 1"
+
+
+def test_adapted_budget_bounds_the_lines_tried(sl2, capsys):
+    # sl2 over GF(3) has no adapted line: all 4 lines of F_3^2 are tried
+    assert main(["adapted", sl2, "--budget", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 4 lines exceed the line-scan budget 3\n"
+    assert main(["adapted", sl2, "--budget", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "none"
 
 
 def test_lemma31_over_gf5(capsys):
@@ -198,6 +200,7 @@ def test_lemma31_help_says_what_the_budget_bounds(capsys):
         ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3"],
         ["recover", "T3"],
         ["lemma31", "--field", "GF(3)", "--degree", "2"],
+        ["adapted", "SL2"],
     ],
 )
 def test_negative_budget_exits_1(sl2, t3, argv, capsys):

@@ -8,6 +8,7 @@ from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
     Flag,
+    _generates,
     _trace_form_radical,
     extract_structure_maps,
     flag_space,
@@ -16,29 +17,25 @@ from weaktri.flags import (
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, span_rows
 from weaktri.spaces import MatSpace
-from weaktri.survey import gen_random, gen_sym, gen_triangular
+from weaktri.survey import gen_random, gen_sl, gen_sym, gen_triangular
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import (
     counting_char_polys,
+    cycle,
     full_space,
+    gf2_non_flag_hit,
     random_invertible,
     seeded,
     triangular_space,
 )
-from oracles import apply, in_span, invariant_subspaces, is_chain
+from oracles import apply, gram_radical, in_span, invariant_subspaces, is_chain
 
 
 def conjugate_chain(p, field, n):
     return tuple(
         span_rows([p.col(j) for j in range(i)], field) for i in range(n + 1)
     )
-
-
-def cycle(field, n):
-    """The permutation matrix with columns e_2, ..., e_n, e_1: its flag's
-    hyperplane holds e_2, ..., e_n."""
-    return Mat(field, n, [int(i == (j + 1) % n) for i in range(n) for j in range(n)])
 
 
 class TestFlag:
@@ -116,6 +113,86 @@ class TestRadicalChain:
                     )
                 flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
                 assert flag.chain() == tuple(reversed(chain))
+
+
+class TestAnnihilator:
+    # the radical read off the canonical basis is checked against the Gram
+    # matrix's kernel: isotropy of S^perp holds exactly when the Gram radical
+    # has dimension n(n-1)/2, and then the two span the same space
+    def test_matches_the_gram_radical(self, gf3, gf9):
+        rng = seeded(61)
+        fields = (FieldCtx(2, exploratory=True), gf3, gf9, FieldCtx(101))
+        spaces = [gf2_non_flag_hit()] + [gen_sl(2, field) for field in fields]
+        for field in fields:
+            for n in (1, 2, 3, 4, 5):
+                spaces += [
+                    gen_triangular(n, field),
+                    gen_triangular(n, field, conjugate_by=random_invertible(field, n, rng)),
+                    gen_sym(n, field),
+                ]
+                spaces += [gen_random(n, field, n * (n + 1) // 2, seed) for seed in range(3)]
+        outcomes = set()
+        for space in spaces:
+            F, n = space.field, space.n
+            gram = gram_radical(space)
+            radical = _trace_form_radical(space)
+            assert (radical is not None) == (len(gram) == n * (n - 1) // 2)
+            if radical is not None:
+                assert MatSpace.from_span(radical, field=F, n=n) == MatSpace.from_span(
+                    gram, field=F, n=n
+                )
+            outcomes.add((F.p == 2, radical is not None))
+        # both verdicts occur, in odd characteristic and over GF(2); e.g.
+        # S^perp of the symmetric matrices is the skew-symmetric ones, not
+        # isotropic in odd characteristic and inside S over GF(2)
+        assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
+class TestGate:
+    # containment decides flag_space(flag) == space with no kernel
+    def test_agrees_with_the_flag_space(self, gf3, gf5, gf9):
+        rng = seeded(67)
+        for field in (gf3, gf5, gf9, FieldCtx(101)):
+            for n in (1, 2, 3, 4):
+                flags = [
+                    Flag(field, [p.col(j) for j in range(n)])
+                    for p in (random_invertible(field, n, rng) for _ in range(3))
+                ]
+                for flag in flags:
+                    space = flag_space(flag)
+                    candidates = [flag_space(other) for other in flags]
+                    for i, b in enumerate(space.basis):
+                        # one basis entry changed
+                        entries = list(b.entries)
+                        k = rng.randrange(n * n)
+                        entries[k] = field.add(entries[k], 1)
+                        changed = Mat(field, n, entries)
+                        basis = space.basis[:i] + (changed,) + space.basis[i + 1 :]
+                        candidates.append(MatSpace.from_span(basis, field=field, n=n))
+                    for candidate in candidates:
+                        assert _generates(flag, candidate) == (flag_space(flag) == candidate)
+
+    def test_recovery_runs_one_kernel_and_no_flag_space(self, gf3, gf5, monkeypatch):
+        calls = []
+        real = weaktri.flags.kernel_basis
+        monkeypatch.setattr(
+            weaktri.flags, "kernel_basis", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+
+        def no_flag_space(flag):
+            raise AssertionError("recovery builds a flag space")
+
+        monkeypatch.setattr(weaktri.flags, "flag_space", no_flag_space)
+        rng = seeded(71)
+        for field in (gf3, gf5):
+            for n in (1, 2, 3, 4, 5):
+                p = random_invertible(field, n, rng)
+                space = gen_triangular(n, field, conjugate_by=p)
+                calls.clear()
+                flag, trace = recover_flag(space)
+                assert trace.all_checks_pass()
+                assert flag.chain() == conjugate_chain(p, field, n)
+                assert len(calls) == 1
 
 
 class TestInvariantSubspaces:
@@ -355,8 +432,24 @@ class TestExtraction:
             extract_structure_maps(smaller, Flag.standard(gf3, 3))
 
     def test_flag_of_another_size_rejected(self, gf3):
+        # a flag's constraint rows have n^2 entries: one of another size
+        # must be refused, not dotted against a truncated basis matrix
         with pytest.raises(PreconditionError):
             extract_structure_maps(triangular_space(gf3, 4), Flag.standard(gf3, 3))
+        with pytest.raises(PreconditionError):
+            extract_structure_maps(triangular_space(gf3, 3), Flag.standard(gf3, 4))
+
+    def test_flag_over_another_field_rejected(self, gf3, gf5):
+        # the standard flag's constraints vanish on T_3 over either field
+        with pytest.raises(PreconditionError):
+            extract_structure_maps(triangular_space(gf3, 3), Flag.standard(gf5, 3))
+
+    def test_space_of_the_wrong_dimension_rejected(self, gf3):
+        t3 = triangular_space(gf3, 3)
+        larger = MatSpace.from_span(t3.basis + (Mat.unit(gf3, 3, 2, 0),), field=gf3, n=3)
+        for space in (larger, full_space(gf3, 3)):
+            with pytest.raises(PreconditionError):
+                extract_structure_maps(space, Flag.standard(gf3, 3))
 
     def test_one_inversion_per_extraction(self, gf3, monkeypatch):
         calls = []
