@@ -29,8 +29,8 @@ from .gf import (
     poly_gcd,
     splits_over,
 )
-from .grassmann import enumerate_subspaces, grassmann_count
-from .linalg import Mat, char_poly, det, invert, kernel_basis, rref, rref_solve, span_rows
+from .grassmann import grassmann_count
+from .linalg import Mat, char_poly, invert, kernel_basis, rref, rref_solve, span_rows
 from .pencils import (
     CounterexampleReport,
     PencilReport,

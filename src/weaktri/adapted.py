@@ -51,7 +51,7 @@ def range_constrained(space: MatSpace, x) -> MatSpace:
             rows.append(tuple(F.axpy(F.neg(xn[i]), leads, entries)))
     if not space.basis:
         return space
-    coeff_vectors = kernel_basis(rows, F)
+    coeff_vectors = kernel_basis(rows, F, width=space.dim)
     mats = [space.combination(c) for c in coeff_vectors]
     return MatSpace.from_span(mats, field=F, n=n)
 

@@ -92,8 +92,6 @@ def cmd_check(args):
         if kind != "sample" or len(parts) != 2:
             raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED")
         count, seed = map(int, parts)
-        if count < 0:
-            raise ValueError(f"sample count must be >= 0, got {count}")
         verdict = space_weakly_triangularizable(
             space, mode="sample", count=count, seed=seed, budget=args.budget
         )

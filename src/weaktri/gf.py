@@ -395,13 +395,6 @@ class Poly:
         if not isinstance(other, Poly) or other.field != self.field:
             raise TypeError("polynomials over different fields")
 
-    def eval(self, x):
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def monic(self):
         if self.is_zero or self.is_monic:
             return self

@@ -1,8 +1,9 @@
-"""Counting and streaming the k-dimensional subspaces of F^m.
+"""Counting subspaces and the quotient lift.
 
-Subspaces are produced exactly once each, as canonical RREF bases (tuples of
-row tuples): pivot patterns in lexicographic order, free entries in
-lexicographic odometer order within a pattern.
+The k-dimensional subspaces of F^m are counted by the Gaussian binomial and
+split by the pivot pattern of their canonical RREF basis.  A subspace that
+must contain a constraint span is a subspace of the quotient by that span,
+lifted back onto the section (non-pivot) columns.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import itertools
 
 from .errors import PreconditionError, TheoremViolationError
 from .linalg import rref, span_rows
-from .spaces import check_budget
 
 
 def grassmann_count(m: int, k: int, q: int) -> int:
@@ -33,49 +33,12 @@ def pivot_patterns(m: int, k: int):
     return list(itertools.combinations(range(m), k))
 
 
-def free_positions(pattern, m):
-    """Non-pivot positions to the right of each row's pivot, row-major."""
-    pivot_set = set(pattern)
-    return [
-        (row, col)
-        for row, pc in enumerate(pattern)
-        for col in range(pc + 1, m)
-        if col not in pivot_set
-    ]
-
-
 def pattern_size(pattern, m, q):
-    """Number of subspaces whose RREF has this pivot pattern."""
-    return q ** len(free_positions(pattern, m))
-
-
-def _enumerate_plain(m, k, field):
-    for pattern in pivot_patterns(m, k):
-        free = free_positions(pattern, m)
-        template = [[0] * m for _ in range(k)]
-        for row, pc in enumerate(pattern):
-            template[row][pc] = 1
-        for values in itertools.product(field.elements(), repeat=len(free)):
-            rows = [list(r) for r in template]
-            for (row, col), v in zip(free, values):
-                rows[row][col] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def enumerate_subspaces(m, k, field, must_contain=(), budget=None):
-    """Stream every k-dimensional subspace of F^m satisfying the constraints.
-
-    ``must_contain`` is a list of vectors whose span the subspace must
-    include; those are handled by enumerating (k - r)-dimensional subspaces
-    of the quotient by the constraint span and lifting back.
-    """
-    reduced, section = reduce_constraints(list(must_contain), m, field)
-    r = len(reduced)
-    if r > k:
-        raise ValueError(f"cannot fit a {r}-dimensional constraint span in dimension {k}")
-    check_budget(grassmann_count(m - r, k - r, field.q), budget, "subspaces exceed budget")
-    for sub in _enumerate_plain(m - r, k - r, field):
-        yield lift_quotient_rows(reduced, section, sub, field) if r else sub
+    """Number of subspaces whose RREF has this pivot pattern: q to the number
+    of non-pivot positions to the right of each row's pivot."""
+    pivot_set = set(pattern)
+    free = sum(1 for pc in pattern for col in range(pc + 1, m) if col not in pivot_set)
+    return q**free
 
 
 def reduce_constraints(rows, m, field):

@@ -196,12 +196,6 @@ def invert(m: Mat):
     return Mat._wrap(F, n, tuple(e for row in reduced for e in row[n:]))
 
 
-def det(m: Mat):
-    """Determinant, read off the division-free characteristic polynomial."""
-    c0 = char_poly(m)[0]
-    return c0 if m.n % 2 == 0 else m.field.neg(c0)
-
-
 def char_poly(m: Mat) -> Poly:
     """Characteristic polynomial det(tI - M), monic; see ``char_poly_coeffs``."""
     return Poly(m.field, char_poly_coeffs(m.field, m.n, m.entries))

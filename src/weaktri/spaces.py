@@ -113,28 +113,20 @@ class MatSpace:
     def element_count(self) -> int:
         return self.field.q**self.dim
 
-    def enumerate_elements(self, budget=None):
-        """Yield all q^d elements once, coefficient vectors in lexicographic order.
-
-        Prefix sums are shared across the sweep, so each element costs one
-        scaled vector addition instead of a full combination.
-        """
-        check_budget(self.element_count(), budget, "elements exceed the sweep budget")
-        for _rank, m in self._sweep(range(self.dim), (0,) * (self.n * self.n), 0):
-            yield m
-
     def enumerate_classes(self, budget=None):
         """Yield (rank, element) for one element per class of M ~ cM, c != 0,
         and, when I is in the space, also M ~ M + lambda I.
 
         Both moves keep a characteristic polynomial split or non-split, so a
-        split decision over the classes decides every element.  The element
-        is the first of its class in ``enumerate_elements`` order and
-        ``rank`` is its position there: the zero element, or the element
-        whose leading coefficient is 1 and whose coefficient is 0 at the
-        leading coordinate of I's coefficient vector.  Classes come in rank
-        order, so the first class with some property holds the first
-        element with it.  The budget bounds the classes yielded:
+        split decision over the classes decides every element.  The rank of
+        an element is the position of its coefficient vector over the basis
+        in the lexicographic order of F^d: the integer whose base-q digits
+        are the packed coefficients.  The element yielded is the one of
+        least rank in its class: the zero element, or the element whose
+        leading coefficient is 1 and whose coefficient is 0 at the leading
+        coordinate of I's coefficient vector.  Classes come in rank order,
+        so the first class with some property holds the element of least
+        rank with it.  The budget bounds the classes yielded:
         1 + (q^d' - 1)/(q - 1), where d' is d - 1 when I is in the space and
         d otherwise.
         """
@@ -149,8 +141,8 @@ class MatSpace:
                 yield from self._sweep(rest, self.basis[lead].entries, q ** (d - 1 - lead))
 
     def enumerate_modulo_identity(self):
-        """Yield one element per coset of F.I in the space, in
-        ``enumerate_elements`` order: those whose coefficient is 0 at the
+        """Yield one element per coset of F.I in the space, in rank order
+        (see ``enumerate_classes``): those whose coefficient is 0 at the
         leading coordinate of I's coefficient vector (every element when I
         is outside the space)."""
         pinned = self._identity_lead()
@@ -168,11 +160,11 @@ class MatSpace:
 
     def _sweep(self, positions, start, rank):
         """Yield (rank, start + sum c_i basis[i]) over every choice of the
-        coefficients c_i at ``positions``, in lexicographic order; the rank of
-        an element is its position in ``enumerate_elements``."""
+        coefficients c_i at ``positions``, in lexicographic order.  ``rank``
+        starts as the rank of ``start``, whose coefficients at ``positions``
+        are 0, and adds c_i q^(d-1-i) (see ``enumerate_classes``)."""
         F, n, d = self.field, self.n, self.dim
         axpy = F.axpy
-        nonzero = tuple(enumerate(F.elements()))[1:]
         rows = [(self.basis[i].entries, F.q ** (d - 1 - i)) for i in positions]
 
         def rec(idx, acc, rank):
@@ -181,12 +173,8 @@ class MatSpace:
                 return
             row, weight = rows[idx]
             yield from rec(idx + 1, acc, rank)
-            for pos, c in nonzero:
-                yield from rec(
-                    idx + 1,
-                    axpy(c, row, acc),
-                    rank + pos * weight,
-                )
+            for c in range(1, F.q):
+                yield from rec(idx + 1, axpy(c, row, acc), rank + c * weight)
 
         yield from rec(0, start, rank)
 

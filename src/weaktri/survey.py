@@ -1,5 +1,7 @@
 """Named matrix-space families and survey campaigns over the Grassmannian of
-matrix subspaces: the campaign policy.
+matrix subspaces: the campaign policy.  ``count_flags`` is the closed-form
+count of complete flags, which an optimal campaign over an odd field must
+match hit for hit.
 
 A campaign sweeps every candidate subspace of the target dimension
 (optionally constrained to contain given matrices, e.g. the identity),
@@ -32,17 +34,13 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx
-from .grassmann import enumerate_subspaces, grassmann_count, pivot_patterns
+from .grassmann import grassmann_count, pivot_patterns
 from .linalg import Mat
 from .scan import Quotient
 from .spaces import MatSpace, check_budget, check_matrix_size, format_spacefile, parse_spacefile
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
-
-# count_flags enumerates the chains to confirm the closed form only up to
-# this many flags (about 10 us per chain)
-_CHAIN_CHECK_LIMIT = 10**5
 
 
 # -- named families -------------------------------------------------------------
@@ -120,36 +118,14 @@ def gen_random(n, field, dim, seed) -> MatSpace:
 
 
 def count_flags(n, field) -> int:
-    """Number of complete flags of F^n.
-
-    Product formula, cross-checked against direct chain enumeration for
-    n <= 3 when it counts at most ``_CHAIN_CHECK_LIMIT`` flags (both must
-    agree).
-    """
+    """Number of complete flags of F^n: the product over i = 1..n of
+    (q^i - 1)/(q - 1) (Stanley, Enumerative Combinatorics I, 1.7)."""
     check_matrix_size(n)
-    formula = step = 1
+    count = step = 1
     for _ in range(2, n + 1):
         step = step * field.q + 1  # (q^i - 1)/(q - 1) = 1 + q + ... + q^(i-1)
-        formula *= step
-    if n <= 3 and formula <= _CHAIN_CHECK_LIMIT:
-        direct = _count_chains(n, field)
-        if direct != formula:
-            raise TheoremViolationError(
-                f"flag count mismatch: direct {direct} vs formula {formula}"
-            )
-    return formula
-
-
-def _count_chains(n, field):
-    def extend(prev_rows, k):
-        if k == n:
-            return 1
-        total = 0
-        for rows in enumerate_subspaces(n, k, field, must_contain=prev_rows):
-            total += extend(rows, k + 1)
-        return total
-
-    return extend((), 1)
+        count *= step
+    return count
 
 
 # -- campaign data --------------------------------------------------------------

@@ -21,13 +21,24 @@ must span whenever that kernel has dimension n(n-1)/2.
 vectors were packed: rows are coordinate lists, and each combination is
 added coordinate by coordinate.  The packed scan must decide every pattern
 exactly as it does.
+
+``all_elements`` is the full sweep over all q^dim elements, in the rank
+order of ``MatSpace.enumerate_classes``.  ``enumerate_subspaces`` streams
+the subspaces of F^m one by one; ``count_chains`` counts the complete flags
+with it, which ``count_flags``'s closed form must equal.  ``poly_eval`` is
+Horner evaluation, for root scans.
 """
 
 import itertools
 
 from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import Poly
-from weaktri.grassmann import enumerate_subspaces, pattern_size
+from weaktri.grassmann import (
+    lift_quotient_rows,
+    pattern_size,
+    pivot_patterns,
+    reduce_constraints,
+)
 from weaktri.linalg import Mat, char_poly, invert, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.triang import is_triangularizable
@@ -81,10 +92,71 @@ def monic_polys(field, degree):
         yield Poly(field, tail + (1,))
 
 
+def poly_eval(poly: Poly, x):
+    """poly(x) by Horner's rule."""
+    F = poly.field
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def all_elements(space):
+    """Every element of the space, one combination per coefficient vector,
+    coefficient vectors in lexicographic order."""
+    for coeffs in itertools.product(space.field.elements(), repeat=space.dim):
+        yield space.combination(coeffs)
+
+
+def _subspaces_by_pattern(m, k, field):
+    for pattern in pivot_patterns(m, k):
+        pivot_set = set(pattern)
+        free = [
+            (row, col)
+            for row, pc in enumerate(pattern)
+            for col in range(pc + 1, m)
+            if col not in pivot_set
+        ]
+        for values in itertools.product(field.elements(), repeat=len(free)):
+            rows = [[int(col == pc) for col in range(m)] for pc in pattern]
+            for (row, col), v in zip(free, values):
+                rows[row][col] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def enumerate_subspaces(m, k, field, must_contain=()):
+    """Every k-dimensional subspace of F^m that contains ``must_contain``,
+    once each, as canonical RREF bases: pivot patterns in lexicographic
+    order, free entries in lexicographic order within a pattern.  With
+    constraints, the (k - r)-dimensional subspaces of the quotient by their
+    r-dimensional span are lifted back."""
+    reduced, section = reduce_constraints(list(must_contain), m, field)
+    r = len(reduced)
+    if r > k:
+        raise ValueError(f"cannot fit a {r}-dimensional constraint span in dimension {k}")
+    for sub in _subspaces_by_pattern(m - r, k - r, field):
+        yield lift_quotient_rows(reduced, section, sub, field) if r else sub
+
+
+def count_chains(n, field):
+    """Number of complete flags of F^n, one subspace at a time: each
+    k-dimensional subspace extends by every (k+1)-dimensional one that
+    contains it."""
+    def extend(prev_rows, k):
+        if k == n:
+            return 1
+        return sum(
+            extend(rows, k + 1)
+            for rows in enumerate_subspaces(n, k, field, must_contain=prev_rows)
+        )
+
+    return extend((), 1)
+
+
 def adapted_by_sweep(space, x) -> bool:
     """Adaptedness by enumerating every element of the space."""
     line = span_rows([tuple(x)], space.field)
-    for m in space.enumerate_elements():
+    for m in all_elements(space):
         if m.trace() == 0 and _column_space(m) == line:
             return False
     return True
@@ -94,7 +166,7 @@ def adapted_hyperplane_by_sweep(space, spanning) -> bool:
     """True when no trace-zero element of the space has kernel exactly the
     hyperplane spanned by ``spanning``."""
     target = span_rows([tuple(v) for v in spanning], space.field)
-    for m in space.enumerate_elements():
+    for m in all_elements(space):
         if m.trace() != 0:
             continue
         kern = _kernel_rows(m)
@@ -115,7 +187,7 @@ def weakly_triangularizable_by_sweep(space):
     """(verdict, first witness, elements checked) of the full lexicographic
     sweep over all q^dim elements."""
     checked = 0
-    for m in space.enumerate_elements():
+    for m in all_elements(space):
         checked += 1
         if not is_triangularizable(m):
             return False, m, checked
@@ -126,7 +198,7 @@ def goodness_by_full_lifts(field, n, constraint_rows, section_cols):
     """good[packed class] by testing the class's base point plus every
     element of the whole constraint span, for every class."""
     span = MatSpace.from_span([Mat(field, n, r) for r in constraint_rows], field=field, n=n)
-    lifts = [z.entries for z in span.enumerate_elements()]
+    lifts = [z.entries for z in all_elements(span)]
     q, k = field.q, len(section_cols)
     table = []
     for digits in itertools.product(range(q), repeat=k):
@@ -280,7 +352,7 @@ def triangularize(m: Mat) -> Mat:
     if n == 1:
         return Mat.identity(F, 1)
     poly = char_poly(m)
-    lam = next((z for z in F.elements() if poly.eval(z) == 0), None)
+    lam = next((z for z in F.elements() if poly_eval(poly, z) == 0), None)
     if lam is None:
         raise PreconditionError("matrix has a non-split characteristic polynomial")
     shifted = m - Mat.identity(F, n).scale(lam)

@@ -22,7 +22,23 @@ from conftest import (
     seeded,
     triangular_space,
 )
-from oracles import adapted_by_sweep, adapted_hyperplane_by_sweep, apply, transpose_dual
+from oracles import (
+    adapted_by_sweep,
+    adapted_hyperplane_by_sweep,
+    all_elements,
+    apply,
+    transpose_dual,
+)
+
+
+def range_by_sweep(space, x):
+    """The elements of the space whose columns all lie on the line F.x."""
+    line = span_rows([tuple(x)], space.field)
+    return {
+        m
+        for m in all_elements(space)
+        if all(span_rows([line[0], m.col(j)], space.field) == line for j in range(space.n))
+    }
 
 
 class TestProjectiveReps:
@@ -63,6 +79,19 @@ class TestRangeConstrained:
     def test_zero_vector_rejected(self, gf3):
         with pytest.raises(ValueError):
             range_constrained(triangular_space(gf3, 2), (0, 0))
+
+    @pytest.mark.parametrize("field_args", [(3,), (3, 2, (1, 0, 1))])
+    def test_one_by_one_matches_the_sweep(self, field_args):
+        # with n = 1 there are no constraint rows: all of M_1 spans the line
+        field = FieldCtx(*field_args)
+        m1 = full_space(field, 1)
+        zero = MatSpace.from_span([], field=field, n=1)
+        for x in [(c,) for c in field.elements() if c]:
+            for space in (m1, zero):
+                constrained = range_constrained(space, x)
+                assert constrained == space
+                assert set(all_elements(constrained)) == range_by_sweep(space, x)
+                assert is_adapted_vector(space, x) == adapted_by_sweep(space, x)
 
     def test_members_have_range_in_line(self, gf5):
         rng = seeded(3)

@@ -151,6 +151,15 @@ def test_adapted_vector_of_the_triangular_plane(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "adapted 0 1"
 
 
+@pytest.mark.parametrize("field", ["GF(3)", "GF(3^2; 1,0,1)"])
+def test_adapted_vector_of_the_one_by_one_matrices(tmp_path, capsys, field):
+    assert main(["gen", "--kind", "triangular", "--n", "1", "--field", field]) == 0
+    path = tmp_path / "m1.space"
+    path.write_text(capsys.readouterr().out)
+    assert main(["adapted", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "adapted 1"
+
+
 def test_adapted_budget_bounds_the_lines_tried(sl2, capsys):
     # sl2 over GF(3) has no adapted line: all 4 lines of F_3^2 are tried
     assert main(["adapted", sl2, "--budget", "3"]) == 4

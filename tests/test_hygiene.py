@@ -98,9 +98,6 @@ ENTRY_POINTS = {
     "flags.Flag.chain": "the recover-mix benchmark compares recovered flags by their chain",
     "linalg.rref_solve": "the benchmark tracer wraps it by name",
     "pencils.char2_odd_counterexample": "the lemma31 benchmark runs the GF(2) counterexamples",
-    "spaces.MatSpace.enumerate_elements": "the full sweep; enumerate_classes ranks are positions in it",
-    "linalg.det": "matrix API exported by the package",
-    "gf.Poly.eval": "polynomial API; the tests' root scans use it",
 }
 
 

@@ -17,7 +17,6 @@ from weaktri.linalg import Mat, char_poly_coeffs
 from weaktri.scan import Quotient
 from weaktri.survey import (
     CampaignSpec,
-    _count_chains,
     count_flags,
     gen_random,
     gen_sl,
@@ -28,9 +27,11 @@ from weaktri.survey import (
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import counting_char_polys
-from oracles import goodness_by_full_lifts
+import oracles
+from oracles import count_chains, goodness_by_full_lifts
 
-FIELDS = [(3,), (5,), (7,), (3, 2, (1, 0, 1))]
+GF9 = (3, 2, (1, 0, 1))
+FIELDS = [(3,), (5,), (7,), GF9]
 CAMPAIGN = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3", "--contains-identity"]
 
 
@@ -90,13 +91,24 @@ def test_non_split_constraint_dooms_every_candidate(gf3):
     assert (report.total, report.hit_count) == (grassmann_count(3, 1, 3), 0)
 
 
-@pytest.mark.parametrize("n, q", [(2, 3), (2, 7), (3, 3), (3, 5)])
-def test_flag_count_agrees_with_chain_enumeration(n, q):
-    field = FieldCtx(q)
-    assert count_flags(n, field) == _count_chains(n, field)
+@pytest.mark.parametrize(
+    "n, field_args",
+    [(2, (3,)), (2, (7,)), (3, (3,)), (3, (5,)), (2, GF9), (3, GF9), (3, (2, 1, None, True))],
+    ids=["2-3", "2-7", "3-3", "3-5", "2-9", "3-9", "3-2"],
+)
+def test_flag_count_agrees_with_chain_enumeration(n, field_args):
+    field = FieldCtx(*field_args)
+    assert count_flags(n, field) == count_chains(n, field)
 
 
-def test_large_flag_count_skips_the_chain_enumeration():
+def test_count_flags_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_flags enumerated subspaces")
+
+    monkeypatch.setattr(oracles, "enumerate_subspaces", refuse)
+    for name in ("grassmann_count", "pivot_patterns"):
+        monkeypatch.setattr(weaktri.survey, name, refuse)
+    assert [count_flags(n, FieldCtx(2, exploratory=True)) for n in (1, 2, 3)] == [1, 3, 21]
     q = 1000003
     assert count_flags(3, FieldCtx(q)) == (q + 1) * (q * q + q + 1)
 
