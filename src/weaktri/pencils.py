@@ -8,8 +8,15 @@ p = t^d and q = t^d - (t-1)^d.
 ``verify_pencil_division`` checks the statement on every monic pair.  Each
 pencil p - lambda*q is itself monic of degree d, so the sweep first decides
 all q^d monic degree-d polynomials with ``splits_over`` and keeps the split
-ones, as coefficient tuples, in a split table.  A pencil is then decided by
-one set lookup on its coefficient tuple.
+ones in a lookup set.  A pencil is then decided by one integer addition
+and one set lookup.  Over GF(p^k) an element's base-p digits add digit-wise
+mod p, so a tail (the coefficients below the leading 1) is packed digit by
+digit into one integer, w = (2p - 2).bit_length() bits per digit.  Then
+packed(p) + packed(-lambda*q) holds the tail of p - lambda*q: each slot
+sums two digits below p, so it stays in [0, 2p - 2] and never carries into
+the next.  The lookup set holds every such unreduced form of each split
+tail, a digit d also as d + p when d + p <= 2p - 2; that is at most
+2^(d*k) forms per split tail, and no form names two tails.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import TheoremViolationError
 from .gf import FieldCtx, Poly, splits_over
-from .spaces import check_budget
+from .spaces import check_budget, check_budget_floor
 
 
 def pencil_splits_all(p: Poly, q: Poly) -> bool:
@@ -65,10 +72,17 @@ class PencilReport:
         return line
 
 
-def _monic_coeffs(field, degree):
-    """Coefficient tuples, constant term first, of the monic polynomials of
-    ``degree``, in lexicographic order of their tails."""
-    return [tail + (1,) for tail in itertools.product(field.elements(), repeat=degree)]
+def _pack(spread, coeffs, stride):
+    """The packed digits of ``coeffs``: coefficient i from bit i*stride up,
+    with ``spread[c]`` the packed digits of element c."""
+    return sum(spread[c] << (i * stride) for i, c in enumerate(coeffs))
+
+
+def _packed_tails(spread, degree, stride):
+    """``_pack`` of every tail of ``degree`` coefficients, in the order of
+    ``itertools.product(field.elements(), repeat=degree)``."""
+    columns = [[s << (i * stride) for s in spread] for i in range(degree)]
+    return list(map(sum, itertools.product(*columns)))
 
 
 def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilReport:
@@ -76,15 +90,22 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
     for every lambda, q must divide p.
 
     Every pair is counted and decided, p in the outer loop and q in the
-    inner one, in the order of their coefficient tails.  The split table
-    holds the monic degree-d coefficient tuples that split; each of the q^d
-    candidates is decided once by ``splits_over``, and the q^(2d-1) pairs
-    the budget bounds are at least as many.  A p that does not split
-    rejects its whole row of q^(d-1) pairs, counted at once, since its
-    lambda = 0 pencil is p itself.  For a split p, the pencils
-    lambda = 1, ..., q-1 of each q are looked up in the table until the
-    first miss, and only a pair whose pencils all split is tested for
-    divisibility.
+    inner one, in the order of their coefficient tails.  The budget bounds
+    the q^(2d-1) pairs, which is at least the q^d candidates that
+    ``splits_over`` decides once each; a split p then costs up to q - 1
+    pencil lookups per pair.  A p that does not split rejects its whole
+    row of q^(d-1) pairs at once, since its lambda = 0 pencil is p itself.
+    For a split p, the lambda = 1 pencils of the whole row are looked up
+    first, then the pencils lambda = 1, ..., q-1 of each q that passed,
+    until the first miss.  Only a pair whose pencils all split is tested
+    for divisibility by ``Poly`` division.
+
+    Each lookup is one integer addition and one set lookup: the packed
+    tail of p plus the packed tail of -lambda*q, built once per sweep, is
+    an unreduced packed tail of p - lambda*q, since slots of
+    w = (2p - 2).bit_length() bits never carry (see the module docstring).
+    The lookup set holds all unreduced forms of the split tails, at most
+    2^(d*k) per split tail over GF(p^k).
 
     Any violating pair ends up in the report; an empty list certifies the
     statement for this field and degree.
@@ -93,23 +114,40 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
         raise ValueError("the divisibility statement needs a field with more than 2 elements")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    check_budget(field.q ** (2 * degree - 1), budget, "pairs exceed budget")
-    monics = _monic_coeffs(field, degree)
-    split = frozenset(p for p in monics if splits_over(Poly(field, p)))
-    divisors = _monic_coeffs(field, degree - 1)
-    # lambda*q for lambda != 0, padded with a zero t^d coefficient
-    multiples = [
-        [tuple(field.axpy(lam, q)) + (0,) for lam in field.elements() if lam]
+    exponent, what = 2 * degree - 1, "pairs exceed budget"  # q^exponent pairs
+    check_budget_floor(exponent * (field.q.bit_length() - 1), budget, what)
+    check_budget(field.q**exponent, budget, what)
+    char, width = field.p, (2 * field.p - 2).bit_length()
+    stride = field.k * width
+    elements = field.elements()
+    # range(char) maps each digit to itself
+    spread = [_pack(range(char), field.to_digits(a), width) for a in elements]
+    tails = list(itertools.product(elements, repeat=degree))
+    splits = [splits_over(Poly(field, tail + (1,))) for tail in tails]
+    packed = _packed_tails(spread, degree, stride)
+    lookup = {v for v, split in zip(packed, splits) if split}
+    mask = (1 << width) - 1
+    for shift in range(0, degree * stride, width):
+        lift = char << shift
+        lookup.update([v + lift for v in lookup if (v >> shift) & mask < char - 1])
+    divisors = [tail + (1,) for tail in itertools.product(elements, repeat=degree - 1)]
+    negs = [
+        [_pack(spread, field.axpy(field.neg(lam), q), stride) for lam in elements if lam]
         for q in divisors
     ]
-    report = PencilReport(field.descriptor(), degree, 0, 0)
-    for p in monics:
-        report.pairs_checked += len(divisors)
-        if p not in split:
+    firsts = [negs_q[0] for negs_q in negs]
+    report = PencilReport(field.descriptor(), degree, len(tails) * len(divisors), 0)
+    contains = lookup.__contains__
+    for tail, packed_p, split in zip(tails, packed, splits):
+        if not split:
             continue
-        for q, lam_qs in zip(divisors, multiples):
-            if all(tuple(map(field.sub, p, lam_q)) in split for lam_q in lam_qs):
+        # the lambda = 1 pencils of the whole row first, then every pencil
+        # of each q that passed
+        row = map(contains, map(packed_p.__add__, firsts))
+        for q, negs_q in itertools.compress(zip(divisors, negs), row):
+            if all(map(contains, map(packed_p.__add__, negs_q))):
                 report.hypothesis_hits += 1
+                p = tail + (1,)
                 if not (Poly(field, p) % Poly(field, q)).is_zero:
                     report.violations.append((p, q))
     return report

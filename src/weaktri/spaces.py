@@ -14,16 +14,45 @@ from .linalg import Mat, rref
 
 DEFAULT_BUDGET = 2**28
 
+# A count with a lower bound 2^N, N >= _EXACT_BITS, is far past any sweep
+# a run can make, and computing it exactly can take seconds (3^19999999
+# takes over 10 s), so it is refused on the bound alone.  Counts with a
+# smaller bound are computed and shown in full.
+_EXACT_BITS = 1 << 12
+
+
+def _resolve_budget(budget):
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if limit < 0:
+        raise PreconditionError(f"budget must be >= 0, got {limit}")
+    return limit
+
+
+def _shown(count):
+    try:
+        return str(count)
+    except ValueError:  # more digits than int-to-str conversion allows
+        return f"at least 2^{count.bit_length() - 1}"
+
 
 def check_budget(count, budget, what):
     """Raise BudgetExceededError "<count> <what> <limit>" when ``count``
     exceeds the budget; ``budget=None`` means DEFAULT_BUDGET.  A negative
-    budget is refused with PreconditionError."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if limit < 0:
-        raise PreconditionError(f"budget must be >= 0, got {limit}")
+    budget is refused with PreconditionError.  A count too long to print
+    is shown as "at least 2^N"."""
+    limit = _resolve_budget(budget)
     if count > limit:
-        raise BudgetExceededError(f"{count} {what} {limit}")
+        raise BudgetExceededError(f"{_shown(count)} {what} {_shown(limit)}")
+
+
+def check_budget_floor(bits, budget, what):
+    """Raise BudgetExceededError "at least 2^<bits> <what> <limit>" for a
+    count not yet computed but known to be at least 2^bits, when 2^bits
+    exceeds the budget and bits >= _EXACT_BITS.  Otherwise the caller
+    computes the count and passes it to ``check_budget``."""
+    limit = _resolve_budget(budget)
+    if bits >= max(limit.bit_length(), _EXACT_BITS):
+        raise BudgetExceededError(f"at least 2^{bits} {what} {_shown(limit)}")
 
 
 def check_matrix_size(n):

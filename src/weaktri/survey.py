@@ -37,7 +37,14 @@ from .gf import FieldCtx
 from .grassmann import grassmann_count, pivot_patterns
 from .linalg import Mat
 from .scan import Quotient
-from .spaces import MatSpace, check_budget, check_matrix_size, format_spacefile, parse_spacefile
+from .spaces import (
+    MatSpace,
+    check_budget,
+    check_budget_floor,
+    check_matrix_size,
+    format_spacefile,
+    parse_spacefile,
+)
 from .triang import space_weakly_triangularizable
 
 DEFAULT_SEED = 1729
@@ -306,9 +313,13 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     for m in spec.constraints:
         if m.field != field or m.n != n:
             raise PreconditionError("constraint matrix in the wrong ambient space")
-    # refused before the quotient builds its chunk tables
+    # refused before the quotient builds its chunk tables; the Gaussian
+    # binomial of j-subspaces of F^m is at least q^(j(m-j))
+    what = "candidates exceed the campaign budget"
+    exponent = (spec.dim - k) * (n * n - spec.dim)
+    check_budget_floor(exponent * (field.q.bit_length() - 1), spec.budget, what)
     expected = grassmann_count(n * n - k, spec.dim - k, field.q)
-    check_budget(expected, spec.budget, "candidates exceed the campaign budget")
+    check_budget(expected, spec.budget, what)
     quotient = Quotient(field, n, spec.constraints)
     report, spaces = _run_exhaustive(spec, quotient, expected)
     report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]

@@ -9,6 +9,7 @@ from weaktri.pencils import char2_odd_counterexample, pencil_splits_all, verify_
 
 GF9 = (3, 2, (1, 0, 1))
 GF4 = (2, 2, (1, 1, 1))
+GF8 = (2, 3, (1, 1, 0, 1))
 
 
 def _field(field_args):
@@ -47,6 +48,32 @@ def test_budget_bounds_the_pairs(capsys):
     assert captured.err == "budget exceeded: 2187 pairs exceed budget 2186\n"
 
 
+def test_hopeless_pair_counts_are_refused_uncomputed(capsys):
+    # 3^(2d-1) >= 2^(2d-1) decides without computing the count; the
+    # degree-10^7 count alone would take seconds
+    for degree in (5000, 10_000_000):
+        assert main(["lemma31", "--field", "GF(3)", "--degree", str(degree)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"budget exceeded: at least 2^{2 * degree - 1} pairs exceed budget 268435456\n"
+        )
+
+
+def test_pair_count_lower_bound_both_sides():
+    # 3^4097 pairs at degree 2049, bounded below by 2^4097: a budget under
+    # the bound is refused on it alone, one at the bound meets the count
+    gf3 = FieldCtx(3)
+    below = f"^at least 2\\^4097 pairs exceed budget {2**4097 - 1}$"
+    with pytest.raises(BudgetExceededError, match=below):
+        verify_pencil_division(gf3, 2049, budget=2**4097 - 1)
+    with pytest.raises(BudgetExceededError, match=f"^{3**4097} pairs exceed budget {2**4097}$"):
+        verify_pencil_division(gf3, 2049, budget=2**4097)
+    # a bound below 2^4096 is never used: the count is shown exactly
+    with pytest.raises(BudgetExceededError, match=f"^{3**4095} pairs exceed budget 0$"):
+        verify_pencil_division(gf3, 2048, budget=0)
+
+
 def test_negative_budget_is_refused(capsys):
     with pytest.raises(PreconditionError, match="^budget must be >= 0, got -1$"):
         verify_pencil_division(FieldCtx(3), 2, budget=-1)
@@ -61,9 +88,13 @@ def test_negative_budget_is_refused(capsys):
     assert capsys.readouterr().err == "budget exceeded: 27 pairs exceed budget 0\n"
 
 
+# packed slots of 2 to 5 bits, with 1 to 3 digits per coefficient
 @pytest.mark.parametrize(
     "field_args, degree",
-    [((3,), 1), ((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2), (GF4, 2), (GF4, 3)],
+    [
+        ((3,), 1), ((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2), (GF4, 2), (GF4, 3),
+        ((7,), 2), ((11,), 2), (GF8, 2),
+    ],
 )
 def test_sweep_agrees_with_every_pencil_decided(field_args, degree):
     field = _field(field_args)
@@ -71,6 +102,26 @@ def test_sweep_agrees_with_every_pencil_decided(field_args, degree):
     report = verify_pencil_division(field, degree)
     hits = sum(pencil_splits_all(p, q) for p, q in pairs)
     assert (report.pairs_checked, report.hypothesis_hits) == (len(pairs), hits)
+
+
+@pytest.mark.parametrize("field_args, degree", [((3,), 3), ((5,), 2), (GF9, 2)])
+def test_only_the_hits_are_divided(field_args, degree, monkeypatch):
+    field = _field(field_args)
+    pairs = _all_pairs(field, degree)
+    hits = [(p.coeffs, q.coeffs) for p, q in pairs if pencil_splits_all(p, q)]
+    divided = []
+
+    class Counted(Poly):
+        __slots__ = ()
+
+        def __mod__(self, other):
+            divided.append((self.coeffs, other.coeffs))
+            return super().__mod__(other)
+
+    monkeypatch.setattr(pencils, "Poly", Counted)
+    report = verify_pencil_division(field, degree)
+    assert len(divided) == report.hypothesis_hits
+    assert divided == hits
 
 
 @pytest.mark.parametrize("field_args, degree", [((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2)])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -7,7 +8,7 @@ from weaktri.flags import Flag, flag_space
 from weaktri.errors import BudgetExceededError, SpaceFileError
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, invert
-from weaktri.spaces import MatSpace, format_spacefile, parse_spacefile
+from weaktri.spaces import MatSpace, check_budget, format_spacefile, parse_spacefile
 from weaktri.survey import gen_triangular
 
 from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
@@ -335,3 +336,16 @@ class TestSpaceFiles:
     def test_unknown_directive(self):
         with pytest.raises(SpaceFileError, match="unknown directive"):
             parse_spacefile("field GF(3)\nn 2\nrows 1\n")
+
+
+def test_budget_message_of_a_count_too_long_to_print():
+    # 3^10000 has 4772 digits, past the default int-to-str limit of 4300
+    count = 3**10000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        message = f"^at least 2\\^{count.bit_length() - 1} steps exceed 10$"
+        with pytest.raises(BudgetExceededError, match=message):
+            check_budget(count, 10, "steps exceed")
+    finally:
+        sys.set_int_max_str_digits(saved)

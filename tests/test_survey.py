@@ -427,6 +427,20 @@ def test_budget_bounds_only_the_swept_hits(monkeypatch, capsys):
     assert capsys.readouterr().out.count("# alarm: recovery alarm: deliberate\n") == 4
 
 
+@pytest.mark.parametrize("n, dim", [(15, 110), (60, 1800)])
+def test_hopeless_campaigns_are_refused_uncomputed(n, dim, capsys):
+    # the Gaussian binomial of (dim - 1)-subspaces of the quotient by I is
+    # at least 3^((dim - 1)(n^2 - dim)); at n=60 computing it never ends
+    argv = ["campaign", "--n", str(n), "--field", "GF(3)", "--dim", str(dim), "--contains-identity"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bits = (dim - 1) * (n * n - dim)
+    assert captured.err == (
+        f"budget exceeded: at least 2^{bits} candidates exceed the campaign budget 268435456\n"
+    )
+
+
 def test_budget_trips_the_class_sweep_of_a_hit(gf3, monkeypatch):
     # 1 plane and 4 three-dimensional spaces pass through E00 and E01, so a
     # budget of 4 admits both campaigns; each hit's sweep holds 5 classes
