@@ -27,7 +27,10 @@ of I, so the lifts run over the constraint span modulo F.I.
 The scan enumerates RREF bases row by row, bottom row first, one pivot
 pattern at a time.  Any candidate whose partial span hits a bad class is
 rejected together with its entire subtree (all such candidates contain that
-same bad element), with skipped counts tracked exactly.
+same bad element), with skipped counts tracked exactly.  Each node checks
+forward one level: it filters the next level's rows once against its own
+span, and each row it accepts tests the survivors only against the span
+elements that row adds.
 
 Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
 matrix entry (i, j) by d_i/d_j and keeps every characteristic polynomial.
@@ -275,7 +278,8 @@ def _scan_pattern(chunks, good, torus, pattern):
     dropped from its level once.  A row is accepted when ``good`` holds at
     row + w for every w in the nonzero span of the rows below it: one
     ``test`` lookup per chunk gives the packed index, and one more reads
-    ``good``.  A rejected row takes every completion of the rows above it
+    ``good``; ``_descend`` says which rows are tested against which span
+    elements.  A rejected row takes every completion of the rows above it
     along.
 
     ``good`` must be constant on the orbits of the group ``torus``.  Of the
@@ -306,7 +310,6 @@ def _scan_pattern(chunks, good, torus, pattern):
             live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
         levels.append((live, dead, skip))
         skip *= q ** len(frees)
-    passes = _passes_two if len(chunks.widths) == 2 else _passes
     live, dead, skip = levels[-1]
     bad = dead * skip
     chosen = [None] * k
@@ -323,8 +326,9 @@ def _scan_pattern(chunks, good, torus, pattern):
         if k == 1:
             found.append(tuple(chosen))
         else:
-            grown = _grow(chunks, split, [])
-            bad += len(orbit) * _descend(chunks, good, passes, levels, k - 2, grown, chosen, found)
+            span = _grow(chunks, split, [])
+            domain = _filter(good, levels[-2][0], span)
+            bad += len(orbit) * _descend(chunks, good, levels, k - 2, span, domain, chosen, found)
         hits.extend(
             tuple(map(torus.image, itertools.repeat(g), hit, pattern))
             for hit in found
@@ -340,54 +344,52 @@ def _scan_pattern(chunks, good, torus, pattern):
     return expected, sorted(rows, key=lambda hit: hit[::-1])
 
 
-def _descend(chunks, good, passes, levels, i, span, chosen, hits):
-    """Try every row of level i against the nonzero span ``span`` of the
-    rows chosen below it, and recurse into the accepted ones; appends each
-    full candidate's packed rows to ``hits`` and returns the candidates
-    rejected."""
+def _descend(chunks, good, levels, i, span, domain, chosen, hits):
+    """Scan the subtree under ``domain``, the live rows of level i, in
+    order, that pass against ``span``, the nonzero span of the rows chosen
+    below; appends each full candidate's packed rows to ``hits`` and returns
+    its rejected candidates, (dead + |live| - |domain|) * skip of them here.
+
+    A nonempty domain filters level i - 1 against ``span`` once; each of its
+    rows keeps the survivors that pass against the span elements it adds,
+    which are built only when a survivor is left."""
     live, dead, skip = levels[i]
-    bad = dead * skip
-    for index, split, tabs in live:
-        if not passes(good, tabs, span):
-            bad += skip
-            continue
+    bad = (dead + len(live) - len(domain)) * skip
+    below = _filter(good, levels[i - 1][0], span) if i and domain else []
+    for index, split, _ in domain:
         chosen[i] = index
         if i == 0:
             hits.append(tuple(chosen))
         else:
-            grown = _grow(chunks, split, span)
-            bad += _descend(chunks, good, passes, levels, i - 1, grown, chosen, hits)
+            new = _grow(chunks, split, span) if below else []
+            kept = _filter(good, below, new)
+            bad += _descend(chunks, good, levels, i - 1, span + new, kept, chosen, hits)
     return bad
 
 
-def _passes(good, tabs, span):
-    """good[row + w] for every w in span, for the row whose ``test`` table
-    rows are ``tabs``."""
-    for w in span:
-        if not good[sum(map(operator.getitem, tabs, w))]:
-            return False
-    return True
-
-
-def _passes_two(good, tabs, span):
-    """``_passes`` for two chunks."""
-    a0, a1 = tabs
-    for x, y in span:
-        if not good[a0[x] + a1[y]]:
-            return False
-    return True
+def _filter(good, rows, span):
+    """The rows (index, split, tabs), in order, with good[row + w] for every
+    w in ``span``: row + w is packed as the sum of the row's tabs at w."""
+    kept = []
+    for row in rows:
+        tabs = row[2]
+        for w in span:
+            if not good[sum(map(operator.getitem, tabs, w))]:
+                break
+        else:
+            kept.append(row)
+    return kept
 
 
 def _grow(chunks, split, span):
-    """The nonzero span once the row with chunks ``split`` joins the rows
-    whose nonzero span is ``span``: the old span, then c * row + w for each
-    nonzero c and each w in {0} + span."""
+    """The span elements that the row with chunks ``split`` adds to the
+    rows whose nonzero span is ``span``: c * row + w for each nonzero c and
+    each w in {0} + span."""
     columns = list(zip(*span))
-    grown = list(span)
+    new = []
     for c in range(1, chunks.q):
         scaled = tuple(mul[c][v] for mul, v in zip(chunks.mul, split))
-        grown.append(scaled)
+        new.append(scaled)
         sums = (map(add[s].__getitem__, col) for add, s, col in zip(chunks.add, scaled, columns))
-        grown.extend(zip(*sums))
-    return grown
-
+        new.extend(zip(*sums))
+    return new

@@ -222,11 +222,10 @@ def format_spacefile(space: MatSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_spacefile(text: str, strict=False, exploratory=False) -> MatSpace:
+def parse_spacefile(text: str, exploratory=False) -> MatSpace:
     """Parse the plain-text space format.
 
-    Dependent or duplicate basis lines are canonicalized away unless
-    ``strict`` is set, in which case they are an error.
+    Dependent or duplicate basis lines are canonicalized away.
     """
     field = None
     n = None
@@ -276,10 +275,7 @@ def parse_spacefile(text: str, strict=False, exploratory=False) -> MatSpace:
         raise SpaceFileError("missing field/n header")
     if declared_dim is not None and declared_dim != len(mats):
         raise SpaceFileError(f"dim says {declared_dim} but {len(mats)} mat lines found")
-    space = MatSpace.from_span(mats, field=field, n=n)
-    if strict and space.dim != len(mats):
-        raise SpaceFileError("basis lines are linearly dependent (strict mode)")
-    return space
+    return MatSpace.from_span(mats, field=field, n=n)
 
 
 def _parse_int(text, lineno, what):

@@ -69,7 +69,7 @@ def test_the_readme_shows_every_command_and_every_exit_code():
 
 
 def test_the_gf5_campaign_is_cited_with_its_budget():
-    # about 4 s, so it is cited and not run
+    # cited here and run by tests/test_survey.py, which pins its report
     text = README.read_text()
     assert (
         "weaktri campaign --n 3 --field 'GF(5)' --dim 6 --contains-identity "

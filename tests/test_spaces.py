@@ -297,8 +297,6 @@ class TestSpaceFiles:
     def test_dependent_basis_canonicalized_by_default(self, gf3):
         text = "field GF(3)\nn 2\ndim 2\nmat 1 0 0 0\nmat 2 0 0 0\n"
         assert parse_spacefile(text).dim == 1
-        with pytest.raises(SpaceFileError, match="dependent"):
-            parse_spacefile(text, strict=True)
 
     def test_line_diagnostics(self, gf3):
         with pytest.raises(SpaceFileError, match="line 4"):

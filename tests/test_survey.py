@@ -280,6 +280,16 @@ def test_n3_hits_are_exactly_the_flags(gf3):
     assert md5(report.to_text()) == "c1b97b3482959de16c1c723d56f314df"
 
 
+def test_n3_gf5_campaign_report_digest(capsys):
+    argv = ["campaign", "--n", "3", "--field", "GF(5)", "--dim", "6", "--contains-identity",
+            "--budget", "40053706056"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "# total: 40053706056\n" in out
+    assert "# hits: 186\n# hits_verified: yes\n# alarms: 0\n" in out
+    assert md5(out) == "c7ccce79c3ffdfa21dc63c3ce7f153c3"
+
+
 # the journal lists each pattern's hits in the scan's depth-first order
 @pytest.mark.parametrize("n, q, dim, digest", [
     (2, 3, 3, "96f51daf9fe480276e4555aa33810b19"),
