@@ -89,9 +89,10 @@ def cmd_check(args):
         verdict = space_weakly_triangularizable(space, budget=args.budget)
     else:
         kind, *parts = mode.split(":")
-        if kind != "sample" or len(parts) != 2:
-            raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED")
-        count, seed = map(int, parts)
+        try:  # a wrong part count fails the unpacking
+            count, seed = map(int, parts) if kind == "sample" else ()
+        except ValueError:
+            raise ValueError(f"bad --mode {mode!r}; use exhaustive or sample:N:SEED") from None
         verdict = space_weakly_triangularizable(
             space, mode="sample", count=count, seed=seed, budget=args.budget
         )
@@ -221,9 +222,10 @@ def build_parser():
     p = sub.add_parser("check", help="decide weak triangularizability of a space")
     _add_spacefile_arg(p)
     p.add_argument("--mode", default="exhaustive", help="exhaustive or sample:N:SEED")
-    _add_budget_arg(p, "budget of the exhaustive check: it decides one element per class of "
-                       "M ~ cM (and M ~ M + lambda I when I is in the space), and the class "
-                       "count must not exceed it (exit 4)")
+    _add_budget_arg(p, "budget of the check: the exhaustive mode decides one element per "
+                       "class of M ~ cM (and M ~ M + lambda I when I is in the space), and "
+                       "the class count must not exceed it; in sample:N:SEED mode N must "
+                       "not exceed it (exit 4)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the invariant flag of an optimal space")

@@ -6,7 +6,10 @@ polynomial, so element 5 in GF(3^2) is 2 + 1*x.  This packing makes vectors
 and matrices of elements directly comparable and hashable.
 
 Extension fields keep discrete-log tables for multiplication, so q = p^k is
-capped at 2^16 for k > 1; prime fields have no such cap.
+capped at 2^16 for k > 1; prime fields have no such cap.  ``Poly``
+arithmetic, which also finds the tables' generator over GF(p), runs on the
+one vector kernel ``FieldCtx.axpy``: a sum, a scalar multiple, each row of a
+product and each step of a division is one axpy on a coefficient slice.
 
 A nonzero f splits over GF(q) exactly when f divides (t^q - t)^deg f.  The
 reason: t^q - t is the product of the q monic linear polynomials, each once,
@@ -80,8 +83,9 @@ class FieldCtx:
                 raise ValueError("extension field needs a modulus polynomial")
             if self.q > _EXT_TABLE_LIMIT:
                 raise ValueError(f"extension field too large (q = {self.q} > {_EXT_TABLE_LIMIT})")
-            self.modulus = self._check_modulus(modulus)
-            self._build_tables()
+            f = self._check_modulus(modulus)
+            self.modulus = f.coeffs
+            self._build_tables(f)
 
     # -- construction helpers ------------------------------------------------
 
@@ -97,50 +101,31 @@ class FieldCtx:
         f = Poly(base, coeffs)
         if not _is_irreducible(f):
             raise ValueError(f"modulus {list(coeffs)} is reducible over GF({self.p})")
-        return coeffs
+        return f
 
-    def _build_tables(self):
+    def _build_tables(self, f):
         q = self.q
-        # find a generator of the multiplicative group by raw polynomial arithmetic
+        # find a generator of the multiplicative group by Poly arithmetic mod f
         for g in range(2, q):
+            gen = Poly(f.field, self.to_digits(g))
             powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = self._mul_raw(x, g)
+            x = gen
+            while x.coeffs != (1,):
+                powers.append(self.from_digits(x.coeffs))
+                x = x * gen % f
             if len(powers) == q - 1:
                 break
         else:  # pragma: no cover - the group is always cyclic
             raise RuntimeError("no multiplicative generator found")
-        self._exp = powers
-        log = [0] * q
+        self._exp, self._log = powers, [0] * q
         for i, v in enumerate(powers):
-            log[v] = i
-        self._log = log
+            self._log[v] = i
         if q <= _ADD_TABLE_LIMIT:
             self._add_table = [
                 [self._add_digits(a, b) for b in range(q)] for a in range(q)
             ]
         else:
             self._add_table = None
-
-    def _mul_raw(self, a, b):
-        # schoolbook product of digit vectors, reduced by the monic modulus
-        p, k = self.p, self.k
-        da, db = self.to_digits(a), self.to_digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-        return self.from_digits(prod[:k])
 
     def _add_digits(self, a, b):
         digits = [(x + y) % self.p for x, y in zip(self.to_digits(a), self.to_digits(b))]
@@ -186,12 +171,13 @@ class FieldCtx:
     # -- rows ----------------------------------------------------------------
     #
     # The one vector kernel: the package's row loops (elimination, matrix
-    # products, sweeps) go through these two, so the prime/extension fork
-    # is taken once per row, not once per entry.  Over
+    # products, sweeps, ``Poly`` arithmetic) go through these two, so the
+    # prime/extension fork is taken once per row, not once per entry.  Over
     # GF(p) a row is one comprehension in plain integers with a single
     # reduction per entry; over GF(p^k) products come from the log/exp
-    # tables, zero entries are skipped, and sums go through ``add`` (the
-    # digit path above _ADD_TABLE_LIMIT included).
+    # tables, zero entries are skipped, ``axpy`` reads sums straight from
+    # the add table (short ``Poly`` rows would pay a call per entry) or
+    # the digit path above _ADD_TABLE_LIMIT, and ``dot`` sums by ``add``.
 
     def axpy(self, c, x, y=None):
         """The list y + c*x for rows x and y of equal length; y=None is the
@@ -207,8 +193,10 @@ class FieldCtx:
         lc = log[c]
         if y is None:
             return [exp[(lc + log[a]) % order] if a else 0 for a in x]
-        add = self.add
-        return [add(b, exp[(lc + log[a]) % order]) if a else b for a, b in zip(x, y)]
+        table = self._add_table
+        if table is not None:
+            return [table[b][exp[(lc + log[a]) % order]] if a else b for a, b in zip(x, y)]
+        return [self._add_digits(b, exp[(lc + log[a]) % order]) if a else b for a, b in zip(x, y)]
 
     def dot(self, x, y):
         """The sum of x_i * y_i; a longer row's extra entries are ignored,
@@ -256,7 +244,7 @@ class FieldCtx:
         return (self.p, self.k, self.modulus)
 
     def __eq__(self, other):
-        return isinstance(other, FieldCtx) and self._key() == other._key()
+        return other is self or (isinstance(other, FieldCtx) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -340,31 +328,38 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        # self + c*other, one axpy over other's coefficients
         self._check(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(F, [F.add(self[i], other[i]) for i in range(n)])
+        F, m = self.field, len(other.coeffs)
+        out = list(self.coeffs) + [0] * (m - len(self.coeffs))
+        out[:m] = F.axpy(c, other.coeffs, out[:m])
+        return Poly(F, out)
+
+    def __add__(self, other):
+        return self._plus(1, other)
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return self * self.field.neg(1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(self.field.neg(1), other)
 
     def __mul__(self, other):
         F = self.field
         if isinstance(other, int):
-            return Poly(F, [F.mul(c, other) for c in self.coeffs])
+            return Poly(F, F.axpy(other, self.coeffs))
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+        f, g = self.coeffs, other.coeffs
+        if len(f) > len(g):  # one axpy per coefficient of the shorter factor
+            f, g = g, f
+        m = len(g)
+        out = [0] * (len(f) + m - 1)
+        for i, c in enumerate(f):
+            if c:
+                out[i:i + m] = F.axpy(c, g, out[i:i + m])
         return Poly(F, out)
 
     __rmul__ = __mul__
@@ -374,18 +369,18 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
+        g, m = other.coeffs, len(other.coeffs)
+        dq = len(self.coeffs) - m
         if dq < 0:
             return Poly.zero(F), self
+        rem = list(self.coeffs)
         quo = [0] * (dq + 1)
-        lead_inv = F.inv(other.coeffs[-1])
+        lead_inv = F.inv(g[-1])
         for i in range(dq, -1, -1):
-            c = F.mul(rem[i + other.degree], lead_inv)
+            c = F.mul(rem[i + m - 1], lead_inv)
             quo[i] = c
             if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
+                rem[i:i + m] = F.axpy(F.neg(c), g, rem[i:i + m])
         return Poly(F, quo), Poly(F, rem)
 
     def __mod__(self, other):

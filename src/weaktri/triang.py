@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .gf import splits_over
 from .linalg import Mat, char_poly
-from .spaces import MatSpace
+from .spaces import MatSpace, check_budget
 
 
 def is_triangularizable(m: Mat) -> bool:
@@ -54,7 +54,7 @@ def space_weakly_triangularizable(
     lexicographic sweep, which heads its class; ``checked`` counts the
     elements that sweep would have checked (the witness's rank + 1, or all
     q^dim on a true verdict).  Sample mode draws ``count`` seeded
-    coefficient vectors.
+    coefficient vectors; ``count`` must not exceed the budget.
     """
     if mode == "exhaustive":
         for rank, m in space.enumerate_classes(budget=budget):
@@ -64,6 +64,7 @@ def space_weakly_triangularizable(
     if mode == "sample":
         if count < 0:
             raise ValueError(f"sample count must be >= 0, got {count}")
+        check_budget(count, budget, "samples exceed the sweep budget")
         rng = random.Random(seed)
         q = space.field.q
         for i in range(count):

@@ -27,6 +27,13 @@ order of ``MatSpace.enumerate_classes``.  ``enumerate_subspaces`` streams
 the subspaces of F^m one by one; ``count_chains`` counts the complete flags
 with it, which ``count_flags``'s closed form must equal.  ``poly_eval`` is
 Horner evaluation, for root scans.
+
+``poly_add``, ``poly_neg``, ``poly_sub``, ``poly_scale``, ``poly_mul`` and
+``poly_divmod`` are polynomial arithmetic one coefficient at a time through
+the field's ``add``, ``neg`` and ``mul``, which ``Poly``'s row-at-a-time
+arithmetic must equal.  ``mul_by_digits`` multiplies two elements of
+GF(p^k) as the schoolbook product of their digit vectors reduced by the
+monic modulus, apart from the log/exp tables that ``FieldCtx.mul`` reads.
 """
 
 import itertools
@@ -99,6 +106,76 @@ def poly_eval(poly: Poly, x):
     for c in reversed(poly.coeffs):
         acc = F.add(F.mul(acc, x), c)
     return acc
+
+
+def poly_add(f: Poly, g: Poly) -> Poly:
+    F = f.field
+    n = max(len(f.coeffs), len(g.coeffs))
+    return Poly(F, [F.add(f[i], g[i]) for i in range(n)])
+
+
+def poly_neg(f: Poly) -> Poly:
+    F = f.field
+    return Poly(F, [F.neg(c) for c in f.coeffs])
+
+
+def poly_sub(f: Poly, g: Poly) -> Poly:
+    return poly_add(f, poly_neg(g))
+
+
+def poly_scale(f: Poly, c) -> Poly:
+    F = f.field
+    return Poly(F, [F.mul(a, c) for a in f.coeffs])
+
+
+def poly_mul(f: Poly, g: Poly) -> Poly:
+    F = f.field
+    if f.is_zero or g.is_zero:
+        return Poly.zero(F)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return Poly(F, out)
+
+
+def poly_divmod(f: Poly, g: Poly):
+    """(quotient, remainder) by long division, one coefficient at a time."""
+    F = f.field
+    rem = list(f.coeffs)
+    dq = len(f.coeffs) - len(g.coeffs)
+    if dq < 0:
+        return Poly.zero(F), f
+    quo = [0] * (dq + 1)
+    lead_inv = F.inv(g.coeffs[-1])
+    for i in range(dq, -1, -1):
+        c = F.mul(rem[i + g.degree], lead_inv)
+        quo[i] = c
+        if c:
+            for j, b in enumerate(g.coeffs):
+                rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
+    return Poly(F, quo), Poly(F, rem)
+
+
+def mul_by_digits(field, a, b):
+    """a*b in GF(p^k): the schoolbook product of the digit vectors, reduced
+    by the monic modulus."""
+    p, k = field.p, field.k
+    da, db = field.to_digits(a), field.to_digits(b)
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    mod = field.modulus
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
+    return field.from_digits(prod[:k])
 
 
 def all_elements(space):

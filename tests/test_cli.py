@@ -299,12 +299,37 @@ def test_negative_sample_count_exits_1(sl2, capsys):
     assert captured.err == "error: sample count must be >= 0, got -3\n"
 
 
-@pytest.mark.parametrize("mode", ["bogus", "sample:3"])
+@pytest.mark.parametrize("mode", ["bogus", "sample:3", "sample:5:abc", "sample:x:1"])
 def test_malformed_check_mode_exits_1(sl2, mode, capsys):
     assert main(["check", sl2, "--mode", mode]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad --mode {mode!r}; use exhaustive or sample:N:SEED\n"
+
+
+def test_check_sample_count_is_bounded_by_the_budget(t3, capsys):
+    assert main(["check", t3, "--mode", "sample:5:1", "--budget", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "# space: n=3 dim=6 field=GF(3)\n# seed: 1\n# mode: sample:5:1\n# checked: 5\n"
+        "# certified: no\nverdict true (no counterexample in 5 samples)\n"
+    )
+    assert main(["check", t3, "--mode", "sample:5:1", "--budget", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 5 samples exceed the sweep budget 4\n"
+    # refused before a single sample is drawn
+    assert main(["check", t3, "--mode", "sample:400000000:1", "--budget", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 400000000 samples exceed the sweep budget 10\n"
+
+
+def test_check_help_says_what_the_budget_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET budget of the check: the exhaustive mode decides" in text
+    assert "in sample:N:SEED mode N must not exceed it (exit 4)" in text
 
 
 # stdout of the full element sweep, which the class sweep must reproduce

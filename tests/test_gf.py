@@ -13,7 +13,18 @@ from weaktri.gf import (
     splits_over,
 )
 
-from oracles import monic_polys, poly_eval, splits_by_root_count
+from oracles import (
+    monic_polys,
+    mul_by_digits,
+    poly_add,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    poly_neg,
+    poly_scale,
+    poly_sub,
+    splits_by_root_count,
+)
 
 
 class TestFieldConstruction:
@@ -116,6 +127,93 @@ class TestPolyBasics:
         f = Poly(gf5, (1, 2, 3))
         for x in gf5.elements():
             assert poly_eval(f, x) == (1 + 2 * x + 3 * x * x) % 5
+
+
+POLY_FIELDS = [
+    (5,),
+    (3, 2, (1, 0, 1)),  # the add-table path
+    (3, 7, (1, 0, 2, 0, 0, 0, 0, 1)),  # the digit path
+    (2, 2, (1, 1, 1), True),
+]
+
+
+class TestPolyArithmetic:
+    """Poly's arithmetic against the per-coefficient reference."""
+
+    def polys(self, field, rng):
+        yield Poly.zero(field)
+        yield Poly.one(field)
+        for _ in range(12):
+            degree = rng.randrange(7)
+            tail = [rng.randrange(field.q) if rng.random() < 0.7 else 0 for _ in range(degree)]
+            yield Poly(field, tail + [rng.randrange(1, field.q)])
+
+    @pytest.mark.parametrize("args", POLY_FIELDS, ids=lambda a: "-".join(map(str, a[:2])))
+    def test_matches_the_reference(self, args):
+        field = FieldCtx(*args)
+        rng = random.Random(29)
+        polys = list(self.polys(field, rng))
+        scalars = {0, 1, field.q - 1, rng.randrange(field.q)}
+        for f in polys:
+            assert -f == poly_neg(f)
+            assert f.monic() == (poly_scale(f, field.inv(f.coeffs[-1])) if f.coeffs else f)
+            assert f.monic().is_zero or f.monic().is_monic
+            for c in scalars:
+                assert f * c == c * f == poly_scale(f, c)
+            for g in polys:
+                assert f + g == poly_add(f, g)
+                assert f - g == poly_sub(f, g)
+                assert f * g == poly_mul(f, g)
+                if g.is_zero:
+                    continue
+                q, r = divmod(f, g)
+                assert (q, r) == poly_divmod(f, g)
+                assert q * g + r == f
+                assert r.degree < g.degree
+                assert f % g == r
+
+    @pytest.mark.parametrize("args", POLY_FIELDS, ids=lambda a: "-".join(map(str, a[:2])))
+    def test_pow_mod_is_repeated_multiplication(self, args):
+        field = FieldCtx(*args)
+        rng = random.Random(31)
+        polys = [f for f in self.polys(field, rng) if not f.is_zero]
+        for f, modulus in zip(polys, polys[3:] + polys[:3]):
+            want = poly_divmod(Poly.one(field), modulus)[1]
+            for e in range(6):
+                assert f.pow_mod(e, modulus) == want
+                want = poly_divmod(poly_mul(want, f), modulus)[1]
+
+
+class TestExtensionTables:
+    """FieldCtx.mul's log/exp tables against an independent product-mod."""
+
+    @pytest.mark.parametrize(
+        "args", [(2, 2, (1, 1, 1), True), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1))],
+        ids=["4", "9", "25"],
+    )
+    def test_every_pair(self, args):
+        field = FieldCtx(*args)
+        for a in field.elements():
+            for b in field.elements():
+                assert field.mul(a, b) == mul_by_digits(field, a, b)
+
+    def test_seeded_pairs_digit_path(self):
+        field = FieldCtx(3, 7, (1, 0, 2, 0, 0, 0, 0, 1))
+        rng = random.Random(37)
+        for _ in range(2000):
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            assert field.mul(a, b) == mul_by_digits(field, a, b)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2, 2, (1, 1, 1), True), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1)),
+         (3, 7, (1, 0, 2, 0, 0, 0, 0, 1))],
+        ids=["4", "9", "25", "3^7"],
+    )
+    def test_exp_lists_every_nonzero_element_once(self, args):
+        field = FieldCtx(*args)
+        assert len(field._exp) == field.q - 1
+        assert sorted(field._exp) == list(range(1, field.q))
 
 
 class TestGcd:

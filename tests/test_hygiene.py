@@ -13,7 +13,9 @@ A public top-level function, class or method must be referenced too, by
 package code other than its own definition and the ``__init__`` re-exports;
 otherwise only tests reach it, and it belongs in ``tests/oracles.py`` or
 nowhere.  Entry points that are kept anyway are listed in ``ENTRY_POINTS``
-with the reason.
+with the reason.  An entry kept because the benchmark needs it must still
+be named in some ``perfbench/*.py``; once the benchmark drops it, the
+entry is stale and the code can go.
 
 Importing the package loads neither ``multiprocessing`` nor
 ``concurrent.futures``: every command runs in one process, and those imports
@@ -22,6 +24,7 @@ would cost each run tens of milliseconds.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +33,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weaktri"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -228,6 +232,50 @@ def test_no_test_only_public_definitions():
     assert not unlisted, f"public definitions only tests can reach: {unlisted}"
     stale = sorted(set(ENTRY_POINTS) - set(unused))
     assert not stale, f"ENTRY_POINTS entries that are gone or now referenced: {stale}"
+
+
+def _benchmark_entries_gone(entry_points, texts):
+    """Sorted keys of the ``entry_points`` whose reason names the benchmark
+    but which none of ``texts`` uses: neither as an attribute call
+    ``.name(`` nor as a quoted name, the form ``getattr`` wrappers take.  A
+    local function or variable of the same name does not count."""
+
+    def used(name, text):
+        return re.search(rf"""\.{name}\(|(["']){name}\1""", text)
+
+    return sorted(
+        key
+        for key, reason in entry_points.items()
+        if "benchmark" in reason
+        and not any(used(key.rpartition(".")[2], text) for text in texts)
+    )
+
+
+def test_benchmark_entry_points_are_still_in_the_benchmark():
+    texts = [
+        path.read_text()
+        for path in sorted(PERFBENCH.glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    assert texts, f"no benchmark sources under {PERFBENCH}"
+    gone = _benchmark_entries_gone(ENTRY_POINTS, texts)
+    assert not gone, f"ENTRY_POINTS kept for the benchmark, which no longer names them: {gone}"
+
+
+def test_detects_benchmark_entry_gone():
+    entries = {
+        "one.kept": "the benchmark calls it",
+        "one.C.dropped": "the benchmark wraps it",
+        "one.other": "argparse calls it",
+    }
+    texts = ["weaktri.kept(x)\n", "dropped_total = 0\n"]
+    assert _benchmark_entries_gone(entries, texts) == ["one.C.dropped"]
+    # a local function or variable of the same name is no use of the entry
+    texts = ["def kept(seed):\n    kept = seed\n    return kept\n"]
+    assert _benchmark_entries_gone(entries, texts) == ["one.C.dropped", "one.kept"]
+    # a quoted name, as a tracer passes it to getattr, is a use
+    texts = ['("one", "kept")\n', "obj.dropped()\n"]
+    assert _benchmark_entries_gone(entries, texts) == []
 
 
 def test_detects_unreferenced_public():
