@@ -14,14 +14,14 @@ gives the argument), the chain V_n = F^n, V_(k-1) = N V_k gives the flag,
 and e_i is the canonical (RREF) row of V_i whose pivot column is new
 against V_(i-1).  Vectors are tuples of packed field elements.
 
-The one correctness gate is flag_space(result) == input, decided by
-containment.  Over odd characteristic every optimal weakly
-triangularizable space is a conjugate P T_n P^-1, and a space that passes
-the gate is one by construction: every element is P u P^-1 with u upper
-triangular, so no element sweep can add anything, and the structure facts
-of the paper's block analysis are not re-checked.  Every step that the
-theory guarantees on such a space raises TheoremViolationError when it
-fails; such an alarm is never swallowed and carries the recovery trace.
+The one correctness gate is flag_space(result) == input, on the space
+the flag builds once and keeps.  Over odd characteristic every optimal
+weakly triangularizable space is a conjugate P T_n P^-1, and a space that
+passes the gate is one by construction: every element is P u P^-1 with u
+upper triangular, so no element sweep can add anything, and the structure
+facts of the paper's block analysis are not re-checked.  Every step that
+the theory guarantees on such a space raises TheoremViolationError when
+it fails; such an alarm is never swallowed and carries the recovery trace.
 """
 
 from __future__ import annotations
@@ -35,14 +35,17 @@ from .triang import space_weakly_triangularizable
 
 
 class Flag:
-    """Complete flag of F^n given by an ordered basis (e_1, ..., e_n), each
-    vector a tuple of field elements."""
+    """Complete flag of F^n, n >= 1, given by an ordered basis (e_1, ...,
+    e_n), each vector a tuple of field elements.  A flag is immutable: only
+    ``flag_space`` writes to it, once, to keep the flag's space in _space."""
 
-    __slots__ = ("field", "n", "basis")
+    __slots__ = ("field", "n", "basis", "_space")
 
     def __init__(self, field, basis):
         vecs = tuple(tuple(field.coerce(e) for e in v) for v in basis)
         n = len(vecs)
+        if n == 0:
+            raise ValueError("flag basis is empty")
         if any(len(v) != n for v in vecs):
             raise ValueError("flag basis vectors have the wrong length")
         reduced, _ = rref(vecs, field)
@@ -51,6 +54,7 @@ class Flag:
         self.field = field
         self.n = n
         self.basis = vecs
+        self._space = None
 
     @classmethod
     def standard(cls, field, n):
@@ -84,15 +88,18 @@ def flag_space(flag: Flag) -> MatSpace:
     vector of free column f then has its leading 1 at f, its other nonzero
     entries only at pivot columns right of f and 0 at every other free
     column: sorted by f, the kernel vectors are already the canonical basis.
+    It is built on the first call and kept: later calls return that object.
     """
-    F, n = flag.field, flag.n
-    # reversing each q_i and p_j reverses every constraint row, with no row copy
-    q = [row[::-1] for row in invert(flag.basis_matrix()).rows()]
-    constraints = list(_flag_constraints(F, q, [p[::-1] for p in flag.basis]))
-    kernel = kernel_basis(constraints, F, width=n * n)
-    if len(kernel) != n * (n + 1) // 2:
-        raise TheoremViolationError("flag space has the wrong dimension")
-    return MatSpace(F, n, (Mat._wrap(F, n, v[::-1]) for v in reversed(kernel)))
+    if flag._space is None:
+        F, n = flag.field, flag.n
+        # reversing each q_i and p_j reverses every constraint row, with no row copy
+        q = [row[::-1] for row in invert(flag.basis_matrix()).rows()]
+        constraints = list(_flag_constraints(F, q, [p[::-1] for p in flag.basis]))
+        kernel = kernel_basis(constraints, F, width=n * n)
+        if len(kernel) != n * (n + 1) // 2:
+            raise TheoremViolationError("flag space has the wrong dimension")
+        flag._space = MatSpace(F, n, (Mat._wrap(F, n, v[::-1]) for v in reversed(kernel)))
+    return flag._space
 
 
 def _flag_constraints(F, q, p):
@@ -102,18 +109,6 @@ def _flag_constraints(F, q, p):
     for i in range(1, len(p)):
         for j in range(i):
             yield [x for a in q[i] for x in F.axpy(a, p[j])]
-
-
-def _generates(flag, space):
-    """flag_space(flag) == space, decided by containment: the space has the
-    flag's field, size and dimension n(n+1)/2, and every canonical basis
-    matrix satisfies each flag constraint."""
-    F, n = flag.field, flag.n
-    if space.field != F or space.n != n or space.dim != n * (n + 1) // 2:
-        return False
-    q = invert(flag.basis_matrix()).rows()
-    rows = _flag_constraints(F, q, flag.basis)
-    return not any(F.dot(row, b.entries) for row in rows for b in space.basis)
 
 
 # -- recovery trace -----------------------------------------------------------
@@ -181,9 +176,12 @@ def _flag_by_gate(space):
     when S^perp is totally isotropic, and it is then S^perp itself.  So
     radical_dim checks that isotropy and passes exactly where a Gram-matrix
     kernel has dimension n(n-1)/2, on the same space: the chain, the flag
-    and every trace are those of the Gram kernel.  Gate: S has dimension
-    n(n+1)/2, that of flag_space(flag), so S <= flag_space(flag) is
-    equality; it is checked on S's canonical basis with no kernel.
+    and every trace are those of the Gram kernel.  Gate: it cannot fail
+    once the checks before it pass, in any characteristic: N = S^perp then
+    maps each V_k of the flag (basis matrix P) into V_(k-1), so N =
+    P N_n P^-1 by dimension, and S = N^perp = P T_n P^-1.  It stays as the
+    alarm for a wrong radical or chain, and costs a caller that goes on to
+    use flag_space(flag) nothing extra: the flag keeps the space it builds.
     """
     F, n = space.field, space.n
     expected = n * (n + 1) // 2
@@ -232,7 +230,7 @@ def _flag_by_gate(space):
     flag = Flag(F, basis)
     require(
         "flag_space_equals_input",
-        _generates(flag, space),
+        flag_space(flag) == space,
         "recovered flag does not regenerate the space",
     )
     return flag, trace
@@ -257,14 +255,15 @@ def extract_structure_maps(space: MatSpace, flag: Flag) -> RecoveryTrace:
     """Check that ``flag`` generates the optimal space ``space``, for n >= 3.
 
     The check is the whole extraction: the recovery gate, flag_space(flag)
-    == space by containment, makes the space T_n in the flag basis, where
-    every block fact of T_n (units, slices, unique completions, vanishing
-    corner and residual maps, descent to T_(n-1)) holds by construction.
-    The returned trace records no checks, so ``all_checks_pass()`` is true;
-    a flag that does not generate the space raises PreconditionError.
+    == space on the space the flag keeps (no work once recover_flag has
+    returned the flag), makes the space T_n in the flag basis, where every
+    block fact of T_n (units, slices, unique completions, vanishing corner
+    and residual maps, descent to T_(n-1)) holds by construction.  The
+    returned trace records no checks, so ``all_checks_pass()`` is true; a
+    flag that does not generate the space raises PreconditionError.
     """
     if flag.n < 3:
         raise PreconditionError("structure-map extraction needs n >= 3")
-    if not _generates(flag, space):
+    if flag_space(flag) != space:
         raise PreconditionError("flag does not generate the given space")
     return RecoveryTrace(space.n, space.field.descriptor())

@@ -13,7 +13,9 @@ itself never needs; the tests compare recovered flags, split verdicts and
 adaptedness against them.  ``naive_conjugate`` is conjugation by the
 product formula P m P^-1, which ``flag_space`` must equal on T_n, and
 ``apply`` is the product M v of a matrix and a vector, one dot product per
-row.  ``gram_radical`` is the trace-form radical as the kernel of the Gram
+row.  ``generates_by_containment`` decides flag_space(flag) == space
+without building the flag space: every basis matrix must keep the flag.
+``gram_radical`` is the trace-form radical as the kernel of the Gram
 matrix, which the annihilator that recovery reads off the canonical basis
 must span whenever that kernel has dimension n(n-1)/2.
 
@@ -373,6 +375,20 @@ def in_span(rows, v, field):
 def apply(m: Mat, v):
     """M v for a vector v, a tuple of packed field elements."""
     return tuple(m.field.dot(m.row(i), v) for i in range(m.n))
+
+
+def generates_by_containment(flag, space):
+    """flag_space(flag) == space, decided by containment with no kernel: the
+    space has the flag's field, size and dimension n(n+1)/2, and every basis
+    matrix maps each e_j into V_j = span(e_1, ..., e_j)."""
+    F, n = flag.field, flag.n
+    if space.field != F or space.n != n or space.dim != n * (n + 1) // 2:
+        return False
+    return all(
+        in_span(flag.basis[: j + 1], apply(b, e), F)
+        for b in space.basis
+        for j, e in enumerate(flag.basis)
+    )
 
 
 def invariant_subspaces(space):

@@ -8,7 +8,6 @@ from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
     Flag,
-    _generates,
     _trace_form_radical,
     extract_structure_maps,
     flag_space,
@@ -17,7 +16,14 @@ from weaktri.flags import (
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, span_rows
 from weaktri.spaces import MatSpace
-from weaktri.survey import gen_random, gen_sl, gen_sym, gen_triangular
+from weaktri.survey import (
+    CampaignSpec,
+    gen_random,
+    gen_sl,
+    gen_sym,
+    gen_triangular,
+    run_campaign,
+)
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import (
@@ -29,7 +35,14 @@ from conftest import (
     seeded,
     triangular_space,
 )
-from oracles import apply, gram_radical, in_span, invariant_subspaces, is_chain
+from oracles import (
+    apply,
+    generates_by_containment,
+    gram_radical,
+    in_span,
+    invariant_subspaces,
+    is_chain,
+)
 
 
 def conjugate_chain(p, field, n):
@@ -47,6 +60,11 @@ class TestFlag:
     def test_dependent_basis_rejected(self, gf3):
         with pytest.raises(ValueError, match="dependent"):
             Flag(gf3, [(1, 0), (2, 0)])
+
+    def test_empty_basis_rejected(self, gf3):
+        # n = 0, which every other entry point refuses as a matrix size
+        with pytest.raises(ValueError, match="empty"):
+            Flag(gf3, [])
 
 
 class TestFlagSpace:
@@ -149,7 +167,8 @@ class TestAnnihilator:
 
 
 class TestGate:
-    # containment decides flag_space(flag) == space with no kernel
+    # the gate is flag_space(flag) == space on the space the flag keeps;
+    # the containment oracle decides the same equality with no kernel
     def test_agrees_with_the_flag_space(self, gf3, gf5, gf9):
         rng = seeded(67)
         for field in (gf3, gf5, gf9, FieldCtx(101)):
@@ -169,20 +188,24 @@ class TestGate:
                         changed = Mat(field, n, entries)
                         basis = space.basis[:i] + (changed,) + space.basis[i + 1 :]
                         candidates.append(MatSpace.from_span(basis, field=field, n=n))
+                    # a flag not yet asked: the first query builds its
+                    # space, every later one reads the space it keeps
+                    fresh = Flag(field, flag.basis)
                     for candidate in candidates:
-                        assert _generates(flag, candidate) == (flag_space(flag) == candidate)
+                        expected = generates_by_containment(fresh, candidate)
+                        for _ in range(2):
+                            assert (flag_space(fresh) == candidate) == expected
 
-    def test_recovery_runs_one_kernel_and_no_flag_space(self, gf3, gf5, monkeypatch):
+    def test_recovery_runs_two_kernels_and_keeps_the_flag_space(
+        self, gf3, gf5, monkeypatch
+    ):
+        # one kernel for the radical and one for the gate's flag space; the
+        # flag keeps that space, so asking for it again solves nothing
         calls = []
         real = weaktri.flags.kernel_basis
         monkeypatch.setattr(
             weaktri.flags, "kernel_basis", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
-
-        def no_flag_space(flag):
-            raise AssertionError("recovery builds a flag space")
-
-        monkeypatch.setattr(weaktri.flags, "flag_space", no_flag_space)
         rng = seeded(71)
         for field in (gf3, gf5):
             for n in (1, 2, 3, 4, 5):
@@ -192,7 +215,48 @@ class TestGate:
                 flag, trace = recover_flag(space)
                 assert trace.all_checks_pass()
                 assert flag.chain() == conjugate_chain(p, field, n)
-                assert len(calls) == 1
+                assert len(calls) == 2
+                calls.clear()
+                kept = flag_space(flag)
+                if n >= 3:
+                    assert extract_structure_maps(space, flag).all_checks_pass()
+                assert flag_space(flag) is kept and kept == space
+                assert calls == []
+
+    def test_the_gate_never_fails_first(self, gf3, gf5):
+        # the gate is implied by the checks before it (see _flag_by_gate),
+        # so on no optimal space is it the first check to fail: random flag
+        # spaces, random spaces of dimension n(n+1)/2 and every hit, flag or
+        # not, of the n=3 GF(2) dim-6 campaign on I
+        gf2 = FieldCtx(2, exploratory=True)
+        rng = seeded(73)
+        spaces = []
+        for field in (gf2, gf3, gf5):
+            for n in (2, 3):
+                spaces += [
+                    gen_triangular(n, field, conjugate_by=random_invertible(field, n, rng))
+                    for _ in range(10)
+                ]
+                spaces += [gen_random(n, field, n * (n + 1) // 2, seed) for seed in range(60)]
+        report = run_campaign(
+            CampaignSpec(n=3, field=gf2, dim=6, constraints=(Mat.identity(gf2, 3),))
+        )
+        assert (report.hit_count, sum(h.non_flag for h in report.hits)) == (35, 14)
+        spaces += [hit.space for hit in report.hits]
+        first_failures = []
+        for space in spaces:
+            try:
+                flag, trace = recover_flag(space, assume_weakly_triangularizable=True)
+            except TheoremViolationError as exc:
+                failed = [check for check, ok in exc.trace.checks.items() if not ok]
+                assert len(failed) == 1 and failed[0] != "flag_space_equals_input"
+                first_failures.append(failed[0])
+                continue
+            assert trace.checks["flag_space_equals_input"]
+            assert generates_by_containment(flag, space)
+            first_failures.append(None)
+        # flag spaces pass, and the radical and chain checks both refuse
+        assert {None, "radical_dim", "chain_steps"} <= set(first_failures)
 
 
 class TestInvariantSubspaces:
@@ -459,8 +523,11 @@ class TestExtraction:
         space = gen_triangular(3, gf3, conjugate_by=p)
         flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
         calls.clear()
+        # recovery's gate built the flag's space, and the flag keeps it
         assert extract_structure_maps(space, flag).all_checks_pass()
-        # the one inside flag_space, which inverts the flag basis
+        assert calls == []
+        # a fresh flag builds it: the one inversion of its basis
+        assert extract_structure_maps(space, Flag(gf3, flag.basis)).all_checks_pass()
         assert len(calls) == 1
 
 
