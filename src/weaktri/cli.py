@@ -114,14 +114,16 @@ def cmd_check(args):
 def cmd_recover(args):
     space = _read_spacefile(args.spacefile, args.exploratory)
     flag, trace = recover_flag(space, budget=args.budget)
+    text = trace.to_text()
+    if args.trace:
+        # written before anything is printed, so an unwritable path prints nothing
+        with open(args.trace, "w") as fh:
+            fh.write(text)
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     print("# recovered: yes")
     for i, vec in enumerate(flag.basis, start=1):
         print(f"e{i} " + " ".join(str(e) for e in vec))
-    text = trace.to_text()
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(text)
         print(f"# trace_file: {args.trace}")
     else:
         sys.stdout.write(text)
@@ -160,7 +162,6 @@ def cmd_campaign(args):
         dim=args.dim,
         constraints=constraints,
         budget=args.budget,
-        journal=args.journal,
     )
     started = time.time()
     report = run_campaign(spec)
@@ -253,9 +254,6 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--contains-identity", action="store_true")
-    p.add_argument("--journal", default=None, metavar="FILE",
-                   help="record each decided pivot pattern; a rerun on the same journal "
-                        "resumes from it (delete it to start from scratch)")
     p.add_argument("--exploratory", action="store_true")
     _add_budget_arg(p, "campaign budget: first the nominal candidate count must not exceed "
                        "it (exit 4); then it bounds each class sweep: of a hit whose flag "

@@ -18,17 +18,12 @@ is a theorem-violation alarm.
 
 The quotient by the constraint span, its goodness table and the pruned scan
 belong to ``scan.Quotient``; a campaign builds the table once and scans one
-pivot pattern at a time.  With a journal, each pattern's count and hits are
-appended (and fsynced) as soon as they arrive, and the journal is the resume
-state: rerunning the same campaign on it skips the patterns it has already
-decided.
+pivot pattern at a time.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, TheoremViolationError
@@ -43,7 +38,6 @@ from .spaces import (
     check_budget_floor,
     check_matrix_size,
     format_spacefile,
-    parse_spacefile,
 )
 from .triang import space_weakly_triangularizable
 
@@ -148,7 +142,6 @@ class CampaignSpec:
     dim: int
     constraints: tuple = ()
     budget: int | None = None
-    journal: str | None = None
 
     def summary_line(self):
         names = "+".join(
@@ -208,99 +201,6 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-# -- journal ----------------------------------------------------------------------
-
-_JOURNAL_ENTRY = re.compile(r"pattern ([0-9,]*) total ([0-9]+) hits ([0-9]+)")
-_ENTRY_START = re.compile(r"^pattern ", re.MULTILINE)
-# each hit is a spacefile block starting on its "field" line
-_HIT_BLOCK = re.compile(r"^(?=field )", re.MULTILINE)
-
-
-def _journal_header(spec):
-    """The summary line, which names a constraint other than I only as
-    "custom", and the entries of each such constraint."""
-    identity = Mat.identity(spec.field, spec.n)
-    customs = "".join(
-        f" custom={','.join(map(str, m.entries))}" for m in spec.constraints if m != identity
-    )
-    return f"# campaign journal: {spec.summary_line()}{customs}"
-
-
-def _append_to_journal(path, text):
-    with open(path, "a") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _append_journal_entry(path, pattern, total, hit_spaces):
-    _append_to_journal(
-        path,
-        f"pattern {','.join(map(str, pattern))} total {total} hits {len(hit_spaces)}\n"
-        + "".join(format_spacefile(space) for space in hit_spaces),
-    )
-
-
-def _open_journal(spec, patterns):
-    """The patterns this campaign's journal has decided, as
-    {pattern: (total, hit spaces)}.  A missing or empty journal gets the
-    header; a journal of another campaign is refused.
-
-    Entries are appended one write each, so a kill tears at most the final
-    entry (no final newline, an unreadable line, or missing hit blocks); the
-    file is cut back to where it starts and its pattern is scanned again.  A
-    malformed earlier entry is refused.
-    """
-    path = spec.journal
-    header = _journal_header(spec) + "\n"
-    text = ""
-    if os.path.exists(path):
-        with open(path, newline="") as fh:
-            text = fh.read()
-    if not text:
-        _append_to_journal(path, header)
-        return {}
-    if not text.startswith(header):
-        raise PreconditionError(
-            "journal belongs to a different campaign; refuse to resume"
-        )
-    whole = text.rfind("\n") + 1
-    starts = [m.start() for m in _ENTRY_START.finditer(text, len(header), whole)]
-    known = set(patterns)
-    done = {}
-    for start, end in zip(starts, starts[1:] + [whole]):
-        try:
-            pattern, total, spaces = _read_journal_entry(text[start:end], spec.field)
-        except ValueError:
-            if end < whole:
-                raise
-            whole = start
-            break
-        if pattern not in known or pattern in done:
-            raise PreconditionError(f"journal entry for pattern {pattern} does not fit")
-        done[pattern] = (total, spaces)
-    if whole < len(text):
-        os.truncate(path, len(text[:whole].encode()))
-    return done
-
-
-def _read_journal_entry(text, field):
-    """(pattern, candidates decided, hit spaces) of one journal entry, which
-    must read back exactly as it is written."""
-    head, _, body = text.partition("\n")
-    entry = _JOURNAL_ENTRY.fullmatch(head)
-    if entry is None:
-        raise PreconditionError(f"unreadable journal line {head!r}")
-    spaces = [
-        parse_spacefile(block, exploratory=field.exploratory)
-        for block in _HIT_BLOCK.split(body)[1:]
-    ]
-    # a block cut after its "n" line still parses, hence the exact comparison
-    if len(spaces) != int(entry[3]) or "".join(map(format_spacefile, spaces)) != body:
-        raise PreconditionError(f"journal entry {head!r} is incomplete")
-    return tuple(int(c) for c in entry[1].split(",") if c), int(entry[2]), spaces
-
-
 # -- campaign driver ---------------------------------------------------------------
 
 
@@ -330,9 +230,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
 
 def _run_exhaustive(spec, quotient, expected):
     report = CampaignReport(spec.summary_line(), 0, expected)
-    patterns = pivot_patterns(quotient.dim, spec.dim - len(spec.constraints))
-    done = _open_journal(spec, patterns) if spec.journal else {}
-
     good = quotient.goodness_table()
     if not good[0]:
         # the zero class is bad: an element of the constraint span dooms
@@ -340,19 +237,16 @@ def _run_exhaustive(spec, quotient, expected):
         report.total = expected
         return report, []
 
-    todo = [p for p in patterns if p not in done]
-    for pattern, (decided, rows) in zip(todo, quotient.scan(good, todo)):
-        spaces = [quotient.space_from(r) for r in rows]
-        if spec.journal:
-            _append_journal_entry(spec.journal, pattern, decided, spaces)
-        done[pattern] = (decided, spaces)
-
-    report.total = sum(decided for decided, _ in done.values())
+    patterns = pivot_patterns(quotient.dim, spec.dim - len(spec.constraints))
+    spaces = []
+    for decided, rows in quotient.scan(good, patterns):
+        report.total += decided
+        spaces += map(quotient.space_from, rows)
     if report.total != expected:
         report.alarms.append(
             f"candidate count {report.total} disagrees with the Gaussian binomial {expected}"
         )
-    return report, [s for _, spaces in done.values() for s in spaces]
+    return report, spaces
 
 
 def _verify_hits(spec, report):

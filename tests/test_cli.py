@@ -83,6 +83,13 @@ def test_recover_prints_the_flag_and_the_trace(t3, tmp_path, capsys):
     assert trace_file.read_text() == out[len(head):]
 
 
+def test_recover_trace_to_an_unwritable_path_prints_nothing(t3, tmp_path, capsys):
+    assert main(["recover", t3, "--trace", str(tmp_path / "missing" / "t3.trace")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2]")
+
+
 def test_recover_budget_bounds_only_a_failed_gate(t3, sl2, capsys):
     assert main(["recover", t3]) == 0
     plain = capsys.readouterr().out
@@ -244,6 +251,18 @@ def test_usage_error_exits_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err and captured.err.startswith("usage: weaktri")
+
+
+def test_removed_journal_option_is_refused(tmp_path, capsys):
+    journal = tmp_path / "campaign.journal"
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--n", "2", "--field", "GF(3)", "--dim", "3", "--contains-identity",
+              "--journal", str(journal)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --journal" in captured.err
+    assert not journal.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["campaign", "--help"]])
