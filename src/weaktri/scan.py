@@ -38,10 +38,11 @@ When every constraint row lies on the diagonal, as I does, it fixes the
 constraint span pointwise, so the torus modulo scalars, (q-1)^(n-1)
 elements with d_0 = 1, acts on the quotient by scaling each coordinate; it
 keeps pivot patterns once each row is divided by its pivot entry, and it
-keeps goodness.  Otherwise the group is trivial.  The scan decides one
-bottom row per orbit, the one of smallest packed index, weights its
-rejected subtree by the orbit size and maps each of its hits onto every
-other bottom row of the orbit.
+keeps goodness.  Otherwise the group is trivial.  Each level of the scan
+decides one row per orbit of the stabilizer of the rows chosen below it (the
+whole group at the bottom row), the least one, weights its rejected subtree
+by the orbit size and maps its hits onto the other rows of the orbit: the
+stabilizer fixes the span below, so it maps the level's domain onto itself.
 """
 
 from __future__ import annotations
@@ -138,11 +139,11 @@ class Quotient:
 
         ``good`` must be constant on the orbits of ``self.torus`` (the
         trivial group unless every constraint row lies on the diagonal), as
-        a goodness table is: the scan decides one bottom row per orbit, the
-        one of smallest packed index, counts its rejected candidates once
-        per row of the orbit and maps its hits onto the other rows.  The
-        hits of a pattern come in depth-first order, bottom row first, each
-        row ordered by its coordinates."""
+        a goodness table is.  Every level scans one row per orbit of the
+        stabilizer of the rows chosen below, which fixes their span and so
+        maps the level's domain onto itself.  A final sort puts each
+        pattern's hits in depth-first order, bottom row first, each row
+        ordered by its coordinates."""
         for pattern in patterns:
             yield _scan_pattern(self.chunks, good, self.torus, pattern)
 
@@ -282,14 +283,11 @@ def _scan_pattern(chunks, good, torus, pattern):
     elements.  A rejected row takes every completion of the rows above it
     along.
 
-    ``good`` must be constant on the orbits of the group ``torus``.  Of the
-    live bottom rows only the canonical one of each orbit, the one of
-    smallest packed index, is scanned: its rejected candidates count once
-    per row of the orbit, and each of its hits is mapped by one group
-    element per other row of the orbit.  Dead bottom rows count one by one,
-    since badness is constant on an orbit.  The hits are returned in the
-    depth-first order of a scan without the group: bottom row first, each
-    row ordered by its coordinates.
+    ``good`` must be constant on the orbits of the group ``torus``.  Every
+    level scans one row per orbit of the stabilizer of the rows chosen
+    below, which maps the level's domain onto itself (see ``_descend``).
+    The final sort restores the hit order of a scan without the group:
+    depth-first, bottom row first, each row ordered by its coordinates.
     """
     k = len(pattern)
     if k == 0:
@@ -308,32 +306,10 @@ def _scan_pattern(chunks, good, torus, pattern):
                 continue
             split = chunks.split(index)
             live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
-        levels.append((live, dead, skip))
+        levels.append((pivot, live, dead, skip))
         skip *= q ** len(frees)
-    live, dead, skip = levels[-1]
-    bad = dead * skip
-    chosen = [None] * k
-    hits = []
-    for index, split, _ in live:
-        # the first element that maps the row to each row of its orbit
-        orbit = {}
-        for g in range(torus.order):
-            orbit.setdefault(torus.image(g, index, pattern[-1]), g)
-        if min(orbit) < index:
-            continue
-        chosen[-1] = index
-        found = []
-        if k == 1:
-            found.append(tuple(chosen))
-        else:
-            span = _grow(chunks, split, [])
-            domain = _filter(good, levels[-2][0], span)
-            bad += len(orbit) * _descend(chunks, good, levels, k - 2, span, domain, chosen, found)
-        hits.extend(
-            tuple(map(torus.image, itertools.repeat(g), hit, pattern))
-            for hit in found
-            for g in orbit.values()
-        )
+    group = range(torus.order)
+    bad, hits = _descend(chunks, good, torus, levels, k - 1, [], levels[-1][1], group, ())
     expected = pattern_size(pattern, m, q)
     got = bad + len(hits)
     if got != expected:
@@ -344,27 +320,47 @@ def _scan_pattern(chunks, good, torus, pattern):
     return expected, sorted(rows, key=lambda hit: hit[::-1])
 
 
-def _descend(chunks, good, levels, i, span, domain, chosen, hits):
-    """Scan the subtree under ``domain``, the live rows of level i, in
-    order, that pass against ``span``, the nonzero span of the rows chosen
-    below; appends each full candidate's packed rows to ``hits`` and returns
-    its rejected candidates, (dead + |live| - |domain|) * skip of them here.
+def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
+    """Scan the subtree under ``domain``, the live rows of level i that pass
+    against ``span``, the nonzero span of ``chosen``, the rows chosen below;
+    returns (rejected, hits): its rejected candidates, (dead + |live| -
+    |domain|) * skip of them at this level, and each hit's packed rows.
 
-    A nonempty domain filters level i - 1 against ``span`` once; each of its
-    rows keeps the survivors that pass against the span elements it adds,
-    which are built only when a survivor is left."""
-    live, dead, skip = levels[i]
-    bad = (dead + len(live) - len(domain)) * skip
-    below = _filter(good, levels[i - 1][0], span) if i and domain else []
+    ``group`` lists the elements of ``torus`` that fix every row chosen
+    below, identity first.  They map the span onto itself and keep
+    goodness, so they map the domain onto itself, and rows of one orbit
+    have isomorphic subtrees.  Only the least row of each orbit is scanned,
+    under its own stabilizer: its rejected candidates count once per row of
+    the orbit, and its hits are mapped by one element per other row.
+
+    A nonempty domain filters level i - 1 against ``span`` once; each
+    scanned row keeps the survivors that pass against the span elements it
+    adds, which are built only when a survivor is left."""
+    pivot, live, dead, skip = levels[i]
+    bad, hits = (dead + len(live) - len(domain)) * skip, []
+    below = _filter(good, levels[i - 1][1], span) if i and domain else []
     for index, split, _ in domain:
-        chosen[i] = index
+        images = [torus.image(g, index, pivot) for g in group]
+        if min(images) < index:
+            continue
+        orbit = dict(zip(images, group))  # one element per row of the orbit
+        stabilizer = [g for g, image in zip(group, images) if image == index]
+        rows = (index,) + chosen
         if i == 0:
-            hits.append(tuple(chosen))
+            rejected, found = 0, [rows]
         else:
             new = _grow(chunks, split, span) if below else []
             kept = _filter(good, below, new)
-            bad += _descend(chunks, good, levels, i - 1, span + new, kept, chosen, hits)
-    return bad
+            rejected, found = _descend(
+                chunks, good, torus, levels, i - 1, span + new, kept, stabilizer, rows
+            )
+        bad += len(orbit) * rejected
+        hits += (
+            tuple(torus.image(g, row, level[0]) for row, level in zip(hit, levels))
+            for hit in found
+            for g in orbit.values()
+        )
+    return bad, hits
 
 
 def _filter(good, rows, span):

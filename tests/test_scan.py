@@ -2,10 +2,12 @@
 conjugation group and its per-pattern verdicts against the row-list
 reference."""
 
+import collections
 import random
 
 import pytest
 
+from weaktri import scan
 from weaktri.gf import FieldCtx
 from weaktri.grassmann import pivot_patterns
 from weaktri.linalg import Mat
@@ -214,6 +216,36 @@ def test_synthetic_tables_match_the_reference(q, m, chunk_count, density, seed):
     assert hits > 1 and rejected > 0
 
 
+@pytest.mark.parametrize(
+    "q, n, identity",
+    # m = 4 with a torus of order 4, and m = 3 with one of order 6
+    [(5, 2, False), (7, 2, True)],
+)
+@pytest.mark.parametrize("density", [0.6, 0.8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synthetic_tables_match_the_reference_through_the_torus(
+    monkeypatch, q, n, identity, density, seed
+):
+    field = FieldCtx(q)
+    quotient = Quotient(field, n, [Mat.identity(field, n)] if identity else [])
+    torus, m = quotient.torus, quotient.dim
+    good = synthetic_goodness(q, m, seed, density, factors=torus.factors)
+    # the largest group a call below the bottom level receives
+    largest = 0
+    descend = scan._descend
+
+    def recording(chunks, good, torus, levels, i, span, domain, group, chosen):
+        nonlocal largest
+        if i < len(levels) - 1:
+            largest = max(largest, len(group))
+        return descend(chunks, good, torus, levels, i, span, domain, group, chosen)
+
+    monkeypatch.setattr(scan, "_descend", recording)
+    hits, rejected = assert_scans_agree(field, m, good, range(m + 1), torus)
+    assert hits > 1 and rejected > 0
+    assert largest > 1
+
+
 def test_plain_list_table_is_accepted(gf3):
     good = list(map(bool, synthetic_goodness(3, 4, 0, 0.9)))
     assert assert_scans_agree(gf3, 4, good, range(5))[0] > 1
@@ -235,9 +267,31 @@ def test_n3_identity_scan_goodness_reads(gf3):
     # each node filters the next level once against its own span, and each
     # row it accepts tests the survivors only against the elements it adds;
     # a scan that tests every row against the whole span at every node
-    # reads 229,621
+    # reads 229,621.  A row that is not the least of its stabilizer orbit is
+    # skipped and filters nothing above it; with the torus used only at the
+    # bottom row the scan reads 80,632
     quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
     good = CountingTable(quotient.goodness_table())
     results = list(quotient.scan(good, pivot_patterns(8, 5)))
     assert sum(len(rows) for _, rows in results) == 52
-    assert good.reads == 80_632
+    assert good.reads == 55_142
+
+
+def test_n3_identity_scan_calls_per_level(gf3, monkeypatch):
+    # one call per pattern at the bottom level, 4, and one per scanned row
+    # below it.  Every level scans one row per orbit of the stabilizer of
+    # the rows below it: 262 orbits on the 377 level-2 rows that a scan
+    # using the torus only at the bottom row enters
+    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    good = quotient.goodness_table()
+    calls = collections.Counter()
+    descend = scan._descend
+
+    def counting(chunks, good, torus, levels, i, *rest):
+        calls[i] += 1
+        return descend(chunks, good, torus, levels, i, *rest)
+
+    monkeypatch.setattr(scan, "_descend", counting)
+    results = list(quotient.scan(good, pivot_patterns(8, 5)))
+    assert sum(len(rows) for _, rows in results) == 52
+    assert calls == {4: 56, 3: 93, 2: 262, 1: 1_405, 0: 425}
