@@ -22,7 +22,9 @@ Badness is invariant under nonzero scalars, so only class 0 and the classes
 whose top nonzero digit is 1 are decided, with their digits written into one
 flat entry list for ``linalg.char_poly_coeffs``; a bad class marks all its
 nonzero multiples bad.  Splitting is also invariant under adding multiples
-of I, so the lifts run over the constraint span modulo F.I.
+of I, so the lifts run over the constraint span modulo F.I.  Each distinct
+characteristic polynomial is decided once per table: its verdict is kept
+for the rest of the build.
 
 The scan enumerates RREF bases row by row, bottom row first, one pivot
 pattern at a time.  Any candidate whose partial span hits a bad class is
@@ -30,7 +32,9 @@ rejected together with its entire subtree (all such candidates contain that
 same bad element), with skipped counts tracked exactly.  Each node checks
 forward one level: it filters the next level's rows once against its own
 span, and each row it accepts tests the survivors only against the span
-elements that row adds.
+elements that row adds.  A level, the rows of one pivot and one set of free
+columns, is built from the goodness table once per scan and shared by every
+pattern that has it.
 
 Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
 matrix entry (i, j) by d_i/d_j and keeps every characteristic polynomial.
@@ -43,6 +47,8 @@ decides one row per orbit of the stabilizer of the rows chosen below it (the
 whole group at the bottom row), the least one, weights its rejected subtree
 by the orbit size and maps its hits onto the other rows of the orbit: the
 stabilizer fixes the span below, so it maps the level's domain onto itself.
+A row's images under the whole group are computed on its first use and kept
+with the group, which lives as long as its ``Quotient``.
 """
 
 from __future__ import annotations
@@ -107,17 +113,26 @@ class Quotient:
         one decided class.  Class 0 lifts to exactly the constraint span, so
         good[0] is 0 when some constraint combination has a non-split
         characteristic polynomial.
+
+        Each distinct characteristic polynomial is passed to
+        ``splits_over`` once per call, and its verdict is kept in a dict
+        for the rest of the call.
         """
         F, n, q = self.field, self.n, self.field.q
         span = self.space_from(())  # the candidate with no quotient rows
         lifts = [z.entries for z in span.enumerate_modulo_identity()]
         good = bytearray(b"\x01") * q**self.dim
         entries = [0] * (n * n)
+        verdicts = {}  # characteristic polynomial coefficients -> splits
 
         def decide(index):
             for z in lifts:
                 lift = F.axpy(1, z, entries) if any(z) else entries
-                if not splits_over(Poly(F, char_poly_coeffs(F, n, lift))):
+                coeffs = char_poly_coeffs(F, n, lift)
+                splits = verdicts.get(coeffs)
+                if splits is None:
+                    splits = verdicts[coeffs] = splits_over(Poly(F, coeffs))
+                if not splits:
                     for multiple in self.chunks.multiples(index):
                         good[multiple] = 0
                     return
@@ -143,9 +158,14 @@ class Quotient:
         stabilizer of the rows chosen below, which fixes their span and so
         maps the level's domain onto itself.  A final sort puts each
         pattern's hits in depth-first order, bottom row first, each row
-        ordered by its coordinates."""
+        ordered by its coordinates.
+
+        Each level, the live rows of one pivot and one set of free columns,
+        is built from ``good`` once per call and shared by every pattern
+        that has it, so ``good`` must not change during one call."""
+        built = {}  # (pivot, free columns) -> (live, dead), for this call
         for pattern in patterns:
-            yield _scan_pattern(self.chunks, good, self.torus, pattern)
+            yield _scan_pattern(self.chunks, good, self.torus, pattern, built)
 
 
 def _chunk_widths(q, m):
@@ -242,12 +262,15 @@ class _Torus:
 
     It acts on RREF rows: the image of a row is divided by its pivot entry,
     so it is an RREF row with the same pivot, and on RREF bases row by row.
+    A row's images under every element are computed on its first use and
+    kept as long as the torus, which is one ``Quotient``'s.
     """
 
     def __init__(self, field, factors):
         q, m = field.q, len(factors[0])
         self.q = q
         self.factors = factors
+        self._images = {}  # packed RREF row -> its images, in element order
         # _shifted[p][g][c - p - 1][v]: coordinate c > p of the image under g
         # of a row with pivot p and digit v at c, shifted into place
         self._shifted = [[] for _ in range(m)]
@@ -269,8 +292,19 @@ class _Torus:
         tables = self._shifted[pivot][g]
         return q**pivot + sum(t[index // q**c % q] for c, t in enumerate(tables, pivot + 1))
 
+    def images(self, index):
+        """The packed images of the RREF row with packed index ``index``
+        under every element, in element order.  Its pivot is its lowest
+        nonzero digit, so the index alone keys the kept tuple."""
+        images = self._images.get(index)
+        if images is None:
+            pivot = next(c for c in itertools.count() if index // self.q**c % self.q)
+            images = tuple(self.image(g, index, pivot) for g in range(self.order))
+            self._images[index] = images
+        return images
 
-def _scan_pattern(chunks, good, torus, pattern):
+
+def _scan_pattern(chunks, good, torus, pattern, built=None):
     """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
     returns (candidates_decided, hit_row_lists).
 
@@ -288,28 +322,27 @@ def _scan_pattern(chunks, good, torus, pattern):
     below, which maps the level's domain onto itself (see ``_descend``).
     The final sort restores the hit order of a scan without the group:
     depth-first, bottom row first, each row ordered by its coordinates.
+
+    ``built`` maps (pivot, free columns) to that level's (live, dead), as
+    ``_level`` builds it from ``good``; levels missing from it are built and
+    added, so patterns scanned with one dict share their levels.
     """
     k = len(pattern)
     if k == 0:
         return 1, [()]
     q, m = chunks.q, chunks.m
+    built = {} if built is None else built
     pivot_set = set(pattern)
     levels = []
     skip = 1  # candidates one row rejects: the completions of the rows above it
     for pivot in pattern:
-        frees = [c for c in range(pivot + 1, m) if c not in pivot_set]
-        live, dead = [], 0
-        for values in itertools.product(range(q), repeat=len(frees)):
-            index = q**pivot + sum(v * q**c for v, c in zip(values, frees))
-            if not good[index]:
-                dead += 1
-                continue
-            split = chunks.split(index)
-            live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
-        levels.append((pivot, live, dead, skip))
+        frees = tuple(c for c in range(pivot + 1, m) if c not in pivot_set)
+        if (pivot, frees) not in built:
+            built[pivot, frees] = _level(chunks, good, pivot, frees)
+        levels.append((*built[pivot, frees], skip))
         skip *= q ** len(frees)
     group = range(torus.order)
-    bad, hits = _descend(chunks, good, torus, levels, k - 1, [], levels[-1][1], group, ())
+    bad, hits = _descend(chunks, good, torus, levels, k - 1, [], levels[-1][0], group, ())
     expected = pattern_size(pattern, m, q)
     got = bad + len(hits)
     if got != expected:
@@ -318,6 +351,23 @@ def _scan_pattern(chunks, good, torus, pattern):
         )
     rows = (tuple(map(chunks.coordinates, hit)) for hit in hits)
     return expected, sorted(rows, key=lambda hit: hit[::-1])
+
+
+def _level(chunks, good, pivot, frees):
+    """(live, dead) for the RREF rows with this pivot and these free
+    columns: live lists each row whose own class is good as (index, split,
+    tabs), its packed index, its chunks and their ``test`` rows; dead
+    counts the others."""
+    q = chunks.q
+    live, dead = [], 0
+    for values in itertools.product(range(q), repeat=len(frees)):
+        index = q**pivot + sum(v * q**c for v, c in zip(values, frees))
+        if not good[index]:
+            dead += 1
+            continue
+        split = chunks.split(index)
+        live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
+    return live, dead
 
 
 def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
@@ -336,11 +386,12 @@ def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
     A nonempty domain filters level i - 1 against ``span`` once; each
     scanned row keeps the survivors that pass against the span elements it
     adds, which are built only when a survivor is left."""
-    pivot, live, dead, skip = levels[i]
+    live, dead, skip = levels[i]
     bad, hits = (dead + len(live) - len(domain)) * skip, []
-    below = _filter(good, levels[i - 1][1], span) if i and domain else []
+    below = _filter(good, levels[i - 1][0], span) if i and domain else []
     for index, split, _ in domain:
-        images = [torus.image(g, index, pivot) for g in group]
+        every = torus.images(index)
+        images = [every[g] for g in group]
         if min(images) < index:
             continue
         orbit = dict(zip(images, group))  # one element per row of the orbit
@@ -356,9 +407,7 @@ def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
             )
         bad += len(orbit) * rejected
         hits += (
-            tuple(torus.image(g, row, level[0]) for row, level in zip(hit, levels))
-            for hit in found
-            for g in orbit.values()
+            tuple(torus.images(row)[g] for row in hit) for hit in found for g in orbit.values()
         )
     return bad, hits
 

@@ -269,12 +269,67 @@ def test_n3_identity_scan_goodness_reads(gf3):
     # a scan that tests every row against the whole span at every node
     # reads 229,621.  A row that is not the least of its stabilizer orbit is
     # skipped and filters nothing above it; with the torus used only at the
-    # bottom row the scan reads 80,632
+    # bottom row the scan reads 80,632.  Each level reads the rows' own
+    # classes once per scan, not once per pattern that has it; building the
+    # levels of every pattern anew reads 55,142
     quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
     good = CountingTable(quotient.goodness_table())
     results = list(quotient.scan(good, pivot_patterns(8, 5)))
     assert sum(len(rows) for _, rows in results) == 52
-    assert good.reads == 55_142
+    assert good.reads == 54_597
+
+
+def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
+    # the 56 patterns have 5 levels each, 280 in all, but only 125 distinct
+    # (pivot, free columns)
+    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    good = quotient.goodness_table()
+    built = []
+    level = scan._level
+
+    def recording(chunks, good, pivot, frees):
+        built.append((pivot, frees))
+        return level(chunks, good, pivot, frees)
+
+    monkeypatch.setattr(scan, "_level", recording)
+    results = list(quotient.scan(good, pivot_patterns(8, 5)))
+    assert sum(len(rows) for _, rows in results) == 52
+    assert len(built) == len(set(built)) == 125
+
+
+def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
+    # 179 rows meet the torus, each mapped by its 4 elements once; mapping
+    # a row each time an orbit test or a hit needs it computes 6,809 images
+    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    good = quotient.goodness_table()
+    calls = collections.Counter()
+    image = scan._Torus.image
+
+    def counting(torus, g, index, pivot):
+        calls[g, index] += 1
+        return image(torus, g, index, pivot)
+
+    monkeypatch.setattr(scan._Torus, "image", counting)
+    results = list(quotient.scan(good, pivot_patterns(8, 5)))
+    assert sum(len(rows) for _, rows in results) == 52
+    assert set(calls.values()) == {1}
+    assert len(calls) == 716 == 4 * len({index for _, index in calls})
+
+
+def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch):
+    # 3,281 decided classes, one lift each (the span of I modulo F.I is 0),
+    # meet the 27 monic cubics over GF(3)
+    seen = []
+    splits_over = scan.splits_over
+
+    def recording(f):
+        seen.append(f.coeffs)
+        return splits_over(f)
+
+    monkeypatch.setattr(scan, "splits_over", recording)
+    good = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
+    assert len(good) == 3**8
+    assert len(seen) == len(set(seen)) == 27
 
 
 def test_n3_identity_scan_calls_per_level(gf3, monkeypatch):
