@@ -29,7 +29,6 @@ from .gf import (
     poly_gcd,
     splits_over,
 )
-from .grassmann import grassmann_count
 from .linalg import Mat, char_poly, invert, kernel_basis, rref, rref_solve, span_rows
 from .pencils import (
     CounterexampleReport,
@@ -55,6 +54,7 @@ from .survey import (
     gen_sl,
     gen_sym,
     gen_triangular,
+    grassmann_count,
     run_campaign,
 )
 from .triang import (

@@ -188,12 +188,10 @@ def cmd_gen(args):
             space = gen_sym(args.n, field)
         elif kind == "sl":
             space = gen_sl(args.n, field)
-        elif kind == "random":
+        else:  # random: argparse's choices admit no other kind
             if args.dim is None:
                 raise ValueError("--kind random needs --dim")
             space = gen_random(args.n, field, args.dim, args.seed)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
     sys.stdout.write(format_spacefile(space))
     return 0
 

@@ -6,7 +6,8 @@ that contain the constraint span.  ``Quotient`` reduces modulo that span
 once: the constraint rows in RREF and the section columns, the non-pivot
 columns, where quotient coordinate c is the matrix entry at column
 ``section_cols[c]``.  A quotient space lifts back to a candidate through
-``space_from``.
+``space_from``: its rows are placed on the section columns and spanned with
+the constraint rows.  This module is the one owner of that format.
 
 Each quotient vector of F^k is its packed class index (digit c is coordinate
 c, little-endian base q), cut into a few balanced base-q chunks.  Chunk add
@@ -26,15 +27,16 @@ of I, so the lifts run over the constraint span modulo F.I.  Each distinct
 characteristic polynomial is decided once per table: its verdict is kept
 for the rest of the build.
 
-The scan enumerates RREF bases row by row, bottom row first, one pivot
-pattern at a time.  Any candidate whose partial span hits a bad class is
-rejected together with its entire subtree (all such candidates contain that
-same bad element), with skipped counts tracked exactly.  Each node checks
-forward one level: it filters the next level's rows once against its own
-span, and each row it accepts tests the survivors only against the span
-elements that row adds.  A level, the rows of one pivot and one set of free
-columns, is built from the goodness table once per scan and shared by every
-pattern that has it.
+The scan enumerates RREF bases row by row, bottom row first, and returns
+the number of candidates it decided and its hit spaces, in no set order.
+Any candidate whose partial span hits a bad class is rejected together with
+its entire subtree (all such candidates contain that same bad element),
+with skipped counts tracked exactly.  Each node checks forward one level:
+it filters the next level's rows once against its own span, and each row it
+accepts tests the survivors only against the span elements that row adds.
+A level, the rows of one pivot and one set of free columns, is built from
+the goodness table once per scan and shared by every pivot pattern that has
+it.
 
 Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
 matrix entry (i, j) by d_i/d_j and keeps every characteristic polynomial.
@@ -58,10 +60,9 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .gf import Poly, splits_over
-from .grassmann import lift_quotient_rows, pattern_size, reduce_constraints
-from .linalg import Mat, char_poly_coeffs
+from .linalg import Mat, char_poly_coeffs, rref, span_rows
 from .spaces import MatSpace
 
 # the most entries a chunk table may hold, unless one-digit chunks need more
@@ -75,9 +76,10 @@ class Quotient:
     def __init__(self, field, n, constraints):
         self.field = field
         self.n = n
-        self.rows, self.section_cols = reduce_constraints(
-            [m.entries for m in constraints], n * n, field
-        )
+        self.rows, pivots = rref([m.entries for m in constraints], field)
+        if len(self.rows) != len(constraints):
+            raise PreconditionError("constraints are linearly dependent")
+        self.section_cols = [c for c in range(n * n) if c not in pivots]
         self.dim = len(self.section_cols)
         self.chunks = _chunk_tables(field, self.dim)
 
@@ -100,8 +102,13 @@ class Quotient:
         """The candidate space with these quotient rows, lifted over the
         constraint span; its dimension drops by one per dependent row."""
         F, n = self.field, self.n
-        rows = lift_quotient_rows(self.rows, self.section_cols, quotient_rows, F)
-        return MatSpace(F, n, (Mat(F, n, r) for r in rows))
+        lifted = list(self.rows)
+        for qrow in quotient_rows:
+            full = [0] * (n * n)
+            for c, v in zip(self.section_cols, qrow):
+                full[c] = v
+            lifted.append(full)
+        return MatSpace(F, n, (Mat(F, n, r) for r in span_rows(lifted, F)))
 
     def goodness_table(self):
         """good[packed class] is 1 when every lift over the constraint span
@@ -148,24 +155,27 @@ class Quotient:
                 decide(index)
         return good
 
-    def scan(self, good, patterns):
-        """Yield (candidates_decided, hit_row_lists) for each pattern in
-        order, scanned against the goodness table ``good``.
+    def scan(self, good, k):
+        """(candidates_decided, hit_spaces) over every k-dimensional
+        subspace of the quotient, scanned against the goodness table
+        ``good``; the hits are lifted by ``space_from``, in no set order.
 
         ``good`` must be constant on the orbits of ``self.torus`` (the
         trivial group unless every constraint row lies on the diagonal), as
         a goodness table is.  Every level scans one row per orbit of the
         stabilizer of the rows chosen below, which fixes their span and so
-        maps the level's domain onto itself.  A final sort puts each
-        pattern's hits in depth-first order, bottom row first, each row
-        ordered by its coordinates.
+        maps the level's domain onto itself.
 
         Each level, the live rows of one pivot and one set of free columns,
-        is built from ``good`` once per call and shared by every pattern
-        that has it, so ``good`` must not change during one call."""
+        is built from ``good`` once per call and shared by every pivot
+        pattern that has it, so ``good`` must not change during one call."""
         built = {}  # (pivot, free columns) -> (live, dead), for this call
-        for pattern in patterns:
-            yield _scan_pattern(self.chunks, good, self.torus, pattern, built)
+        total, spaces = 0, []
+        for pattern in itertools.combinations(range(self.dim), k):
+            decided, rows = _scan_pattern(self.chunks, good, self.torus, pattern, built)
+            total += decided
+            spaces += map(self.space_from, rows)
+        return total, spaces
 
 
 def _chunk_widths(q, m):
@@ -304,9 +314,10 @@ class _Torus:
         return images
 
 
-def _scan_pattern(chunks, good, torus, pattern, built=None):
+def _scan_pattern(chunks, good, torus, pattern, built):
     """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
-    returns (candidates_decided, hit_row_lists).
+    returns (candidates_decided, hit_row_lists), the hits in no set order,
+    each a tuple of coordinate rows, top row first.
 
     Rows are assigned bottom-up, and every vector is its packed class index,
     held as its tuple of base-q chunks.  A row whose own class is bad is
@@ -320,18 +331,17 @@ def _scan_pattern(chunks, good, torus, pattern, built=None):
     ``good`` must be constant on the orbits of the group ``torus``.  Every
     level scans one row per orbit of the stabilizer of the rows chosen
     below, which maps the level's domain onto itself (see ``_descend``).
-    The final sort restores the hit order of a scan without the group:
-    depth-first, bottom row first, each row ordered by its coordinates.
 
     ``built`` maps (pivot, free columns) to that level's (live, dead), as
     ``_level`` builds it from ``good``; levels missing from it are built and
-    added, so patterns scanned with one dict share their levels.
+    added, so patterns scanned with one dict share their levels.  The
+    candidates of the pattern number q to its free positions, the final
+    ``skip``, and the rejected and accepted ones must add up to it.
     """
     k = len(pattern)
     if k == 0:
         return 1, [()]
     q, m = chunks.q, chunks.m
-    built = {} if built is None else built
     pivot_set = set(pattern)
     levels = []
     skip = 1  # candidates one row rejects: the completions of the rows above it
@@ -343,14 +353,12 @@ def _scan_pattern(chunks, good, torus, pattern, built=None):
         skip *= q ** len(frees)
     group = range(torus.order)
     bad, hits = _descend(chunks, good, torus, levels, k - 1, [], levels[-1][0], group, ())
-    expected = pattern_size(pattern, m, q)
     got = bad + len(hits)
-    if got != expected:
+    if got != skip:
         raise TheoremViolationError(
-            f"scan bookkeeping drift on pattern {pattern}: {got} != {expected}"
+            f"scan bookkeeping drift on pattern {pattern}: {got} != {skip}"
         )
-    rows = (tuple(map(chunks.coordinates, hit)) for hit in hits)
-    return expected, sorted(rows, key=lambda hit: hit[::-1])
+    return skip, [tuple(map(chunks.coordinates, hit)) for hit in hits]
 
 
 def _level(chunks, good, pivot, frees):

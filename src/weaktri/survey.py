@@ -1,7 +1,8 @@
 """Named matrix-space families and survey campaigns over the Grassmannian of
 matrix subspaces: the campaign policy.  ``count_flags`` is the closed-form
 count of complete flags, which an optimal campaign over an odd field must
-match hit for hit.
+match hit for hit, and ``grassmann_count`` the Gaussian binomial, the
+number of candidates a campaign must decide.
 
 A campaign sweeps every candidate subspace of the target dimension
 (optionally constrained to contain given matrices, e.g. the identity),
@@ -17,8 +18,9 @@ t_n the element sweep is the whole check; above t_n a hit that survives it
 is a theorem-violation alarm.
 
 The quotient by the constraint span, its goodness table and the pruned scan
-belong to ``scan.Quotient``; a campaign builds the table once and scans one
-pivot pattern at a time.
+belong to ``scan.Quotient``; a campaign builds the table once, and one scan
+returns the candidate count, which must equal the Gaussian binomial, and the
+hit spaces, which the report sorts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx
-from .grassmann import grassmann_count, pivot_patterns
 from .linalg import Mat
 from .scan import Quotient
 from .spaces import (
@@ -116,6 +117,20 @@ def gen_random(n, field, dim, seed) -> MatSpace:
         space = MatSpace.from_span(mats, field=field, n=n)
         mats = list(space.basis)
     return space
+
+
+def grassmann_count(m: int, k: int, q: int) -> int:
+    """Gaussian binomial: the number of k-dimensional subspaces of F_q^m."""
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    count, rem = divmod(num, den)
+    if rem:
+        raise TheoremViolationError(f"Gaussian binomial {num}/{den} is not an integer")
+    return count
 
 
 def count_flags(n, field) -> int:
@@ -221,32 +236,18 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     expected = grassmann_count(n * n - k, spec.dim - k, field.q)
     check_budget(expected, spec.budget, what)
     quotient = Quotient(field, n, spec.constraints)
-    report, spaces = _run_exhaustive(spec, quotient, expected)
+    good = quotient.goodness_table()
+    # a bad zero class is an element of the constraint span that dooms
+    # every candidate
+    total, spaces = quotient.scan(good, spec.dim - k) if good[0] else (expected, [])
+    report = CampaignReport(spec.summary_line(), total, expected, counts_non_flag=field.p == 2)
+    if total != expected:
+        report.alarms.append(
+            f"candidate count {total} disagrees with the Gaussian binomial {expected}"
+        )
     report.hits = [HitRecord(space=s) for s in sorted(spaces, key=MatSpace.key)]
-    report.counts_non_flag = field.p == 2
     _verify_hits(spec, report)
     return report
-
-
-def _run_exhaustive(spec, quotient, expected):
-    report = CampaignReport(spec.summary_line(), 0, expected)
-    good = quotient.goodness_table()
-    if not good[0]:
-        # the zero class is bad: an element of the constraint span dooms
-        # every candidate
-        report.total = expected
-        return report, []
-
-    patterns = pivot_patterns(quotient.dim, spec.dim - len(spec.constraints))
-    spaces = []
-    for decided, rows in quotient.scan(good, patterns):
-        report.total += decided
-        spaces += map(quotient.space_from, rows)
-    if report.total != expected:
-        report.alarms.append(
-            f"candidate count {report.total} disagrees with the Gaussian binomial {expected}"
-        )
-    return report, spaces
 
 
 def _verify_hits(spec, report):

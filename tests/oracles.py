@@ -22,11 +22,12 @@ must span whenever that kernel has dimension n(n-1)/2.
 ``scan_pattern_by_rows`` is the campaign's pruned scan as it was before
 vectors were packed: rows are coordinate lists, and each combination is
 added coordinate by coordinate.  The packed scan must decide every pattern
-exactly as it does.
+exactly as it does, up to the order of its hits.
 
 ``all_elements`` is the full sweep over all q^dim elements, in the rank
 order of ``MatSpace.enumerate_classes``.  ``enumerate_subspaces`` streams
-the subspaces of F^m one by one; ``count_chains`` counts the complete flags
+the subspaces of F^m one by one, those that contain given vectors by
+filtering the whole stream; ``count_chains`` counts the complete flags
 with it, which ``count_flags``'s closed form must equal.  ``poly_eval`` is
 Horner evaluation, for root scans.
 
@@ -42,12 +43,6 @@ import itertools
 
 from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import Poly
-from weaktri.grassmann import (
-    lift_quotient_rows,
-    pattern_size,
-    pivot_patterns,
-    reduce_constraints,
-)
 from weaktri.linalg import Mat, char_poly, invert, kernel_basis, span_rows
 from weaktri.spaces import MatSpace
 from weaktri.triang import is_triangularizable
@@ -188,7 +183,7 @@ def all_elements(space):
 
 
 def _subspaces_by_pattern(m, k, field):
-    for pattern in pivot_patterns(m, k):
+    for pattern in itertools.combinations(range(m), k):
         pivot_set = set(pattern)
         free = [
             (row, col)
@@ -206,15 +201,17 @@ def _subspaces_by_pattern(m, k, field):
 def enumerate_subspaces(m, k, field, must_contain=()):
     """Every k-dimensional subspace of F^m that contains ``must_contain``,
     once each, as canonical RREF bases: pivot patterns in lexicographic
-    order, free entries in lexicographic order within a pattern.  With
-    constraints, the (k - r)-dimensional subspaces of the quotient by their
-    r-dimensional span are lifted back."""
-    reduced, section = reduce_constraints(list(must_contain), m, field)
-    r = len(reduced)
+    order, free entries in lexicographic order within a pattern.  The
+    constraint vectors must be linearly independent, and at most k."""
+    must = [tuple(v) for v in must_contain]
+    r = len(span_rows(must, field))
+    if r != len(must):
+        raise PreconditionError("constraints are linearly dependent")
     if r > k:
         raise ValueError(f"cannot fit a {r}-dimensional constraint span in dimension {k}")
-    for sub in _subspaces_by_pattern(m - r, k - r, field):
-        yield lift_quotient_rows(reduced, section, sub, field) if r else sub
+    for rows in _subspaces_by_pattern(m, k, field):
+        if all(in_span(rows, v, field) for v in must):
+            yield rows
 
 
 def count_chains(n, field):
@@ -317,6 +314,8 @@ def scan_pattern_by_rows(field, m, good, pattern):
     skip = [1] * k
     for i in range(1, k):
         skip[i] = skip[i - 1] * q ** len(frees[i - 1])
+    # q to the number of free positions, the free entries of every row
+    expected = q ** sum(map(len, frees))
     templates = []
     for i in range(k):
         t = [0] * m
@@ -358,7 +357,6 @@ def scan_pattern_by_rows(field, m, good, pattern):
             rec(i - 1, grown)
 
     rec(k - 1, [(0,) * m])
-    expected = pattern_size(pattern, m, q)
     got = bad_total + len(hits)
     if got != expected:
         raise TheoremViolationError(

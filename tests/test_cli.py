@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 import weaktri.cli
@@ -289,6 +291,30 @@ def test_gen_kinds(extra, n, dim, capsys):
     assert lines[:3] == ["field GF(3)", f"n {n}", f"dim {dim}"]
     assert len(lines) == 3 + dim
     assert format_spacefile(parse_spacefile(out)) == out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--kind", "joint"], "--kind joint needs --blocks, e.g. --blocks 1,2"),
+        (["--kind", "sym"], "--kind sym needs --n"),
+        (["--kind", "random", "--n", "2"], "--kind random needs --dim"),
+    ],
+)
+def test_gen_missing_option_exits_1(extra, message, capsys):
+    assert main(["gen", "--field", "GF(3)"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_check_reads_the_space_file_from_stdin(sl2, monkeypatch, capsys):
+    assert main(["check", sl2]) == 2
+    from_path = capsys.readouterr().out
+    with open(sl2) as fh:
+        monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr().out == from_path
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,10 @@ class TestFlag:
         with pytest.raises(ValueError, match="empty"):
             Flag(gf3, [])
 
+    def test_basis_vector_of_the_wrong_length_rejected(self, gf3):
+        with pytest.raises(ValueError, match="wrong length"):
+            Flag(gf3, [(1, 0), (0, 1, 0)])
+
 
 class TestFlagSpace:
     def test_standard_is_triangular(self, gf3):

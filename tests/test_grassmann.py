@@ -1,13 +1,12 @@
 """Gaussian binomials, and the oracle's subspace stream, whose constrained
-form runs the package's quotient reduction and lift."""
+form filters the plain stream by containment."""
 
 import pytest
 
 from weaktri.errors import PreconditionError
 from weaktri.gf import FieldCtx
-from weaktri.grassmann import grassmann_count
 from weaktri.linalg import Mat, span_rows
-from weaktri.survey import CampaignSpec, run_campaign
+from weaktri.survey import CampaignSpec, grassmann_count, run_campaign
 
 from oracles import enumerate_subspaces
 
@@ -52,7 +51,7 @@ def test_small_counts():
 def test_constraint_errors(gf3):
     with pytest.raises(PreconditionError, match="dependent"):
         list(enumerate_subspaces(3, 2, gf3, must_contain=[(1, 0, 0), (2, 0, 0)]))
-    # campaigns run the same constraint reduction
+    # a campaign's quotient refuses dependent constraints the same way
     identity = Mat.identity(gf3, 2)
     with pytest.raises(PreconditionError, match="dependent"):
         run_campaign(CampaignSpec(n=2, field=gf3, dim=3, constraints=(identity, identity.scale(2))))

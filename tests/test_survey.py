@@ -12,16 +12,17 @@ import weaktri.triang
 from weaktri.cli import main
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
-from weaktri.grassmann import grassmann_count
 from weaktri.linalg import Mat, char_poly_coeffs
 from weaktri.scan import Quotient
 from weaktri.survey import (
     CampaignSpec,
     count_flags,
+    gen_joint,
     gen_random,
     gen_sl,
     gen_sym,
     gen_triangular,
+    grassmann_count,
     run_campaign,
 )
 from weaktri.triang import space_weakly_triangularizable
@@ -83,6 +84,10 @@ def test_hits_are_exactly_the_flags(field_args):
     assert report.hit_count == count_flags(2, field)
     assert report.all_hits_ok and not report.alarms
     assert "# hits_verified: yes\n" in report.to_text()
+    # n = 1: the quotient by I is 0-dimensional, and its one candidate is I
+    single = run_campaign(CampaignSpec(n=1, field=field, dim=1, constraints=(Mat.identity(field, 1),)))
+    assert (single.total, single.hit_count, single.alarms) == (1, 1, [])
+    assert single.hits[0].space.dim == 1
 
 
 def test_non_split_constraint_dooms_every_candidate(gf3):
@@ -106,7 +111,7 @@ def test_count_flags_enumerates_nothing(monkeypatch):
         raise AssertionError("count_flags enumerated subspaces")
 
     monkeypatch.setattr(oracles, "enumerate_subspaces", refuse)
-    for name in ("grassmann_count", "pivot_patterns"):
+    for name in ("grassmann_count", "Quotient"):
         monkeypatch.setattr(weaktri.survey, name, refuse)
     assert [count_flags(n, FieldCtx(2, exploratory=True)) for n in (1, 2, 3)] == [1, 3, 21]
     q = 1000003
@@ -119,6 +124,21 @@ def test_dimension_outside_the_ambient_range_rejected(gf3, dim, constrained):
     spec = CampaignSpec(n=2, field=gf3, dim=dim, constraints=constraints)
     with pytest.raises(PreconditionError, match="outside"):
         run_campaign(spec)
+
+
+def test_constraint_of_the_wrong_size_rejected(gf3):
+    spec = CampaignSpec(n=2, field=gf3, dim=3, constraints=(Mat.identity(gf3, 3),))
+    with pytest.raises(PreconditionError, match="wrong ambient space"):
+        run_campaign(spec)
+
+
+def test_family_input_checks(gf3, gf5):
+    with pytest.raises(ValueError, match="joint of no spaces"):
+        gen_joint([])
+    with pytest.raises(ValueError, match="mixed fields"):
+        gen_joint([gen_sym(1, gf3), gen_sym(1, gf5)])
+    with pytest.raises(ValueError, match="dimension 5 impossible in 2x2 matrices"):
+        gen_random(2, gf3, 5, 1)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -303,6 +323,20 @@ def test_gf2_n2_report_digest():
     gf2 = FieldCtx(2, exploratory=True)
     report = run_campaign(CampaignSpec(n=2, field=gf2, dim=3))
     assert md5(report.to_text()) == "446817065819ec84eb65380ede53c5ad"
+
+
+def test_candidate_count_off_the_gaussian_binomial_is_an_alarm(monkeypatch, capsys):
+    scan = Quotient.scan
+
+    def one_short(quotient, good, k):
+        total, spaces = scan(quotient, good, k)
+        return total - 1, spaces
+
+    monkeypatch.setattr(Quotient, "scan", one_short)
+    assert main(CAMPAIGN) == 3
+    out = capsys.readouterr().out
+    assert "# total: 12\n# expected_total: 13\n# hits: 4\n# hits_verified: yes\n" in out
+    assert "# alarms: 1\n# alarm: candidate count 12 disagrees with the Gaussian binomial 13\n" in out
 
 
 def test_failed_recovery_is_an_alarm_in_odd_characteristic(monkeypatch, capsys):

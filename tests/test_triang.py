@@ -131,6 +131,10 @@ class TestSpaceVerdicts:
         verdict = space_weakly_triangularizable(gen_sym(2, gf3), mode="sample", count=0)
         assert verdict.all_triangularizable and verdict.checked == 0
 
+    def test_unknown_mode_rejected(self, gf3):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            space_weakly_triangularizable(gen_sym(2, gf3), mode="bogus")
+
     def test_sample_mode_deterministic(self, gf5):
         first = space_weakly_triangularizable(
             gen_sym(2, gf5), mode="sample", count=100, seed=123
