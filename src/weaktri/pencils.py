@@ -180,6 +180,7 @@ def char2_odd_counterexample(degree: int) -> CounterexampleReport:
     for _ in range(degree):
         power = power * shifted
     q = p - power
+    # cannot fire: for odd d, (t+1)^d = t^d + t^(d-1) + ..., so q = t^(d-1) + ...
     if q.degree != degree - 1 or not q.is_monic:
         raise TheoremViolationError("counterexample construction degenerated")
     report = CounterexampleReport(

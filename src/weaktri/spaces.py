@@ -169,16 +169,6 @@ class MatSpace:
                 rest = [i for i in range(lead + 1, d) if i != pinned]
                 yield from self._sweep(rest, self.basis[lead].entries, q ** (d - 1 - lead))
 
-    def enumerate_modulo_identity(self):
-        """Yield one element per coset of F.I in the space, in rank order
-        (see ``enumerate_classes``): those whose coefficient is 0 at the
-        leading coordinate of I's coefficient vector (every element when I
-        is outside the space)."""
-        pinned = self._identity_lead()
-        rest = [i for i in range(self.dim) if i != pinned]
-        for _rank, m in self._sweep(rest, (0,) * (self.n * self.n), 0):
-            yield m
-
     def _identity_lead(self):
         """Index of the first nonzero coefficient of I over the basis, or None
         when I is outside the space."""

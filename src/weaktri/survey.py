@@ -4,10 +4,12 @@ count of complete flags, which an optimal campaign over an odd field must
 match hit for hit, and ``grassmann_count`` the Gaussian binomial, the
 number of candidates a campaign must decide.
 
-A campaign sweeps every candidate subspace of the target dimension
-(optionally constrained to contain given matrices, e.g. the identity),
-decides weak triangularizability for each, and verifies every hit by one
-policy, independently of the scan.  Weakly triangularizable spaces have
+A campaign sweeps every candidate subspace of the target dimension, or
+every one that contains I (the only constraint: M + lambda I has the
+shifted characteristic polynomial, so adding F.I keeps a space weakly
+triangularizable and every optimal space contains I), decides weak
+triangularizability for each, and verifies every hit by one policy,
+independently of the scan.  Weakly triangularizable spaces have
 dimension at most t_n = n(n+1)/2.  A hit of dimension t_n is verified by
 ``recover_flag``, whose flag gate decides and whose element sweep only
 explains a failed gate: a non-split element is the alarm that the scan
@@ -17,10 +19,10 @@ where the theorem does not hold) and is a recovery alarm otherwise.  Below
 t_n the element sweep is the whole check; above t_n a hit that survives it
 is a theorem-violation alarm.
 
-The quotient by the constraint span, its goodness table and the pruned scan
-belong to ``scan.Quotient``; a campaign builds the table once, and one scan
-returns the candidate count, which must equal the Gaussian binomial, and the
-hit spaces, which the report sorts.
+The quotient by F.I, its goodness table and the pruned scan belong to
+``scan.Quotient``; a campaign builds the table once, and one scan returns
+the candidate count, which must equal the Gaussian binomial, and the hit
+spaces, which the report sorts.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def grassmann_count(m: int, k: int, q: int) -> int:
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
     count, rem = divmod(num, den)
-    if rem:
+    if rem:  # cannot fire: the binomial counts subspaces, so it is an integer
         raise TheoremViolationError(f"Gaussian binomial {num}/{den} is not an integer")
     return count
 
@@ -150,7 +152,8 @@ def count_flags(n, field) -> int:
 @dataclass
 class CampaignSpec:
     """What to sweep: candidates are `dim`-dimensional subspaces of M_n(F)
-    containing every matrix in `constraints`."""
+    containing every matrix in `constraints`, which is () or (I,): every
+    weakly triangularizable space of dimension n(n+1)/2 contains I."""
 
     n: int
     field: FieldCtx
@@ -159,13 +162,9 @@ class CampaignSpec:
     budget: int | None = None
 
     def summary_line(self):
-        names = "+".join(
-            "identity" if m == Mat.identity(self.field, self.n) else "custom"
-            for m in self.constraints
-        )
         return (
             f"n={self.n} field={self.field.descriptor()} dim={self.dim} "
-            f"constraints={names or 'none'} mode=exhaustive"
+            f"constraints={'identity' if self.constraints else 'none'} mode=exhaustive"
         )
 
 
@@ -221,13 +220,14 @@ class CampaignReport:
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run the sweep described by ``spec`` and fully verify every hit."""
-    field, n, k = spec.field, spec.n, len(spec.constraints)
+    field, n = spec.field, spec.n
     check_matrix_size(n)
+    identity = spec.constraints == (Mat.identity(field, n),)
+    if spec.constraints and not identity:
+        raise PreconditionError("a campaign's constraints must be () or (I,)")
+    k = int(identity)
     if not k <= spec.dim <= n * n:
         raise PreconditionError(f"target dimension {spec.dim} outside [{k}, {n * n}]")
-    for m in spec.constraints:
-        if m.field != field or m.n != n:
-            raise PreconditionError("constraint matrix in the wrong ambient space")
     # refused before the quotient builds its chunk tables; the Gaussian
     # binomial of j-subspaces of F^m is at least q^(j(m-j))
     what = "candidates exceed the campaign budget"
@@ -235,11 +235,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     check_budget_floor(exponent * (field.q.bit_length() - 1), spec.budget, what)
     expected = grassmann_count(n * n - k, spec.dim - k, field.q)
     check_budget(expected, spec.budget, what)
-    quotient = Quotient(field, n, spec.constraints)
-    good = quotient.goodness_table()
-    # a bad zero class is an element of the constraint span that dooms
-    # every candidate
-    total, spaces = quotient.scan(good, spec.dim - k) if good[0] else (expected, [])
+    quotient = Quotient(field, n, identity)
+    total, spaces = quotient.scan(quotient.goodness_table(), spec.dim - k)
     report = CampaignReport(spec.summary_line(), total, expected, counts_non_flag=field.p == 2)
     if total != expected:
         report.alarms.append(

@@ -446,7 +446,7 @@ def triangularize(m: Mat) -> Mat:
     lam = next((z for z in F.elements() if poly_eval(poly, z) == 0), None)
     if lam is None:
         raise PreconditionError("matrix has a non-split characteristic polynomial")
-    shifted = m - Mat.identity(F, n).scale(lam)
+    shifted = m - Mat(F, n, [lam if i == j else 0 for i in range(n) for j in range(n)])
     v = kernel_basis([shifted.row(i) for i in range(n)], F)[0]
     pivot = next(i for i, e in enumerate(v) if e)
     # complete v to a basis with the standard vectors away from its pivot

@@ -118,6 +118,12 @@ class TestFlagSpace:
             assert flag_space(flag).dim == n * (n + 1) // 2
             assert sorted(calls) == ["invert", "kernel_basis"]
 
+    def test_kernel_of_the_wrong_dimension_is_an_alarm(self, gf3, monkeypatch):
+        kernel_basis = weaktri.flags.kernel_basis
+        monkeypatch.setattr(weaktri.flags, "kernel_basis", lambda *a, **k: kernel_basis(*a, **k)[1:])
+        with pytest.raises(TheoremViolationError, match="^flag space has the wrong dimension$"):
+            flag_space(Flag.standard(gf3, 3))
+
 
 class TestRadicalChain:
     # V_(k-1) = N V_k, built from column blocks of the radical, must be the

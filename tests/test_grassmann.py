@@ -51,10 +51,10 @@ def test_small_counts():
 def test_constraint_errors(gf3):
     with pytest.raises(PreconditionError, match="dependent"):
         list(enumerate_subspaces(3, 2, gf3, must_contain=[(1, 0, 0), (2, 0, 0)]))
-    # a campaign's quotient refuses dependent constraints the same way
-    identity = Mat.identity(gf3, 2)
-    with pytest.raises(PreconditionError, match="dependent"):
-        run_campaign(CampaignSpec(n=2, field=gf3, dim=3, constraints=(identity, identity.scale(2))))
+    # a campaign takes no constraint but I, so it refuses (I, 2I)
+    constraints = (Mat.identity(gf3, 2), Mat(gf3, 2, (2, 0, 0, 2)))
+    with pytest.raises(PreconditionError, match=r"constraints must be \(\) or \(I,\)"):
+        run_campaign(CampaignSpec(n=2, field=gf3, dim=3, constraints=constraints))
     with pytest.raises(ValueError, match="cannot fit"):
         list(enumerate_subspaces(3, 1, gf3, must_contain=[(1, 0, 0), (0, 1, 0)]))
 

@@ -3,7 +3,7 @@ from oracles import monic_polys
 
 from weaktri import pencils
 from weaktri.cli import main
-from weaktri.errors import BudgetExceededError, PreconditionError
+from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx, Poly
 from weaktri.pencils import char2_odd_counterexample, pencil_splits_all, verify_pencil_division
 
@@ -159,6 +159,12 @@ def test_each_monic_polynomial_is_decided_once(monkeypatch):
 def test_char2_counterexample_confirms(degree):
     report = char2_odd_counterexample(degree)
     assert report.pencil_splits and not report.divides
+
+
+def test_unconfirmed_counterexample_is_an_alarm(monkeypatch):
+    monkeypatch.setattr(pencils, "pencil_splits_all", lambda p, q: False)
+    with pytest.raises(TheoremViolationError, match="^degree-3 counterexample over GF\\(2\\) failed to confirm$"):
+        char2_odd_counterexample(3)
 
 
 def test_counterexample_needs_odd_degree():

@@ -11,7 +11,6 @@ import pytest
 from weaktri import scan
 from weaktri.errors import TheoremViolationError
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat
 from weaktri.scan import (
     _CHUNK_TABLE_LIMIT,
     Quotient,
@@ -147,17 +146,12 @@ def test_every_chunk_table_entry(field_args, m):
         ((3,), 2, ["I"], 2),
         (GF9, 2, ["I"], 8),
         ((3,), 2, [], 2),
-        ((3,), 3, [(0, 0), (1, 1), (2, 2)], 4),
-        ((3,), 2, [(0, 1)], 1),
-        ((5,), 3, ["I", (1, 0)], 1),
     ],
 )
 def test_group_order(field_args, n, constraints, order):
-    # the torus modulo scalars, (q-1)^(n-1), on diagonal constraints; else
-    # only the identity
+    # the torus modulo scalars, (q-1)^(n-1), with or without I
     field = FieldCtx(*field_args)
-    mats = [Mat.identity(field, n) if c == "I" else Mat.unit(field, n, *c) for c in constraints]
-    torus = Quotient(field, n, mats).torus
+    torus = Quotient(field, n, identity=constraints == ["I"]).torus
     assert torus.order == len(set(torus.factors)) == order
     assert torus.factors[0] == (1,) * (n * n - len(constraints))
 
@@ -165,7 +159,7 @@ def test_group_order(field_args, n, constraints, order):
 @pytest.mark.parametrize("field_args, n", [((3,), 3), ((5,), 2), (GF9, 2)])
 def test_group_keeps_goodness(field_args, n):
     field = FieldCtx(*field_args)
-    quotient = Quotient(field, n, [Mat.identity(field, n)])
+    quotient = Quotient(field, n, identity=True)
     good, q, m = quotient.goodness_table(), field.q, quotient.dim
     assert 0 < sum(good) < q**m
     for index in range(q**m):
@@ -181,24 +175,14 @@ def test_group_keeps_goodness(field_args, n):
 @pytest.mark.parametrize("field_args", [GF2, (3,), (5,), GF9])
 def test_n2_identity_campaign_patterns_match_the_reference(field_args):
     field = FieldCtx(*field_args)
-    quotient = Quotient(field, 2, [Mat.identity(field, 2)])
-    good = quotient.goodness_table()
-    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4), quotient.torus)
-    assert hits and rejected
-
-
-@pytest.mark.parametrize("field_args", [(3,), (5,)])
-def test_off_diagonal_constraint_scans_without_the_torus(field_args):
-    field = FieldCtx(*field_args)
-    quotient = Quotient(field, 2, [Mat.unit(field, 2, 0, 1)])
-    assert quotient.torus.order == 1
+    quotient = Quotient(field, 2, identity=True)
     good = quotient.goodness_table()
     hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4), quotient.torus)
     assert hits and rejected
 
 
 def test_n3_identity_campaign_patterns_match_the_reference(gf3):
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     assert quotient.torus.order == 4
     assert assert_scans_agree(gf3, 8, good, [5], quotient.torus) == (52, 25_095_280 - 52)
@@ -228,7 +212,7 @@ def test_synthetic_tables_match_the_reference_through_the_torus(
     monkeypatch, q, n, identity, density, seed
 ):
     field = FieldCtx(q)
-    quotient = Quotient(field, n, [Mat.identity(field, n)] if identity else [])
+    quotient = Quotient(field, n, identity)
     torus, m = quotient.torus, quotient.dim
     good = synthetic_goodness(q, m, seed, density, factors=torus.factors)
     # the largest group a call below the bottom level receives
@@ -250,7 +234,7 @@ def test_synthetic_tables_match_the_reference_through_the_torus(
 def test_bookkeeping_drift_is_an_alarm(gf3, monkeypatch):
     # a level that reports one dead row it does not have: the rejected and
     # accepted candidates of a pattern no longer add up to its size
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     level = scan._level
 
@@ -289,7 +273,7 @@ def test_n3_identity_scan_goodness_reads(gf3):
     # bottom row the scan reads 80,632.  Each level reads the rows' own
     # classes once per scan, not once per pattern that has it; building the
     # levels of every pattern anew reads 55,142
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = CountingTable(quotient.goodness_table())
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
@@ -299,7 +283,7 @@ def test_n3_identity_scan_goodness_reads(gf3):
 def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
     # the 56 patterns have 5 levels each, 280 in all, but only 125 distinct
     # (pivot, free columns)
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     built = []
     level = scan._level
@@ -317,7 +301,7 @@ def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
 def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
     # 179 rows meet the torus, each mapped by its 4 elements once; mapping
     # a row each time an orbit test or a hit needs it computes 6,809 images
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
     image = scan._Torus.image
@@ -334,8 +318,7 @@ def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
 
 
 def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch):
-    # 3,281 decided classes, one lift each (the span of I modulo F.I is 0),
-    # meet the 27 monic cubics over GF(3)
+    # the 3,280 decided classes meet the 27 monic cubics over GF(3)
     seen = []
     splits_over = scan.splits_over
 
@@ -344,7 +327,7 @@ def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch
         return splits_over(f)
 
     monkeypatch.setattr(scan, "splits_over", recording)
-    good = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
+    good = Quotient(gf3, 3, identity=True).goodness_table()
     assert len(good) == 3**8
     assert len(seen) == len(set(seen)) == 27
 
@@ -354,7 +337,7 @@ def test_n3_identity_scan_calls_per_level(gf3, monkeypatch):
     # below it.  Every level scans one row per orbit of the stabilizer of
     # the rows below it: 262 orbits on the 377 level-2 rows that a scan
     # using the torus only at the bottom row enters
-    quotient = Quotient(gf3, 3, [Mat.identity(gf3, 3)])
+    quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
     descend = scan._descend

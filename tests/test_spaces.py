@@ -65,7 +65,7 @@ class TestMembership:
 
     def test_scalar_line(self, gf3):
         line = MatSpace.from_span([Mat.identity(gf3, 2)])
-        assert line.coords_of(Mat.identity(gf3, 2).scale(2)) is not None
+        assert line.coords_of(Mat(gf3, 2, (2, 0, 0, 2))) is not None
 
     def test_coords_round_trip(self, gf5):
         rng = seeded(19)
@@ -135,7 +135,7 @@ class TestClasses:
             covered = set()
             for rank, m in space.enumerate_classes():
                 members = {
-                    m.scale(c) + identity.scale(lam)
+                    Mat(F, n, F.axpy(c, m.entries, F.axpy(lam, identity.entries)))
                     for c in list(F.elements())[1:]
                     for lam in shifts
                 }
@@ -143,18 +143,6 @@ class TestClasses:
                 assert not members & covered
                 covered |= members
             assert len(covered) == space.element_count()
-
-    def test_one_element_per_coset_of_the_identity(self, gf3, gf5, gf9):
-        for space in self.spaces(gf3, gf5, gf9):
-            F, n = space.field, space.n
-            identity = Mat.identity(F, n)
-            shifts = list(F.elements()) if space.coords_of(identity) is not None else [0]
-            elements = list(all_elements(space))
-            reps = list(space.enumerate_modulo_identity())
-            chosen = set(reps)
-            assert reps == [m for m in elements if m in chosen]  # sweep order
-            cosets = [{z + identity.scale(lam) for lam in shifts} for z in reps]
-            assert sum(map(len, cosets)) == len(set().union(*cosets)) == len(elements)
 
     def test_class_counts(self, gf3):
         # (q^d - 1)/(q - 1) lines plus the zero class, d one less with I

@@ -90,12 +90,6 @@ def test_hits_are_exactly_the_flags(field_args):
     assert single.hits[0].space.dim == 1
 
 
-def test_non_split_constraint_dooms_every_candidate(gf3):
-    rotation = Mat(gf3, 2, (0, 2, 1, 0))  # char poly t^2 + 1 has no root in GF(3)
-    report = run_campaign(CampaignSpec(n=2, field=gf3, dim=2, constraints=(rotation,)))
-    assert (report.total, report.hit_count) == (grassmann_count(3, 1, 3), 0)
-
-
 @pytest.mark.parametrize(
     "n, field_args",
     [(2, (3,)), (2, (7,)), (3, (3,)), (3, (5,)), (2, GF9), (3, GF9), (3, (2, 1, None, True))],
@@ -126,10 +120,13 @@ def test_dimension_outside_the_ambient_range_rejected(gf3, dim, constrained):
         run_campaign(spec)
 
 
-def test_constraint_of_the_wrong_size_rejected(gf3):
-    spec = CampaignSpec(n=2, field=gf3, dim=3, constraints=(Mat.identity(gf3, 3),))
-    with pytest.raises(PreconditionError, match="wrong ambient space"):
-        run_campaign(spec)
+def test_constraint_of_the_wrong_size_rejected(gf3, monkeypatch):
+    # refused before any table is built, as is any constraint but I
+    monkeypatch.setattr(weaktri.survey, "Quotient", None)
+    for constraint in (Mat.identity(gf3, 3), Mat.identity(FieldCtx(5), 2), Mat.unit(gf3, 2, 0, 0)):
+        spec = CampaignSpec(n=2, field=gf3, dim=3, constraints=(constraint,))
+        with pytest.raises(PreconditionError, match=r"^a campaign's constraints must be \(\) or \(I,\)$"):
+            run_campaign(spec)
 
 
 def test_family_input_checks(gf3, gf5):
@@ -247,29 +244,25 @@ def test_n2_identity_campaign_report_digest(q, digest):
 
 
 @pytest.mark.parametrize("field_args", [(3,), (5,), (3, 2, (1, 0, 1))])
-@pytest.mark.parametrize("constraints", ["", "I", "E00", "I,E01"])
+@pytest.mark.parametrize("constraints", ["", "I"])
 def test_goodness_table_matches_every_lift(field_args, constraints):
     field = FieldCtx(*field_args)
-    mats = {"I": Mat.identity(field, 2), "E00": Mat.unit(field, 2, 0, 0), "E01": Mat.unit(field, 2, 0, 1)}
-    quotient = Quotient(field, 2, [mats[name] for name in constraints.split(",") if name])
+    quotient = Quotient(field, 2, identity=constraints == "I")
     assert list(quotient.goodness_table()) == goodness_by_full_lifts(
         field, 2, quotient.rows, quotient.section_cols
     )
 
 
 def test_n3_goodness_table_matches_every_lift(gf3):
-    # E00 is not scalar, so each of its classes has 3 lifts to decide
-    for constraint in (Mat.identity(gf3, 3), Mat.unit(gf3, 3, 0, 0)):
-        quotient = Quotient(gf3, 3, [constraint])
-        table = quotient.goodness_table()
-        assert type(table) is bytearray  # one byte per class
-        assert list(table) == goodness_by_full_lifts(
-            gf3, 3, quotient.rows, quotient.section_cols
-        )
+    # the oracle decides every lift of each class, 3 per class
+    quotient = Quotient(gf3, 3, identity=True)
+    table = quotient.goodness_table()
+    assert type(table) is bytearray  # one byte per class
+    assert list(table) == goodness_by_full_lifts(gf3, 3, quotient.rows, quotient.section_cols)
 
 
 def test_n3_gf5_goodness_table_digest(gf5):
-    table = Quotient(gf5, 3, [Mat.identity(gf5, 3)]).goodness_table()
+    table = Quotient(gf5, 3, identity=True).goodness_table()
     assert md5_bytes(table) == "0b59f8df36fc4e44d2367e7ad4bb92e6"
 
 
@@ -279,7 +272,7 @@ def test_n3_gf3_goodness_table_computes_no_matrix_char_poly(gf3, monkeypatch):
 
     for module in (weaktri.linalg, weaktri.scan, weaktri.triang):
         monkeypatch.setattr(module, "char_poly", refuse, raising=False)
-    table = Quotient(gf3, 3, [Mat.identity(gf3, 3)]).goodness_table()
+    table = Quotient(gf3, 3, identity=True).goodness_table()
     assert md5_bytes(table) == "20ed74362afa4c2257181f19a7d2fd54"
 
 
@@ -294,8 +287,8 @@ def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
     sweeps = counting_char_polys(monkeypatch, weaktri.triang)
     report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
     assert (report.total, report.hit_count) == (25_095_280, 52)
-    # the zero class and the (3^8 - 1)/2 lines of the quotient by F.I
-    assert len(table) == len(set(table)) == 3281
+    # the (3^8 - 1)/2 lines of the quotient by F.I; the zero class is F.I
+    assert len(table) == len(set(table)) == 3280
     # all 52 hits pass the recovery gate, so no element is swept
     assert len(sweeps) == 0
     assert "non_flag" not in report.to_text()
@@ -408,18 +401,51 @@ def test_hopeless_campaigns_are_refused_uncomputed(n, dim, capsys):
 
 
 def test_budget_trips_the_class_sweep_of_a_hit(gf3, monkeypatch):
-    # 1 plane and 4 three-dimensional spaces pass through E00 and E01, so a
-    # budget of 4 admits both campaigns; each hit's sweep holds 5 classes
-    upper = (Mat.unit(gf3, 2, 0, 0), Mat.unit(gf3, 2, 0, 1))
-    # span(E00, E01) is a hit below n(n+1)/2, so it is always swept
-    plane = CampaignSpec(n=2, field=gf3, dim=2, constraints=upper)
-    assert run_campaign(dataclasses.replace(plane, budget=5)).hit_count == 1
-    with pytest.raises(BudgetExceededError, match="^5 classes exceed the sweep budget 4$"):
-        run_campaign(dataclasses.replace(plane, budget=4))
-    # T_2 is the one optimal hit, swept when its gate fails
+    # a scan that accepts every class: M_2, the one 4-dimensional space
+    # through I, is a hit above n(n+1)/2 whose sweep holds 1 + (3^3 - 1)/2
+    # = 14 classes, so a budget of 13 admits its campaign but not its sweep
+    accept_every_class(monkeypatch)
+    whole = dataclasses.replace(identity_spec(gf3), dim=4)
+    report = run_campaign(dataclasses.replace(whole, budget=14))
+    assert (report.total, report.alarms) == (1, ["scan accepted a space with a non-split element"])
+    with pytest.raises(BudgetExceededError, match="^14 classes exceed the sweep budget 13$"):
+        run_campaign(dataclasses.replace(whole, budget=13))
+    # below n^2 dimensions a campaign has at least as many candidates as a
+    # hit's sweep has classes: the 13 optimal hits, each swept in 5 classes
+    # when its gate fails, are admitted by 13 and refused whole by 12
     fail_every_recovery(monkeypatch)
-    optimal = CampaignSpec(n=2, field=gf3, dim=3, constraints=upper)
-    report = run_campaign(dataclasses.replace(optimal, budget=5))
-    assert (report.total, report.alarms) == (4, ["recovery alarm: deliberate"])
-    with pytest.raises(BudgetExceededError, match="^5 classes exceed the sweep budget 4$"):
-        run_campaign(dataclasses.replace(optimal, budget=4))
+    report = run_campaign(identity_spec(gf3, budget=13))
+    assert (report.total, report.hit_count, len(report.alarms)) == (13, 13, 13)
+    with pytest.raises(BudgetExceededError, match="^13 candidates exceed the campaign budget 12$"):
+        run_campaign(identity_spec(gf3, budget=12))
+
+
+def test_non_split_hit_below_the_optimal_dimension_is_a_sweep_alarm(gf3, monkeypatch):
+    # a scan that accepts all 13 planes through I: the element sweep, the
+    # whole check below n(n+1)/2, finds a non-split element in 3 of them
+    accept_every_class(monkeypatch)
+    swept = counting_sweeps(monkeypatch)
+    report = run_campaign(CampaignSpec(n=2, field=gf3, dim=2, constraints=(Mat.identity(gf3, 2),)))
+    assert (report.total, report.hit_count) == (13, 13)
+    assert report.alarms == ["scan accepted a space with a non-split element"] * 3
+    assert len(swept) == 13
+
+
+def test_unconstrained_n2_report_digest(gf3):
+    # the quotient that reduces nothing: 130 planes, 46 hits
+    report = run_campaign(CampaignSpec(n=2, field=gf3, dim=2))
+    assert "constraints=none" in report.spec_line
+    assert md5(report.to_text()) == "460a9ff81cd709e662c253f9c5c954f6"
+
+
+@pytest.mark.parametrize("q, total", [(3, 896_260), (5, 317_886_556)])
+def test_n3_dim7_campaign_has_no_hit(q, total):
+    # a weakly triangularizable space of dimension 7 or more gives one of
+    # dimension 7 through I (add F.I, which keeps it weakly
+    # triangularizable, then take a 7-dimensional subspace through I):
+    # none is, so t_3 <= 6 over GF(3) and GF(5)
+    field = FieldCtx(q)
+    spec = CampaignSpec(n=3, field=field, dim=7, constraints=(Mat.identity(field, 3),), budget=total)
+    report = run_campaign(spec)
+    assert report.total == report.expected_total == total
+    assert (report.hit_count, report.alarms) == (0, [])
