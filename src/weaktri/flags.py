@@ -14,6 +14,13 @@ gives the argument), the chain V_n = F^n, V_(k-1) = N V_k gives the flag,
 and e_i is the canonical (RREF) row of V_i whose pivot column is new
 against V_(i-1).  Vectors are tuples of packed field elements.
 
+Each reduction is done once: the radical reads the canonical rows as the
+RREF they are, the recovered flag keeps the chain that recovery reduced,
+and it keeps the space its gate built, so a recovery runs n + 2
+eliminations (the n chain levels, one ``invert`` and the flag space's
+kernel) and asking the flag for its chain or its space afterwards runs
+none.
+
 The one correctness gate is flag_space(result) == input, on the space
 the flag builds once and keeps.  Over odd characteristic every optimal
 weakly triangularizable space is a conjugate P T_n P^-1, and a space that
@@ -29,17 +36,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, TheoremViolationError
-from .linalg import Mat, invert, kernel_basis, rref, span_rows
+from .linalg import Mat, invert, kernel_basis, rref, rref_kernel, span_rows
 from .spaces import MatSpace
 from .triang import space_weakly_triangularizable
 
 
 class Flag:
     """Complete flag of F^n, n >= 1, given by an ordered basis (e_1, ...,
-    e_n), each vector a tuple of field elements.  A flag is immutable: only
-    ``flag_space`` writes to it, once, to keep the flag's space in _space."""
+    e_n), each vector a tuple of field elements.  Two flags are equal when
+    their chains are, whatever bases span them.  A flag is immutable: only
+    ``chain`` and ``flag_space`` write to it, each once, to keep the chain
+    in _chain and the flag's space in _space."""
 
-    __slots__ = ("field", "n", "basis", "_space")
+    __slots__ = ("field", "n", "basis", "_chain", "_space")
 
     def __init__(self, field, basis):
         vecs = tuple(tuple(field.coerce(e) for e in v) for v in basis)
@@ -54,7 +63,20 @@ class Flag:
         self.field = field
         self.n = n
         self.basis = vecs
+        self._chain = None
         self._space = None
+
+    @classmethod
+    def _wrap(cls, field, basis, chain):
+        # fast path for recovery: basis rows that are reduced field elements
+        # with distinct pivot columns, and the canonical chain they span
+        flag = object.__new__(cls)
+        flag.field = field
+        flag.n = len(basis)
+        flag.basis = tuple(basis)
+        flag._chain = chain
+        flag._space = None
+        return flag
 
     @classmethod
     def standard(cls, field, n):
@@ -62,18 +84,25 @@ class Flag:
 
     def basis_matrix(self) -> Mat:
         """Change-of-basis matrix whose columns are the flag basis."""
-        n = self.n
-        return Mat(self.field, n, tuple(self.basis[j][i] for i in range(n) for j in range(n)))
-
-    def subspace(self, i):
-        """Canonical RREF rows of V_i = span(e_1, ..., e_i)."""
-        return span_rows(self.basis[:i], self.field)
+        F, n = self.field, self.n
+        return Mat._wrap(F, n, tuple(self.basis[j][i] for i in range(n) for j in range(n)))
 
     def chain(self):
-        return tuple(self.subspace(i) for i in range(self.n + 1))
+        """Canonical RREF rows of V_0, ..., V_n, built on the first call and
+        kept (a recovered flag keeps the chain recovery derived)."""
+        if self._chain is None:
+            self._chain = tuple(span_rows(self.basis[:i], self.field) for i in range(self.n + 1))
+        return self._chain
 
     def __eq__(self, other):
-        return isinstance(other, Flag) and (self.field, self.basis) == (other.field, other.basis)
+        return (
+            isinstance(other, Flag)
+            and self.field == other.field
+            and self.chain() == other.chain()
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.chain()))
 
     def __repr__(self):
         return f"Flag(n={self.n} over {self.field.descriptor()})"
@@ -182,6 +211,9 @@ def _flag_by_gate(space):
     P N_n P^-1 by dimension, and S = N^perp = P T_n P^-1.  It stays as the
     alarm for a wrong radical or chain, and costs a caller that goes on to
     use flag_space(flag) nothing extra: the flag keeps the space it builds.
+    The flag also keeps the canonical rows of V_0, ..., V_n as its chain
+    (``Flag._wrap``): its basis rows are reduced field elements, and
+    chain_basis proves them independent, as their pivot columns differ.
     """
     F, n = space.field, space.n
     expected = n * (n + 1) // 2
@@ -227,7 +259,7 @@ def _flag_by_gate(space):
         for (_, below), (rows, pivots) in zip(subspaces, subspaces[1:])
     ]
     require("chain_basis", None not in basis, "a radical chain step adds no pivot column")
-    flag = Flag(F, basis)
+    flag = Flag._wrap(F, basis, tuple(tuple(rows) for rows, _ in subspaces))
     require(
         "flag_space_equals_input",
         flag_space(flag) == space,
@@ -238,9 +270,13 @@ def _flag_by_gate(space):
 
 def _trace_form_radical(space):
     """Basis of {u in S : tr(uw) = 0 for all w in S} when it has dimension
-    n(n-1)/2, else None: S^perp, when tr(u_i u_j) = 0 for i <= j on it."""
+    n(n-1)/2, else None: S^perp, when tr(u_i u_j) = 0 for i <= j on it.
+    S's canonical rows are already in RREF, so the kernel is read off them
+    and their leading columns with ``rref_kernel``, with no elimination."""
     F, n = space.field, space.n
-    kernel = kernel_basis([b.entries for b in space.basis], F, width=n * n)
+    rows = [b.entries for b in space.basis]
+    pivots = [next(c for c, e in enumerate(row) if e) for row in rows]
+    kernel = rref_kernel(rows, pivots, F, n * n)
     perp = [tuple(e for c in range(n) for e in x[c::n]) for x in kernel]  # x^T
     dot = F.dot
     if any(dot(x, perp[j]) for i, x in enumerate(kernel) for j in range(i, len(perp))):

@@ -155,12 +155,20 @@ def rref_solve(a_rows, b, field):
 
 
 def kernel_basis(a_rows, field, width=None):
-    """Canonical basis of the null space of A, one vector per free column.
-    ``width`` is the number of columns, read off the first row when None;
-    an A with no rows needs it."""
+    """Canonical basis of the null space of A, one vector per free column:
+    ``rref``, then ``rref_kernel``.  ``width`` is the number of columns,
+    read off the first row when None; an A with no rows needs it."""
     if width is None:
         width = len(a_rows[0]) if a_rows else 0
     reduced, pivots = rref(a_rows, field)
+    return rref_kernel(reduced, pivots, field, width)
+
+
+def rref_kernel(rows, pivots, field, width):
+    """Canonical basis of the null space of ``rows``, already in reduced row
+    echelon form with these pivot columns, as ``rref`` returns them: the
+    vector of free column f has a 1 at f, -row[f] at each row's pivot
+    column and 0 elsewhere.  No elimination is done."""
     pivot_set = set(pivots)
     basis = []
     for free in range(width):
@@ -168,7 +176,7 @@ def kernel_basis(a_rows, field, width=None):
             continue
         v = [0] * width
         v[free] = 1
-        for row, pc in zip(reduced, pivots):
+        for row, pc in zip(rows, pivots):
             v[pc] = field.neg(row[free])
         basis.append(tuple(v))
     return basis

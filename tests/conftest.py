@@ -1,9 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat, char_poly, invert
+from weaktri.linalg import Mat, char_poly, invert, rref
 from weaktri.spaces import MatSpace
 
 
@@ -86,4 +87,19 @@ def counting_char_polys(monkeypatch, module):
         return char_poly(m)
 
     monkeypatch.setattr(module, "char_poly", counted)
+    return calls
+
+
+def counting_rrefs(monkeypatch):
+    """Count every ``rref`` call, through each package module's binding."""
+    calls = []
+    real = rref
+
+    def counted(rows, field):
+        calls.append(rows)
+        return real(rows, field)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "weaktri" and getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", counted)
     return calls

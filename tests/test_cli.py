@@ -141,6 +141,47 @@ def test_recover_a_failed_gate_prints_its_trace(tmp_path, capsys):
     )
 
 
+RECOVERED_TRACE = (
+    "level 1: n={n} kind=radical\n"
+    "  check chain_basis: pass\n"
+    "  check chain_steps: pass\n"
+    "  check flag_space_equals_input: pass\n"
+    "  check radical_dim: pass\n"
+)
+
+
+@pytest.mark.parametrize(
+    "field, n, seed, stdout",
+    [
+        (
+            FieldCtx(3, 2, (1, 0, 1)),
+            4,
+            9,
+            "# space: n=4 dim=10 field=GF(3^2; 1,0,1)\n# recovered: yes\n"
+            "e1 1 4 1 0\ne2 0 1 4 3\ne3 0 0 1 3\ne4 0 0 0 1\n"
+            "# trace ambient: 4\n# trace field: GF(3^2; 1,0,1)\n" + RECOVERED_TRACE.format(n=4),
+        ),
+        (
+            FieldCtx(3),
+            5,
+            3,
+            "# space: n=5 dim=15 field=GF(3)\n# recovered: yes\n"
+            "e1 0 1 1 2 2\ne2 1 0 0 1 2\ne3 0 0 1 2 2\ne4 0 0 0 1 2\ne5 0 0 0 0 1\n"
+            "# trace ambient: 5\n# trace field: GF(3)\n" + RECOVERED_TRACE.format(n=5),
+        ),
+    ],
+    ids=["t4-gf9", "t5-gf3"],
+)
+def test_recover_stdout_of_seeded_conjugates(field, n, seed, stdout, tmp_path, capsys):
+    # the whole stdout, byte for byte: the flag basis is the pivot-new row of
+    # each canonical chain subspace, whatever reductions recovery reuses
+    space = gen_triangular(n, field, conjugate_by=random_invertible(field, n, seeded(seed)))
+    path = tmp_path / "conjugate.space"
+    path.write_text(format_spacefile(space))
+    assert main(["recover", str(path)]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_campaign_help_says_what_the_budget_bounds(capsys):
     with pytest.raises(SystemExit):
         main(["campaign", "--help"])

@@ -28,6 +28,7 @@ from weaktri.triang import space_weakly_triangularizable
 
 from conftest import (
     counting_char_polys,
+    counting_rrefs,
     cycle,
     full_space,
     gf2_non_flag_hit,
@@ -54,7 +55,7 @@ def conjugate_chain(p, field, n):
 class TestFlag:
     def test_standard(self, gf3):
         flag = Flag.standard(gf3, 3)
-        assert flag.subspace(2) == ((1, 0, 0), (0, 1, 0))
+        assert flag.chain()[2] == ((1, 0, 0), (0, 1, 0))
         assert flag.chain()[0] == ()
 
     def test_dependent_basis_rejected(self, gf3):
@@ -69,6 +70,16 @@ class TestFlag:
     def test_basis_vector_of_the_wrong_length_rejected(self, gf3):
         with pytest.raises(ValueError, match="wrong length"):
             Flag(gf3, [(1, 0), (0, 1, 0)])
+
+    def test_two_bases_of_one_flag_are_one_flag(self, gf3, gf5):
+        # e_2 = (1, 1) = 2 e_1' + e_2' with e_1' = (2, 0): same V_1, same V_2
+        one, other = Flag(gf3, [(1, 0), (0, 1)]), Flag(gf3, [(2, 0), (1, 1)])
+        assert one.basis != other.basis
+        assert one == other and hash(one) == hash(other)
+        assert flag_space(one) == flag_space(other)
+        assert one != Flag(gf3, [(0, 1), (1, 0)])
+        assert one != Flag.standard(gf5, 2) and one != Flag.standard(gf3, 3)
+        assert len({one, other, Flag.standard(gf3, 2)}) == 1
 
 
 class TestFlagSpace:
@@ -90,7 +101,7 @@ class TestFlagSpace:
             space = flag_space(flag)
             assert space.dim == 10
             for i in range(1, 4):
-                rows = flag.subspace(i)
+                rows = flag.chain()[i]
                 for b in space.basis:
                     for v in rows:
                         assert in_span(rows, apply(b, v), gf5)
@@ -206,32 +217,30 @@ class TestGate:
                         for _ in range(2):
                             assert (flag_space(fresh) == candidate) == expected
 
-    def test_recovery_runs_two_kernels_and_keeps_the_flag_space(
-        self, gf3, gf5, monkeypatch
-    ):
-        # one kernel for the radical and one for the gate's flag space; the
-        # flag keeps that space, so asking for it again solves nothing
-        calls = []
-        real = weaktri.flags.kernel_basis
-        monkeypatch.setattr(
-            weaktri.flags, "kernel_basis", lambda *a, **k: calls.append(a) or real(*a, **k)
-        )
+    def test_recovery_runs_n_plus_2_eliminations_and_keeps_them(self, gf3, gf5, monkeypatch):
+        # one rref per chain level V_(n-1), ..., V_0, one to invert the flag
+        # basis and one for the flag space's kernel: the radical reads the
+        # canonical rows as the RREF they are, and the flag keeps its chain
+        # and its space, so asking for either again reduces nothing
+        calls = counting_rrefs(monkeypatch)
         rng = seeded(71)
         for field in (gf3, gf5):
             for n in (1, 2, 3, 4, 5):
                 p = random_invertible(field, n, rng)
                 space = gen_triangular(n, field, conjugate_by=p)
+                expected = conjugate_chain(p, field, n)
                 calls.clear()
                 flag, trace = recover_flag(space)
                 assert trace.all_checks_pass()
-                assert flag.chain() == conjugate_chain(p, field, n)
-                assert len(calls) == 2
+                assert len(calls) == n + 2
                 calls.clear()
+                chain = flag.chain()
                 kept = flag_space(flag)
                 if n >= 3:
                     assert extract_structure_maps(space, flag).all_checks_pass()
-                assert flag_space(flag) is kept and kept == space
                 assert calls == []
+                assert chain == expected
+                assert flag_space(flag) is kept and kept == space
 
     def test_the_gate_never_fails_first(self, gf3, gf5):
         # the gate is implied by the checks before it (see _flag_by_gate),
@@ -267,6 +276,22 @@ class TestGate:
             first_failures.append(None)
         # flag spaces pass, and the radical and chain checks both refuse
         assert {None, "radical_dim", "chain_steps"} <= set(first_failures)
+
+
+class TestKeptChain:
+    # a recovered flag keeps the chain recovery derived, with no re-reduction:
+    # it must be the chain that its basis spans, which is P's column chain
+    def test_equals_the_chain_of_its_basis(self, gf3, gf5, gf9):
+        rng = seeded(79)
+        for field in (FieldCtx(2, exploratory=True), gf3, gf5, gf9):
+            for n in (1, 2, 3, 4, 5):
+                p = random_invertible(field, n, rng)
+                space = gen_triangular(n, field, conjugate_by=p)
+                flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
+                rebuilt = Flag(field, flag.basis)
+                assert flag.chain() == rebuilt.chain() == conjugate_chain(p, field, n)
+                assert flag == rebuilt and hash(flag) == hash(rebuilt)
+                assert [flag.basis_matrix().col(j) for j in range(n)] == list(flag.basis)
 
 
 class TestInvariantSubspaces:
@@ -307,7 +332,7 @@ class TestBaseCase:
     # a 2x2 space has a one-dimensional radical, the line of E_12
     def test_triangular(self, gf3):
         flag, trace = recover_flag(triangular_space(gf3, 2))
-        assert flag.subspace(1) == ((1, 0),)
+        assert flag.chain()[1] == ((1, 0),)
         assert trace.all_checks_pass()
         assert trace.ambient == 2
         assert trace.to_text().splitlines()[2] == "level 1: n=2 kind=radical"
@@ -335,7 +360,7 @@ class TestRecoverFlag:
     def test_standard_triangulars(self, gf3):
         for n in (1, 2, 3, 4):
             flag, trace = recover_flag(triangular_space(gf3, n))
-            assert flag.chain() == Flag.standard(gf3, n).chain()
+            assert flag == Flag.standard(gf3, n)
             assert trace.all_checks_pass()
 
     def test_round_trip_random_conjugates(self, gf3, gf5):
@@ -393,7 +418,7 @@ class TestRecoverFlag:
         for space in spaces:
             F, n = space.field, space.n
             flag, _ = recover_flag(space, assume_weakly_triangularizable=True)
-            hyperplane = flag.subspace(n - 1)
+            hyperplane = flag.chain()[n - 1]
             units = Mat.identity(F, n).rows()
             last = max(i for i in range(n) if not in_span(hyperplane, units[i], F))
             assert find_adapted_vector(space) == units[last]
@@ -420,7 +445,7 @@ class TestRecoverFlag:
         flag, _ = recover_flag(space)
         assert flag.chain() == conjugate_chain(p, gf5, 4)
         flag, _ = recover_flag(triangular_space(gf3, 4), budget=100)
-        assert flag.chain() == Flag.standard(gf3, 4).chain()
+        assert flag == Flag.standard(gf3, 4)
         assert len(sweeps) == 0
 
     def test_budget_bounds_the_sweep_of_a_failed_gate(self, gf3, monkeypatch):

@@ -99,7 +99,6 @@ ENTRY_POINTS = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "flags.extract_structure_maps": "the recover-mix benchmark calls it and its tracer wraps it",
     "flags.RecoveryTrace.all_checks_pass": "the recover-mix benchmark checks traces with it",
-    "flags.Flag.chain": "the recover-mix benchmark compares recovered flags by their chain",
     "linalg.rref_solve": "the benchmark tracer wraps it by name",
     "pencils.char2_odd_counterexample": "the lemma31 benchmark runs the GF(2) counterexamples",
 }

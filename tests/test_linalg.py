@@ -10,6 +10,7 @@ from weaktri.linalg import (
     invert,
     kernel_basis,
     rref,
+    rref_kernel,
     rref_solve,
     span_rows,
 )
@@ -29,6 +30,28 @@ class TestRref:
         assert kernel_basis([], gf3) == []
         assert kernel_basis([], gf3, width=2) == [(1, 0), (0, 1)]
         assert kernel_basis([(1, 1)], gf3, width=2) == [(2, 1)]
+
+    def test_kernel_of_reduced_rows_matches_kernel_basis(self, gf3, gf5, gf9):
+        # rref_kernel on canonical rows, with the pivots read off the rows as
+        # the trace-form radical reads them, eliminates nothing and must give
+        # kernel_basis's answer: the width n - rank null space of the rows
+        rng = seeded(13)
+        for field in (gf3, gf5, gf9):
+            units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+            assert rref_kernel([], [], field, 3) == kernel_basis([], field, width=3) == units
+            for width in range(1, 7):
+                for _ in range(10):
+                    rows = [
+                        tuple(field.coerce(rng.randrange(field.q)) for _ in range(width))
+                        for _ in range(rng.randrange(width + 2))
+                    ]
+                    canonical = span_rows(rows, field)
+                    pivots = [next(c for c, e in enumerate(row) if e) for row in canonical]
+                    kernel = rref_kernel(canonical, pivots, field, width)
+                    assert kernel == kernel_basis(canonical, field, width=width)
+                    assert kernel == kernel_basis(rows, field, width=width)
+                    assert len(kernel) == width - len(canonical)
+                    assert all(field.dot(row, v) == 0 for row in rows for v in kernel)
 
     def test_kernel_line(self, gf3):
         kern = kernel_basis([(1, 1), (2, 2)], gf3)
