@@ -253,8 +253,10 @@ def build_parser():
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--contains-identity", action="store_true")
     p.add_argument("--exploratory", action="store_true")
-    _add_budget_arg(p, "campaign budget: first the nominal candidate count must not exceed "
-                       "it (exit 4); then it bounds each class sweep: of a hit whose flag "
+    _add_budget_arg(p, "campaign budget: first the nominal candidate count, and the "
+                       "(q^m - 1)/(q - 1) classes the goodness table of an m-dimensional "
+                       "quotient decides unless no row is scanned, must not exceed it "
+                       "(exit 4); then it bounds each class sweep: of a hit whose flag "
                        "gate fails, and of a hit not of dimension n(n+1)/2")
     p.set_defaults(func=cmd_campaign)
 

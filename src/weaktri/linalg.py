@@ -39,10 +39,6 @@ class Mat:
         return m
 
     @classmethod
-    def zeros(cls, field, n):
-        return cls(field, n, (0,) * (n * n))
-
-    @classmethod
     def identity(cls, field, n):
         return cls._wrap(field, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 

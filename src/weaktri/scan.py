@@ -18,12 +18,10 @@ back only when a hit's rows are unpacked.
 
 The goodness table holds one byte per class: the class is bad when the
 characteristic polynomial of its lift, which adding multiples of I only
-shifts, is rejected by ``gf.splits_over`` (the one split decision of the
-package).  Badness is invariant under nonzero scalars, so only the classes
-whose top nonzero digit is 1 are decided, with their digits written into
-one flat entry list for ``linalg.char_poly_coeffs``; a bad class marks all
-its nonzero multiples bad.  Each distinct characteristic polynomial is
-decided once per table: its verdict is kept for the rest of the build.
+shifts, does not split.  The package's one class walk,
+``triang.nonsplit_classes`` over the quotient's unit vectors, decides each
+class of nonzero multiples once, by its element whose top nonzero digit is
+1, and the table marks every nonzero multiple of each class it yields bad.
 
 The scan enumerates RREF bases row by row, bottom row first, and returns
 the number of candidates it decided and its hit spaces, in no set order.
@@ -58,9 +56,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import TheoremViolationError
-from .gf import Poly, splits_over
-from .linalg import Mat, char_poly_coeffs, span_rows
+from .linalg import Mat, span_rows
 from .spaces import MatSpace
+from .triang import nonsplit_classes
 
 # the most entries a chunk table may hold, unless one-digit chunks need more
 _CHUNK_TABLE_LIMIT = 1 << 20
@@ -108,36 +106,18 @@ class Quotient:
         rest) splits, else 0; a bytearray, one byte per class.  Adding a
         multiple of I shifts the polynomial, so one lift decides the class.
 
-        Only the classes whose top nonzero digit is 1 are decided: for each
-        top digit j, the classes q^j + lower digits, in index order.  Every
-        nonzero class is a nonzero multiple of exactly one decided class.
-        Class 0 is 0 or F.I, and (t - lambda)^n splits, so it is good.
-
-        Each distinct characteristic polynomial is passed to
-        ``splits_over`` once per call, and its verdict is kept in a dict
-        for the rest of the call.  Over GF(3) at n = 3 the 3,280 decided
-        classes meet only 27 cubics, and without the dict (each class going
-        through the ``splits_over`` memo) the table took 13.3 ms, not 9.5,
-        and a ``campaign-gf3`` pass 10-16% longer (Python 3.11, Xeon).
+        ``triang.nonsplit_classes`` walks the quotient's unit vectors, whose
+        packed index is the class index, and decides each class of nonzero
+        multiples once; every nonzero multiple of a class it yields is
+        marked bad.  Class 0 is 0 or F.I, and (t - lambda)^n splits, so it
+        is good.
         """
-        F, n, q = self.field, self.n, self.field.q
-        good = bytearray(b"\x01") * q**self.dim
-        entries = [0] * (n * n)
-        verdicts = {}  # characteristic polynomial coefficients -> splits
-        cols = self.section_cols
-        for j, top in enumerate(cols):
-            entries[top] = 1
-            lower = cols[:j][::-1]  # product varies its last digit, column 0, fastest
-            for index, digits in enumerate(itertools.product(range(q), repeat=j), q**j):
-                for col, v in zip(lower, digits):
-                    entries[col] = v
-                coeffs = char_poly_coeffs(F, n, entries)
-                splits = verdicts.get(coeffs)
-                if splits is None:
-                    splits = verdicts[coeffs] = splits_over(Poly(F, coeffs))
-                if not splits:
-                    for multiple in self.chunks.multiples(index):
-                        good[multiple] = 0
+        F, n = self.field, self.n
+        good = bytearray(b"\x01") * F.q**self.dim
+        units = [Mat.unit(F, n, c // n, c % n).entries for c in self.section_cols]
+        for index, _ in nonsplit_classes(F, n, units):
+            for multiple in self.chunks.multiples(index):
+                good[multiple] = 0
         return good
 
     def scan(self, good, k):

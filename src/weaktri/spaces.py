@@ -1,9 +1,12 @@
-"""Linear subspaces of M_n(F) with a canonical RREF basis, plus the plain-text
-space-file format.
+"""Linear subspaces of M_n(F) with a canonical RREF basis, the budget checks
+that every sweep makes before it starts, and the plain-text space-file
+format.
 
 A space is stored as the reduced row echelon form of the row-major
 vectorizations of any spanning set, so equal spaces always carry identical
-basis sequences and can be hashed, deduplicated, and diffed.
+basis sequences and can be hashed, deduplicated, and diffed.  The element
+sweep of a space is not here: ``triang`` walks its canonical basis with the
+package's one class walk.
 """
 
 from __future__ import annotations
@@ -137,65 +140,8 @@ class MatSpace:
                 acc = F.axpy(c, b.entries, acc)
         return Mat._wrap(F, self.n, tuple(acc))
 
-    # -- sweeps ------------------------------------------------------------------
-
     def element_count(self) -> int:
         return self.field.q**self.dim
-
-    def enumerate_classes(self, budget=None):
-        """Yield (rank, element) for one element per class of M ~ cM, c != 0,
-        and, when I is in the space, also M ~ M + lambda I.
-
-        Both moves keep a characteristic polynomial split or non-split, so a
-        split decision over the classes decides every element.  The rank of
-        an element is the position of its coefficient vector over the basis
-        in the lexicographic order of F^d: the integer whose base-q digits
-        are the packed coefficients.  The element yielded is the one of
-        least rank in its class: the zero element, or the element whose
-        leading coefficient is 1 and whose coefficient is 0 at the leading
-        coordinate of I's coefficient vector.  Classes come in rank order,
-        so the first class with some property holds the element of least
-        rank with it.  The budget bounds the classes yielded:
-        1 + (q^d' - 1)/(q - 1), where d' is d - 1 when I is in the space and
-        d otherwise.
-        """
-        d, q = self.dim, self.field.q
-        pinned = self._identity_lead()
-        free = d if pinned is None else d - 1
-        check_budget(1 + (q**free - 1) // (q - 1), budget, "classes exceed the sweep budget")
-        yield 0, Mat.zeros(self.field, self.n)
-        for lead in reversed(range(d)):
-            if lead != pinned:
-                rest = [i for i in range(lead + 1, d) if i != pinned]
-                yield from self._sweep(rest, self.basis[lead].entries, q ** (d - 1 - lead))
-
-    def _identity_lead(self):
-        """Index of the first nonzero coefficient of I over the basis, or None
-        when I is outside the space."""
-        coords = self.coords_of(Mat.identity(self.field, self.n))
-        if coords is None:
-            return None
-        return next(i for i, c in enumerate(coords) if c)
-
-    def _sweep(self, positions, start, rank):
-        """Yield (rank, start + sum c_i basis[i]) over every choice of the
-        coefficients c_i at ``positions``, in lexicographic order.  ``rank``
-        starts as the rank of ``start``, whose coefficients at ``positions``
-        are 0, and adds c_i q^(d-1-i) (see ``enumerate_classes``)."""
-        F, n, d = self.field, self.n, self.dim
-        axpy = F.axpy
-        rows = [(self.basis[i].entries, F.q ** (d - 1 - i)) for i in positions]
-
-        def rec(idx, acc, rank):
-            if idx == len(rows):
-                yield rank, Mat._wrap(F, n, tuple(acc))
-                return
-            row, weight = rows[idx]
-            yield from rec(idx + 1, acc, rank)
-            for c in range(1, F.q):
-                yield from rec(idx + 1, axpy(c, row, acc), rank + c * weight)
-
-        yield from rec(0, start, rank)
 
 
 # -- space files ----------------------------------------------------------------

@@ -20,9 +20,11 @@ t_n the element sweep is the whole check; above t_n a hit that survives it
 is a theorem-violation alarm.
 
 The quotient by F.I, its goodness table and the pruned scan belong to
-``scan.Quotient``; a campaign builds the table once, and one scan returns
-the candidate count, which must equal the Gaussian binomial, and the hit
-spaces, which the report sorts.
+``scan.Quotient``; a campaign builds the table once, unless it scans no
+row (a campaign of dimension 1 through I, or of dimension 0), and one scan
+returns the candidate count, which must equal the Gaussian binomial, and
+the hit spaces, which the report sorts.  The budget bounds the candidates
+and the classes the table decides.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def grassmann_count(m: int, k: int, q: int) -> int:
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     num = den = 1
-    for i in range(k):
+    for i in range(min(k, m - k)):  # [m, k] = [m, m - k]
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
     count, rem = divmod(num, den)
@@ -229,14 +231,22 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     if not k <= spec.dim <= n * n:
         raise PreconditionError(f"target dimension {spec.dim} outside [{k}, {n * n}]")
     # refused before the quotient builds its chunk tables; the Gaussian
-    # binomial of j-subspaces of F^m is at least q^(j(m-j))
-    what = "candidates exceed the campaign budget"
-    exponent = (spec.dim - k) * (n * n - spec.dim)
-    check_budget_floor(exponent * (field.q.bit_length() - 1), spec.budget, what)
-    expected = grassmann_count(n * n - k, spec.dim - k, field.q)
+    # binomial of j-subspaces of F^m is at least q^(j(m-j)).  A scan of
+    # j >= 1 rows reads the goodness table, whose (q^m - 1)/(q - 1) decided
+    # classes are at least q^(m-1) and, unless j = m, at most the candidates
+    q, m, rows = field.q, n * n - k, spec.dim - k
+    what, table = "candidates exceed the campaign budget", "classes exceed the campaign budget"
+    bits = q.bit_length() - 1
+    check_budget_floor(rows * (m - rows) * bits, spec.budget, what)
+    if rows:
+        check_budget_floor((m - 1) * bits, spec.budget, table)
+    expected = grassmann_count(m, rows, q)
     check_budget(expected, spec.budget, what)
+    if rows:
+        check_budget((q**m - 1) // (q - 1), spec.budget, table)
     quotient = Quotient(field, n, identity)
-    total, spaces = quotient.scan(quotient.goodness_table(), spec.dim - k)
+    good = quotient.goodness_table() if rows else None
+    total, spaces = quotient.scan(good, rows)
     report = CampaignReport(spec.summary_line(), total, expected, counts_non_flag=field.p == 2)
     if total != expected:
         report.alarms.append(

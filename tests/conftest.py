@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+import weaktri.triang
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat, char_poly, invert, rref
+from weaktri.linalg import Mat, char_poly_coeffs, invert, rref
 from weaktri.spaces import MatSpace
 
 
@@ -78,15 +79,16 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def counting_char_polys(monkeypatch, module):
-    """Count the char polys ``module`` computes through its own binding."""
+def counting_class_decisions(monkeypatch):
+    """Record the entries of each class that ``triang.nonsplit_classes``,
+    the one class walk, decides: one char poly per class."""
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return char_poly(m)
+    def counted(field, n, entries):
+        calls.append(tuple(entries))
+        return char_poly_coeffs(field, n, entries)
 
-    monkeypatch.setattr(module, "char_poly", counted)
+    monkeypatch.setattr(weaktri.triang, "char_poly_coeffs", counted)
     return calls
 
 

@@ -25,7 +25,8 @@ added coordinate by coordinate.  The packed scan must decide every pattern
 exactly as it does, up to the order of its hits.
 
 ``all_elements`` is the full sweep over all q^dim elements, in the rank
-order of ``MatSpace.enumerate_classes``.  ``enumerate_subspaces`` streams
+order of the exhaustive check's class walk: ``triang.nonsplit_classes``
+over the canonical basis reversed.  ``enumerate_subspaces`` streams
 the subspaces of F^m one by one, those that contain given vectors by
 filtering the whole stream; ``count_chains`` counts the complete flags
 with it, which ``count_flags``'s closed form must equal.  ``poly_eval`` is

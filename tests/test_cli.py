@@ -187,6 +187,7 @@ def test_campaign_help_says_what_the_budget_bounds(capsys):
         main(["campaign", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "--budget BUDGET campaign budget: first the nominal candidate count" in text
+    assert "the (q^m - 1)/(q - 1) classes the goodness table" in text
     assert "must not exceed it (exit 4)" in text
     assert "of a hit whose flag gate fails" in text
     assert "element-sweep budget" not in text

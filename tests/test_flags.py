@@ -3,7 +3,6 @@ import re
 import pytest
 
 import weaktri.flags
-import weaktri.triang
 from weaktri.adapted import find_adapted_vector
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.flags import (
@@ -27,7 +26,7 @@ from weaktri.survey import (
 from weaktri.triang import space_weakly_triangularizable
 
 from conftest import (
-    counting_char_polys,
+    counting_class_decisions,
     counting_rrefs,
     cycle,
     full_space,
@@ -439,7 +438,7 @@ class TestRecoverFlag:
     def test_the_gate_decides_without_a_sweep(self, gf3, gf5, monkeypatch):
         # a space that passes the gate is a conjugate of T_n, so none of its
         # 5^10 elements is swept and no budget applies
-        sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+        sweeps = counting_class_decisions(monkeypatch)
         p = random_invertible(gf5, 4, seeded(41))
         space = gen_triangular(4, gf5, conjugate_by=p)
         flag, _ = recover_flag(space)
@@ -456,7 +455,7 @@ class TestRecoverFlag:
             recover_flag(space, budget=4)
         with pytest.raises(PreconditionError, match=re.escape("witness Mat[[0 1] [1 1]]")):
             recover_flag(space, budget=5)
-        sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+        sweeps = counting_class_decisions(monkeypatch)
         with pytest.raises(TheoremViolationError):
             recover_flag(space, assume_weakly_triangularizable=True)
         assert len(sweeps) == 0

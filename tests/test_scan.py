@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from weaktri import scan
+from weaktri import scan, triang
 from weaktri.errors import TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.scan import (
@@ -320,13 +320,14 @@ def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
 def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch):
     # the 3,280 decided classes meet the 27 monic cubics over GF(3)
     seen = []
-    splits_over = scan.splits_over
+    splits_over = triang.splits_over
 
     def recording(f):
         seen.append(f.coeffs)
         return splits_over(f)
 
-    monkeypatch.setattr(scan, "splits_over", recording)
+    # the table decides its classes through the one class walk
+    monkeypatch.setattr(triang, "splits_over", recording)
     good = Quotient(gf3, 3, identity=True).goodness_table()
     assert len(good) == 3**8
     assert len(seen) == len(set(seen)) == 27

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from weaktri import triang
 from weaktri.cli import main
 from weaktri.flags import Flag, flag_space
 from weaktri.errors import BudgetExceededError, SpaceFileError
@@ -10,6 +11,7 @@ from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat, invert
 from weaktri.spaces import MatSpace, check_budget, format_spacefile, parse_spacefile
 from weaktri.survey import gen_triangular
+from weaktri.triang import nonsplit_classes, space_weakly_triangularizable
 
 from conftest import full_space, random_invertible, random_matrix, seeded, triangular_space
 from oracles import all_elements, is_upper_triangular, naive_conjugate, transpose_dual
@@ -86,7 +88,7 @@ class TestEnumeration:
 
     def test_zero_space_yields_zero(self, gf3):
         space = MatSpace.from_span([], field=gf3, n=2)
-        assert list(all_elements(space)) == [Mat.zeros(gf3, 2)]
+        assert list(all_elements(space)) == [Mat(gf3, 2, (0,) * 4)]
 
     def test_triangulars_all_triangular(self, gf3):
         t2 = triangular_space(gf3, 2)
@@ -100,8 +102,22 @@ class TestEnumeration:
         assert seen == sorted(seen)
 
 
+def every_class(space):
+    """(rank, element) for each class the exhaustive sweep of ``space``
+    walks, in walk order: the sweep's own call of ``nonsplit_classes``,
+    replayed with every class taken as non-split."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triang, "nonsplit_classes", lambda *args: calls.append(args) or iter(()))
+        space_weakly_triangularizable(space)
+        mp.setattr(triang, "splits_over", lambda f: False)
+        (args,) = calls
+        return [(rank, Mat(space.field, space.n, e)) for rank, e in nonsplit_classes(*args)]
+
+
 class TestClasses:
-    """enumerate_classes: one element per class of M ~ cM + lambda I."""
+    """The class walk of the exhaustive sweep: one element per nonzero class
+    of M ~ cM + lambda I, by ``triang.nonsplit_classes``."""
 
     def spaces(self, gf3, gf5, gf9):
         rng = seeded(23)
@@ -121,7 +137,7 @@ class TestClasses:
         for space in self.spaces(gf3, gf5, gf9):
             elements = list(all_elements(space))
             ranks = []
-            for rank, m in space.enumerate_classes():
+            for rank, m in every_class(space):
                 assert elements[rank] == m
                 ranks.append(rank)
             assert ranks == sorted(set(ranks))
@@ -132,8 +148,9 @@ class TestClasses:
             identity = Mat.identity(F, n)
             shifts = list(F.elements()) if space.coords_of(identity) is not None else [0]
             position = {m: i for i, m in enumerate(all_elements(space))}
-            covered = set()
-            for rank, m in space.enumerate_classes():
+            # the zero class, 0 or F.I, splits and is not walked
+            covered = {Mat(F, n, F.axpy(lam, identity.entries)) for lam in shifts}
+            for rank, m in every_class(space):
                 members = {
                     Mat(F, n, F.axpy(c, m.entries, F.axpy(lam, identity.entries)))
                     for c in list(F.elements())[1:]
@@ -145,24 +162,25 @@ class TestClasses:
             assert len(covered) == space.element_count()
 
     def test_class_counts(self, gf3):
-        # (q^d - 1)/(q - 1) lines plus the zero class, d one less with I
-        assert len(list(triangular_space(gf3, 3).enumerate_classes())) == 1 + 121
-        assert len(list(full_space(gf3, 2).enumerate_classes())) == 1 + 13
-        assert len(list(MatSpace.from_span([unit(gf3, 2, 0, 1)]).enumerate_classes())) == 2
+        # (q^d - 1)/(q - 1) nonzero classes, d one less with I
+        assert len(every_class(triangular_space(gf3, 3))) == 121
+        assert len(every_class(full_space(gf3, 2))) == 13
+        assert len(every_class(MatSpace.from_span([unit(gf3, 2, 0, 1)]))) == 1
 
     def test_budget_guard(self, gf3):
         with pytest.raises(BudgetExceededError):
-            list(full_space(gf3, 2).enumerate_classes(budget=10))
+            space_weakly_triangularizable(full_space(gf3, 2), budget=10)
 
     def test_budget_counts_what_each_sweep_yields(self, gf3, gf5, gf9):
-        # the class sweep is bounded by the classes it yields, both sides of
-        # the bound
+        # the sweep is bounded by its classes, the zero class with the ones
+        # it walks, on both sides of the bound
         for space in self.spaces(gf3, gf5, gf9):
-            count = len(list(space.enumerate_classes()))
-            assert len(list(space.enumerate_classes(budget=count))) == count
+            count = 1 + len(every_class(space))
+            expected = space_weakly_triangularizable(space)
+            assert space_weakly_triangularizable(space, budget=count) == expected
             message = f"^{count} classes exceed the sweep budget {count - 1}$"
             with pytest.raises(BudgetExceededError, match=message):
-                next(iter(space.enumerate_classes(budget=count - 1)))
+                space_weakly_triangularizable(space, budget=count - 1)
 
 
 # GF(3^7) lies above the add-table limit, so its sums take the digit path
@@ -205,7 +223,7 @@ class TestConjugation:
 
     def test_singular_rejected(self, gf3):
         with pytest.raises(ValueError):
-            gen_triangular(2, gf3, conjugate_by=Mat.zeros(gf3, 2))
+            gen_triangular(2, gf3, conjugate_by=Mat(gf3, 2, (0,) * 4))
 
     @pytest.mark.parametrize("args", CONJUGATION_FIELDS, ids=str)
     def test_equals_the_product_formula(self, args):

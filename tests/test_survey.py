@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -12,7 +13,7 @@ import weaktri.triang
 from weaktri.cli import main
 from weaktri.errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
-from weaktri.linalg import Mat, char_poly_coeffs
+from weaktri.linalg import Mat
 from weaktri.scan import Quotient
 from weaktri.survey import (
     CampaignSpec,
@@ -27,7 +28,7 @@ from weaktri.survey import (
 )
 from weaktri.triang import space_weakly_triangularizable
 
-from conftest import counting_char_polys
+from conftest import counting_class_decisions
 import oracles
 from oracles import count_chains, goodness_by_full_lifts
 
@@ -204,6 +205,43 @@ def test_campaign_below_the_optimal_dimension(gf3):
         assert report.all_hits_ok and not report.alarms
 
 
+@pytest.mark.parametrize("identity", [False, True], ids=["none", "identity"])
+@pytest.mark.parametrize("field_args", [(2, 1, None, True), (2, 2, (1, 1, 1), True), (3,)],
+                         ids=["2", "4", "3"])
+def test_n2_hits_equal_the_brute_force_hit_sets(field_args, identity):
+    # every candidate the campaign rejects is rejected by the oracle too:
+    # over an odd field the count checks cannot see a lost non-flag space,
+    # and over GF(2) and GF(4) nothing predicts the hit set
+    field, n = FieldCtx(*field_args), 2
+    must = [Mat.identity(field, n)] if identity else []
+    verdicts = {}
+
+    def splits(entries):
+        if entries not in verdicts:
+            poly = oracles.cofactor_char_poly(Mat(field, n, entries))
+            verdicts[entries] = oracles.splits_by_root_count(poly)
+        return verdicts[entries]
+
+    def elements(rows):
+        for coeffs in itertools.product(field.elements(), repeat=len(rows)):
+            entries = [0] * (n * n)
+            for c, row in zip(coeffs, rows):
+                entries = [field.add(e, field.mul(c, r)) for e, r in zip(entries, row)]
+            yield tuple(entries)
+
+    for dim in range(len(must), n * n + 1):
+        report = run_campaign(CampaignSpec(n=n, field=field, dim=dim, constraints=tuple(must)))
+        assert report.total == report.expected_total and report.alarms == []
+        brute = {
+            rows
+            for rows in oracles.enumerate_subspaces(
+                n * n, dim, field, must_contain=[m.entries for m in must]
+            )
+            if all(map(splits, elements(rows)))
+        }
+        assert {hit.space.key() for hit in report.hits} == brute, dim
+
+
 def test_hit_above_the_optimal_dimension_is_an_alarm(gf3, monkeypatch):
     # no weakly triangularizable space exceeds n(n+1)/2, so make both the
     # scan and the element sweep accept everything
@@ -277,20 +315,17 @@ def test_n3_gf3_goodness_table_computes_no_matrix_char_poly(gf3, monkeypatch):
 
 
 def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
-    table = []
-
-    def counted(field, n, entries):
-        table.append(tuple(entries))
-        return char_poly_coeffs(field, n, entries)
-
-    monkeypatch.setattr(weaktri.scan, "char_poly_coeffs", counted)
-    sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+    # the table and the element sweep decide their classes through one
+    # walk, so its char polys count both
+    decided = counting_class_decisions(monkeypatch)
+    swept = counting_sweeps(monkeypatch)
     report = run_campaign(CampaignSpec(n=3, field=gf3, dim=6, constraints=(Mat.identity(gf3, 3),)))
     assert (report.total, report.hit_count) == (25_095_280, 52)
-    # the (3^8 - 1)/2 lines of the quotient by F.I; the zero class is F.I
-    assert len(table) == len(set(table)) == 3280
     # all 52 hits pass the recovery gate, so no element is swept
-    assert len(sweeps) == 0
+    assert len(swept) == 0
+    # so every class decided is the table's: the (3^8 - 1)/2 lines of the
+    # quotient by F.I; the zero class is F.I
+    assert len(decided) == len(set(decided)) == 3280
     assert "non_flag" not in report.to_text()
 
 
@@ -299,11 +334,14 @@ GF2_CAMPAIGN = ["campaign", "--n", "3", "--field", "GF(2)", "--dim", "6",
 
 
 def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys, monkeypatch):
-    sweeps = counting_char_polys(monkeypatch, weaktri.triang)
+    swept = counting_sweeps(monkeypatch)
+    decided = counting_class_decisions(monkeypatch)
     assert main(GF2_CAMPAIGN) == 0
     # only the 14 hits that fail the recovery gate are swept, one char poly
-    # per coset of F.I: 2^5 per hit
-    assert len(sweeps) == 14 * 32
+    # per nonzero coset of F.I: 2^5 - 1 per hit, after the table's 2^8 - 1
+    # lines of the quotient by F.I
+    assert len(swept) == 14
+    assert len(decided) == 255 + 14 * 31
     out = capsys.readouterr().out
     header = "# total: 97155\n# expected_total: 97155\n# hits: 35\n# non_flag_hits: 14\n"
     assert header + "# hits_verified: yes\n# alarms: 0\n" in out
@@ -400,6 +438,18 @@ def test_hopeless_campaigns_are_refused_uncomputed(n, dim, capsys):
     )
 
 
+@pytest.mark.parametrize("n, shown", [(60, str((3**3599 - 1) // 2)), (70, "at least 2^4898")])
+def test_hopeless_full_campaigns_are_refused_by_their_table(n, shown, capsys):
+    # M_n through I is one candidate ([m, m] = [m, 0] is not multiplied
+    # out), but its table has (3^m - 1)/2 classes, m = n^2 - 1, at least
+    # 3^(m - 1): counted in full at n=60, refused on the bound at n=70
+    argv = ["campaign", "--n", str(n), "--field", "GF(3)", "--dim", str(n * n), "--contains-identity"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: {shown} classes exceed the campaign budget 268435456\n"
+
+
 def test_budget_trips_the_class_sweep_of_a_hit(gf3, monkeypatch):
     # a scan that accepts every class: M_2, the one 4-dimensional space
     # through I, is a hit above n(n+1)/2 whose sweep holds 1 + (3^3 - 1)/2
@@ -418,6 +468,32 @@ def test_budget_trips_the_class_sweep_of_a_hit(gf3, monkeypatch):
     assert (report.total, report.hit_count, len(report.alarms)) == (13, 13, 13)
     with pytest.raises(BudgetExceededError, match="^13 candidates exceed the campaign budget 12$"):
         run_campaign(identity_spec(gf3, budget=12))
+
+
+def test_budget_counts_the_classes_of_the_goodness_table(capsys):
+    # M_2 is the one 4-dimensional candidate through I, but its scan reads
+    # the table's (3^3 - 1)/2 = 13 classes of the quotient by F.I
+    argv = ["campaign", "--n", "2", "--field", "GF(3)", "--dim", "4", "--contains-identity"]
+    assert main(argv + ["--budget", "12"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 13 classes exceed the campaign budget 12\n"
+    assert main(argv + ["--budget", "13"]) == 0
+    assert "# total: 1\n# expected_total: 1\n# hits: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, dim, identity", [(3, 1, True), (2, 0, False)])
+def test_a_scan_of_no_row_builds_no_table(n, dim, identity, monkeypatch):
+    # its one candidate, F.I or the zero space, is decided without the table
+    def refuse(quotient):
+        raise RuntimeError("the goodness table was built")
+
+    monkeypatch.setattr(Quotient, "goodness_table", refuse)
+    field = FieldCtx(5)
+    constraints = (Mat.identity(field, n),) if identity else ()
+    report = run_campaign(CampaignSpec(n=n, field=field, dim=dim, constraints=constraints, budget=1))
+    assert (report.total, report.hit_count, report.alarms) == (1, 1, [])
+    assert report.hits[0].space.dim == dim
 
 
 def test_non_split_hit_below_the_optimal_dimension_is_a_sweep_alarm(gf3, monkeypatch):

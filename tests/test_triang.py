@@ -1,6 +1,5 @@
 import pytest
 
-import weaktri.triang
 from weaktri.errors import BudgetExceededError, PreconditionError
 from weaktri.gf import FieldCtx, splits_over
 from weaktri.linalg import Mat, char_poly, invert
@@ -9,7 +8,7 @@ from weaktri.survey import gen_joint, gen_sym, gen_triangular
 from weaktri.triang import is_triangularizable, space_weakly_triangularizable
 
 from conftest import (
-    counting_char_polys,
+    counting_class_decisions,
     full_space,
     random_invertible,
     random_matrix,
@@ -210,8 +209,9 @@ class TestClassSweep:
             )
 
     def test_t3_takes_one_char_poly_per_class(self, gf3, monkeypatch):
-        calls = counting_char_polys(monkeypatch, weaktri.triang)
+        calls = counting_class_decisions(monkeypatch)
         verdict = space_weakly_triangularizable(triangular_space(gf3, 3))
         assert verdict and verdict.checked == 729
-        # the zero class and the (3^5 - 1)/2 lines of T3 / F.I
-        assert len(calls) == 122
+        # the (3^5 - 1)/2 lines of T3 / F.I; the zero class, which splits,
+        # is not decided
+        assert len(calls) == len(set(calls)) == 121
