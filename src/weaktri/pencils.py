@@ -7,16 +7,23 @@ p = t^d and q = t^d - (t-1)^d.
 
 ``verify_pencil_division`` checks the statement on every monic pair.  Each
 pencil p - lambda*q is itself monic of degree d, so the sweep first decides
-all q^d monic degree-d polynomials with ``splits_over`` and keeps the split
-ones in a lookup set.  A pencil is then decided by one integer addition
-and one set lookup.  Over GF(p^k) an element's base-p digits add digit-wise
-mod p, so a tail (the coefficients below the leading 1) is packed digit by
-digit into one integer, w = (2p - 2).bit_length() bits per digit.  Then
-packed(p) + packed(-lambda*q) holds the tail of p - lambda*q: each slot
-sums two digits below p, so it stays in [0, 2p - 2] and never carries into
-the next.  The lookup set holds every such unreduced form of each split
-tail, a digit d also as d + p when d + p <= 2p - 2; that is at most
-2^(d*k) forms per split tail, and no form names two tails.
+all q^d monic degree-d polynomials with ``splits_coeffs`` on their
+coefficient tuples and keeps the split ones in a lookup set.  A pencil is
+then decided by one integer addition and one set lookup.  Over GF(p^k) an
+element's base-p digits add digit-wise mod p, so a tail (the coefficients
+below the leading 1) is packed digit by digit into one integer,
+w = (2p - 2).bit_length() bits per digit.  Then packed(p) + packed(-lambda*q)
+holds the tail of p - lambda*q: each slot sums two digits below p, so it
+stays in [0, 2p - 2] and never carries into the next.  The lookup set holds
+every such unreduced form of each split tail, a digit d also as d + p when
+d + p <= 2p - 2; that is at most 2^(d*k) forms per split tail, and no form
+names two tails.
+
+Divisibility takes one division step, since the degrees differ by one: p and
+q monic with deg p = deg q + 1 give p = (t + c)*q + r, so r = p - t*q - c*q.
+As p - t*q has degree below d, its t^(d-1) coefficient is c, and q divides p
+exactly when p - t*q equals c*q (``_divides``).  The sweep's hits and the
+GF(2) counterexample both use this one test.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import TheoremViolationError
-from .gf import FieldCtx, Poly, splits_over
+from .gf import FieldCtx, Poly, splits_coeffs, splits_over
 from .spaces import check_budget, check_budget_floor
 
 
@@ -72,6 +79,13 @@ class PencilReport:
         return line
 
 
+def _divides(field, q, p):
+    """True iff monic q divides monic p, coefficient tuples with
+    deg p = deg q + 1, by one division step (see the module docstring)."""
+    rest = field.axpy(field.neg(1), (0,) + q[:-1], p[:-1])  # p - t*q
+    return rest == field.axpy(rest[-1], q)
+
+
 def _pack(spread, coeffs, stride):
     """The packed digits of ``coeffs``: coefficient i from bit i*stride up,
     with ``spread[c]`` the packed digits of element c."""
@@ -92,13 +106,15 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
     Every pair is counted and decided, p in the outer loop and q in the
     inner one, in the order of their coefficient tails.  The budget bounds
     the q^(2d-1) pairs, which is at least the q^d candidates that
-    ``splits_over`` decides once each; a split p then costs up to q - 1
+    ``splits_coeffs`` decides once each; a split p then costs up to q - 1
     pencil lookups per pair.  A p that does not split rejects its whole
     row of q^(d-1) pairs at once, since its lambda = 0 pencil is p itself.
     For a split p, the lambda = 1 pencils of the whole row are looked up
     first, then the pencils lambda = 1, ..., q-1 of each q that passed,
     until the first miss.  Only a pair whose pencils all split is tested
-    for divisibility by ``Poly`` division.
+    for divisibility, by one division step on coefficient tuples: q divides
+    p exactly when p - t*q is its t^(d-1) coefficient times q, which holds
+    because the quotient of p by q is t + c for some c (``_divides``).
 
     Each lookup is one integer addition and one set lookup: the packed
     tail of p plus the packed tail of -lambda*q, built once per sweep, is
@@ -123,7 +139,7 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
     # range(char) maps each digit to itself
     spread = [_pack(range(char), field.to_digits(a), width) for a in elements]
     tails = list(itertools.product(elements, repeat=degree))
-    splits = [splits_over(Poly(field, tail + (1,))) for tail in tails]
+    splits = [splits_coeffs(field, tail + (1,)) for tail in tails]
     packed = _packed_tails(spread, degree, stride)
     lookup = {v for v, split in zip(packed, splits) if split}
     mask = (1 << width) - 1
@@ -148,7 +164,7 @@ def verify_pencil_division(field: FieldCtx, degree: int, budget=None) -> PencilR
             if all(map(contains, map(packed_p.__add__, negs_q))):
                 report.hypothesis_hits += 1
                 p = tail + (1,)
-                if not (Poly(field, p) % Poly(field, q)).is_zero:
+                if not _divides(field, q, p):
                     report.violations.append((p, q))
     return report
 
@@ -188,7 +204,7 @@ def char2_odd_counterexample(degree: int) -> CounterexampleReport:
         p.coeffs,
         q.coeffs,
         pencil_splits_all(p, q),
-        (p % q).is_zero,
+        _divides(field, q.coeffs, p.coeffs),
     )
     if not report.confirmed:
         raise TheoremViolationError(

@@ -244,7 +244,7 @@ class TestSplitsOver:
 
     def test_matches_root_count_all_monic_deg_le_3(self, gf3, gf5, gf7, gf9):
         # decided by divisibility once the memo is cleared, then by the memo
-        gf._splits.cache_clear()
+        gf.splits_coeffs.cache_clear()
         t, one = Poly.x(gf3), Poly.one(gf3)
 
         def power(f, e):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from oracles import monic_polys
 
@@ -110,24 +112,26 @@ def test_only_the_hits_are_divided(field_args, degree, monkeypatch):
     pairs = _all_pairs(field, degree)
     hits = [(p.coeffs, q.coeffs) for p, q in pairs if pencil_splits_all(p, q)]
     divided = []
+    divides = pencils._divides
 
-    class Counted(Poly):
-        __slots__ = ()
+    def counted(field, q, p):
+        divided.append((p, q))
+        return divides(field, q, p)
 
-        def __mod__(self, other):
-            divided.append((self.coeffs, other.coeffs))
-            return super().__mod__(other)
-
-    monkeypatch.setattr(pencils, "Poly", Counted)
+    monkeypatch.setattr(pencils, "_divides", counted)
     report = verify_pencil_division(field, degree)
     assert len(divided) == report.hypothesis_hits
     assert divided == hits
 
 
-@pytest.mark.parametrize("field_args, degree", [((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2)])
+# degree 1 divides by q = 1; GF4 has -1 = 1
+@pytest.mark.parametrize(
+    "field_args, degree",
+    [((3,), 2), ((3,), 3), ((5,), 2), (GF9, 2), ((3,), 1), ((7,), 2), (GF4, 2)],
+)
 def test_violations_come_in_pair_order(field_args, degree, monkeypatch):
     # with every pencil declared split, each pair with q not dividing p violates
-    monkeypatch.setattr(pencils, "splits_over", lambda f: True)
+    monkeypatch.setattr(pencils, "splits_coeffs", lambda field, coeffs: True)
     field = _field(field_args)
     pairs = _all_pairs(field, degree)
     expected = [(p.coeffs, q.coeffs) for p, q in pairs if not (p % q).is_zero]
@@ -141,15 +145,37 @@ def test_violations_come_in_pair_order(field_args, degree, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "field_args", [(101,), GF9, (5, 2, (3, 0, 1)), (2,)], ids=["GF101", "GF9", "GF25", "GF2"]
+)
+def test_one_step_division_agrees_with_poly_remainder(field_args):
+    # random monic q of degree 1..7 against p = (t + c)*q, which it divides,
+    # and against random monic p of one degree more
+    field = _field(field_args)
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(200):
+        degree = rng.randrange(2, 9)
+        q = Poly(field, [rng.randrange(field.q) for _ in range(degree - 1)] + [1])
+        multiple = q * Poly(field, (rng.randrange(field.q), 1))
+        p = Poly(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
+        for f in (multiple, p):
+            verdict = pencils._divides(field, q.coeffs, f.coeffs)
+            assert verdict == (f % q).is_zero, (f, q)
+            verdicts.append(verdict)
+    assert verdicts[::2] == [True] * 200
+    assert False in verdicts
+
+
 def test_each_monic_polynomial_is_decided_once(monkeypatch):
     calls = []
-    splits_over = pencils.splits_over
+    splits_coeffs = pencils.splits_coeffs
 
-    def counted(f):
-        calls.append(f.coeffs)
-        return splits_over(f)
+    def counted(field, coeffs):
+        calls.append(coeffs)
+        return splits_coeffs(field, coeffs)
 
-    monkeypatch.setattr(pencils, "splits_over", counted)
+    monkeypatch.setattr(pencils, "splits_coeffs", counted)
     report = verify_pencil_division(FieldCtx(7), 3)
     assert report.pairs_checked == 7**5
     assert len(calls) <= 7**3
