@@ -13,12 +13,7 @@ import sys
 import time
 
 from .adapted import find_adapted_vector
-from .errors import (
-    BudgetExceededError,
-    PreconditionError,
-    SpaceFileError,
-    TheoremViolationError,
-)
+from .errors import BudgetExceededError, TheoremViolationError
 from .flags import recover_flag
 from .gf import parse_field
 from .linalg import Mat
@@ -288,9 +283,6 @@ def main(argv=None) -> int:
             # a negative budget is refused before any command prints
             check_budget(0, args.budget, "")
         return args.func(args)
-    except SpaceFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
@@ -299,7 +291,7 @@ def main(argv=None) -> int:
         if exc.trace is not None:
             sys.stderr.write(exc.trace.to_text())
         return 3
-    except (PreconditionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,12 +6,16 @@ polynomial, so element 5 in GF(3^2) is 2 + 1*x.  This packing makes vectors
 and matrices of elements directly comparable and hashable.
 
 Extension fields keep discrete-log tables for multiplication, so q = p^k is
-capped at 2^16 for k > 1; prime fields have no such cap.  ``Poly``
-arithmetic, which also finds the tables' generator over GF(p), runs on the
-one vector kernel ``FieldCtx.axpy``: a sum, a scalar multiple, each row of a
-product and each step of a division is one axpy on a coefficient slice.
-Its results are already reduced, so they skip the coercion that the public
-constructor ``Poly(field, coeffs)`` applies, and ``%`` builds no quotient.
+capped at 2^16 for k > 1; prime fields have no such cap.  ``Poly`` offers
+only the arithmetic the package runs: ``-`` (t^q - t, t^(p^i) - t and the
+GF(2) counterexample), ``*`` by a polynomial or an integer scalar, ``%`` (the
+one division loop; no caller needs a quotient), ``pow_mod``, ``monic`` and
+``poly_gcd``.  These split a polynomial, prove a modulus irreducible and find
+the log tables' generator over GF(p).  Each runs on the one vector kernel
+``FieldCtx.axpy``: a difference, a scalar multiple, each row of a product
+and each step of a division is one axpy on a coefficient slice.  Its results
+are already reduced, so they skip the coercion that the public constructor
+``Poly(field, coeffs)`` applies.
 
 A nonzero f splits over GF(q) exactly when f divides (t^q - t)^deg f.  The
 reason: t^q - t is the product of the q monic linear polynomials, each once,
@@ -318,8 +322,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field, degree, coeff=1):
-        return cls(field, (0,) * degree + (coeff,))
+    def monomial(cls, field, degree):
+        return cls(field, (0,) * degree + (1,))
 
     @property
     def degree(self):
@@ -333,9 +337,6 @@ class Poly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -346,22 +347,13 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def _plus(self, c, other):
-        # self + c*other, one axpy over other's coefficients
+    def __sub__(self, other):
+        # self + (-1)*other, one axpy over other's coefficients
         self._check(other)
         F, m = self.field, len(other.coeffs)
         out = list(self.coeffs) + [0] * (m - len(self.coeffs))
-        out[:m] = F.axpy(c, other.coeffs, out[:m])
+        out[:m] = F.axpy(F.neg(1), other.coeffs, out[:m])
         return Poly._wrap(F, out)
-
-    def __add__(self, other):
-        return self._plus(1, other)
-
-    def __neg__(self):
-        return self * self.field.neg(1)
-
-    def __sub__(self, other):
-        return self._plus(self.field.neg(1), other)
 
     def __mul__(self, other):
         F = self.field
@@ -380,20 +372,8 @@ class Poly:
                 out[i:i + m] = F.axpy(c, g, out[i:i + m])
         return Poly._wrap(F, out)
 
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        quo = []
-        rem = self._reduce(other, quo)
-        return Poly._wrap(self.field, quo[::-1]), rem
-
     def __mod__(self, other):
-        return self._reduce(other)
-
-    def _reduce(self, other, quo=None):
-        # the remainder of self by other, one axpy per division step; the
-        # quotient's coefficients, top first, are appended to ``quo`` when a
-        # list is given
+        # the remainder of self by other, one axpy per division step
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -406,8 +386,6 @@ class Poly:
         lead_inv = F.inv(g[-1])
         for i in range(dq, -1, -1):
             c = F.mul(rem[i + m - 1], lead_inv)
-            if quo is not None:
-                quo.append(c)
             if c:
                 rem[i:i + m] = F.axpy(F.neg(c), g, rem[i:i + m])
         return Poly._wrap(F, rem)
@@ -494,16 +472,24 @@ def splits_coeffs(field, coeffs):
 
 
 def _is_irreducible(f: Poly) -> bool:
-    # gcd(t^(p^i) - t, f) = 1 for i <= deg/2, plus f | t^(p^deg) - t
+    """True iff f over GF(p) has positive degree k and no factor of degree
+    strictly between 0 and k: gcd(t^(p^i) - t, f) = 1 for every i <= k/2
+    (M. O. Rabin, "Probabilistic algorithms in finite fields", 1980).
+
+    t^(p^i) - t is the product of the monic irreducibles over GF(p) whose
+    degree divides i.  So a gcd other than 1 at some i <= k/2 is a factor of
+    f of degree at most k/2 < k, and f is reducible.  Conversely a reducible
+    f has an irreducible factor of some degree d <= k/2; that factor divides
+    t^(p^d) - t, so the gcd at i = d is not 1.  The loop therefore decides
+    irreducibility alone, with no closing test of f | t^(p^k) - t.
+    """
     F = f.field
     k = f.degree
     if k <= 0:
         return False
-    if k == 1:
-        return True
     x = Poly.x(F)
     for i in range(1, k // 2 + 1):
         xq = x.pow_mod(F.p**i, f)
         if poly_gcd(xq - x, f).degree != 0:
             return False
-    return x.pow_mod(F.p**k, f) == x % f
+    return True

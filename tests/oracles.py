@@ -29,15 +29,21 @@ order of the exhaustive check's class walk: ``triang.nonsplit_classes``
 over the canonical basis reversed.  ``enumerate_subspaces`` streams
 the subspaces of F^m one by one, those that contain given vectors by
 filtering the whole stream; ``count_chains`` counts the complete flags
-with it, which ``count_flags``'s closed form must equal.  ``poly_eval`` is
-Horner evaluation, for root scans.
+with it, which ``count_flags``'s closed form must equal.
+``spaces_through_identity`` streams only the spaces of matrices through I,
+built on a complement of F.I that the campaign's quotient does not use, and
+``span_elements`` lists a row space with the field's ``add`` and ``mul``
+alone.  ``poly_eval`` is Horner evaluation, for root scans.
 
 ``poly_add``, ``poly_neg``, ``poly_sub``, ``poly_scale``, ``poly_mul`` and
 ``poly_divmod`` are polynomial arithmetic one coefficient at a time through
-the field's ``add``, ``neg`` and ``mul``, which ``Poly``'s row-at-a-time
-arithmetic must equal.  ``mul_by_digits`` multiplies two elements of
-GF(p^k) as the schoolbook product of their digit vectors reduced by the
-monic modulus, apart from the log/exp tables that ``FieldCtx.mul`` reads.
+the field's ``add``, ``neg`` and ``mul``.  ``Poly``'s row-at-a-time ``-``,
+``*`` and ``%`` must equal them, and the Leibniz expansion and root counting
+run on them alone, so neither reference reaches the row kernel
+(``FieldCtx.axpy`` and ``dot``) that ``char_poly`` and ``splits_over`` run
+on.  ``mul_by_digits`` multiplies two elements of GF(p^k) as the schoolbook
+product of their digit vectors reduced by the monic modulus, apart from the
+log/exp tables that ``FieldCtx.mul`` reads.
 """
 
 import itertools
@@ -67,12 +73,12 @@ def cofactor_char_poly(m: Mat) -> Poly:
         for i in range(n):
             e = m.entry(i, perm[i])
             if i == perm[i]:
-                term = term * Poly(F, (F.neg(e), 1))
+                term = poly_mul(term, Poly(F, (F.neg(e), 1)))
             else:
-                term = term * Poly(F, (F.neg(e),))
+                term = poly_mul(term, Poly(F, (F.neg(e),)))
         if (n - cycles) % 2:
-            term = -term
-        total = total + term
+            term = poly_neg(term)
+        total = poly_add(total, term)
     return total
 
 
@@ -84,7 +90,7 @@ def splits_by_root_count(f: Poly) -> bool:
     for z in f.field.elements():
         lin = Poly(f.field, (f.field.neg(z), 1))
         while True:
-            quo, rem = divmod(remaining, lin)
+            quo, rem = poly_divmod(remaining, lin)
             if not rem.is_zero:
                 break
             remaining = quo
@@ -108,8 +114,7 @@ def poly_eval(poly: Poly, x):
 
 def poly_add(f: Poly, g: Poly) -> Poly:
     F = f.field
-    n = max(len(f.coeffs), len(g.coeffs))
-    return Poly(F, [F.add(f[i], g[i]) for i in range(n)])
+    return Poly(F, [F.add(a, b) for a, b in itertools.zip_longest(f.coeffs, g.coeffs, fillvalue=0)])
 
 
 def poly_neg(f: Poly) -> Poly:
@@ -181,6 +186,34 @@ def all_elements(space):
     coefficient vectors in lexicographic order."""
     for coeffs in itertools.product(space.field.elements(), repeat=space.dim):
         yield space.combination(coeffs)
+
+
+def span_elements(rows, field, width):
+    """Every element of the row space of ``rows``, vectors of length
+    ``width``, one per coefficient vector in lexicographic order, summed
+    entry by entry with the field's ``add`` and ``mul``."""
+    add, mul = field.add, field.mul
+    zero = (0,) * width
+    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
+        entries = zero
+        for c, row in zip(coeffs, rows):
+            if c:
+                entries = tuple(map(add, entries, row if c == 1 else [mul(c, a) for a in row]))
+        yield entries
+
+
+def spaces_through_identity(n, dim, field):
+    """Every dim-dimensional space of n-by-n matrices that contains I, once
+    each, as I followed by a basis of a (dim - 1)-dimensional subspace of
+    the complement W spanned by the unit matrices of every entry but the
+    last diagonal one.  I is 1 at that entry and W is 0 there, so F.I and W
+    meet in 0, and taking V to its intersection with W maps the spaces
+    through I one to one onto the (dim - 1)-dimensional subspaces of W.
+    (The campaign's quotient takes another section: every entry but the
+    first.)"""
+    identity = tuple(int(i % (n + 1) == 0) for i in range(n * n))
+    for rows in _subspaces_by_pattern(n * n - 1, dim - 1, field):
+        yield (identity,) + tuple(row + (0,) for row in rows)
 
 
 def _subspaces_by_pattern(m, k, field):
