@@ -9,6 +9,7 @@ identical inputs produce byte-identical stdout (timing goes to stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -49,22 +50,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_spacefile(path, exploratory=False):
+def _read_spacefile(path):
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    return parse_spacefile(text, exploratory=exploratory)
-
-
-def _add_spacefile_arg(sub):
-    sub.add_argument("spacefile", help="matrix-space file, or - for stdin")
-    sub.add_argument(
-        "--exploratory",
-        action="store_true",
-        help="allow characteristic-2 fields (exploratory mode)",
-    )
+    return parse_spacefile(text)
 
 
 def _add_budget_arg(sub, what):
@@ -77,7 +69,7 @@ def _add_budget_arg(sub, what):
 
 
 def cmd_check(args):
-    space = _read_spacefile(args.spacefile, args.exploratory)
+    space = _read_spacefile(args.spacefile)
     mode = args.mode
     # the verdict comes first, so a refused mode or budget prints nothing
     if mode == "exhaustive":
@@ -107,7 +99,7 @@ def cmd_check(args):
 
 
 def cmd_recover(args):
-    space = _read_spacefile(args.spacefile, args.exploratory)
+    space = _read_spacefile(args.spacefile)
     flag, trace = recover_flag(space, budget=args.budget)
     text = trace.to_text()
     if args.trace:
@@ -126,7 +118,7 @@ def cmd_recover(args):
 
 
 def cmd_adapted(args):
-    space = _read_spacefile(args.spacefile, args.exploratory)
+    space = _read_spacefile(args.spacefile)
     vec = find_adapted_vector(space, budget=args.budget)
     print(f"# space: n={space.n} dim={space.dim} field={space.field.descriptor()}")
     if vec is None:
@@ -137,7 +129,7 @@ def cmd_adapted(args):
 
 
 def cmd_lemma31(args):
-    field = parse_field(args.field, exploratory=args.exploratory)
+    field = parse_field(args.field)
     report = verify_pencil_division(field, args.degree, budget=args.budget)
     print(f"# field: {field.descriptor()}")
     print(f"# degree: {args.degree}")
@@ -147,7 +139,7 @@ def cmd_lemma31(args):
 
 def cmd_campaign(args):
     check_matrix_size(args.n)
-    field = parse_field(args.field, exploratory=args.exploratory)
+    field = parse_field(args.field)
     constraints = ()
     if args.contains_identity:
         constraints = (Mat.identity(field, args.n),)
@@ -166,7 +158,7 @@ def cmd_campaign(args):
 
 
 def cmd_gen(args):
-    field = parse_field(args.field, exploratory=args.exploratory)
+    field = parse_field(args.field)
     kind = args.kind
     if kind == "joint":
         if not args.blocks:
@@ -198,8 +190,15 @@ def _full_algebra(n, field):
 
 
 def cmd_flags(args):
-    field = parse_field(args.field, exploratory=args.exploratory)
-    count = count_flags(args.n, field)
+    field = parse_field(args.field)
+    check_matrix_size(args.n)
+    # q^(n(n-1)/2) bounds the count below: a count that bound already shows
+    # too long for Python's int-to-str limit (none before 3.10.7) is refused
+    # uncomputed, and the digits are formed before any line is printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.n * (args.n - 1) // 2 * math.log10(field.q) >= limit:
+        raise ValueError(f"the flag count has more than {limit} digits, too many to print")
+    count = str(count_flags(args.n, field))
     print(f"# n: {args.n}")
     print(f"# field: {field.descriptor()}")
     print(count)
@@ -214,7 +213,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide weak triangularizability of a space")
-    _add_spacefile_arg(p)
+    p.add_argument("spacefile", help="matrix-space file, or - for stdin")
     p.add_argument("--mode", default="exhaustive", help="exhaustive or sample:N:SEED")
     _add_budget_arg(p, "budget of the check: the exhaustive mode decides one element per "
                        "class of M ~ cM (and M ~ M + lambda I when I is in the space), and "
@@ -223,13 +222,13 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the invariant flag of an optimal space")
-    _add_spacefile_arg(p)
+    p.add_argument("spacefile", help="matrix-space file, or - for stdin")
     p.add_argument("--trace", default=None, help="write the recovery trace to a file")
     _add_budget_arg(p, "budget of the class sweep, which runs only when the flag gate fails")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("adapted", help="first adapted vector of a space")
-    _add_spacefile_arg(p)
+    p.add_argument("spacefile", help="matrix-space file, or - for stdin")
     _add_budget_arg(p, "budget of the line scan: the projective lines tried until one is "
                        "adapted must not exceed it (exit 4)")
     p.set_defaults(func=cmd_adapted)
@@ -237,7 +236,6 @@ def build_parser():
     p = sub.add_parser("lemma31", help="exhaustive split-pencil divisibility sweep")
     p.add_argument("--field", required=True, help="field descriptor, e.g. GF(3)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--exploratory", action="store_true")
     _add_budget_arg(p, "budget of the sweep: the q^(2d-1) monic (p, q) pairs of degrees "
                        "(d, d-1) must not exceed it (exit 4)")
     p.set_defaults(func=cmd_lemma31)
@@ -247,7 +245,6 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--contains-identity", action="store_true")
-    p.add_argument("--exploratory", action="store_true")
     _add_budget_arg(p, "campaign budget: first the nominal candidate count, and the "
                        "(q^m - 1)/(q - 1) classes the goodness table of an m-dimensional "
                        "quotient decides unless no row is scanned, must not exceed it "
@@ -263,13 +260,11 @@ def build_parser():
     p.add_argument("--dim", type=int, default=None, help="dimension for --kind random")
     p.add_argument("--blocks", default=None, help="joint block sizes, e.g. 1,2")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--exploratory", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("flags", help="count the complete flags of F^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--exploratory", action="store_true")
     p.set_defaults(func=cmd_flags)
 
     return parser

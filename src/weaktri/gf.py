@@ -6,16 +6,19 @@ polynomial, so element 5 in GF(3^2) is 2 + 1*x.  This packing makes vectors
 and matrices of elements directly comparable and hashable.
 
 Extension fields keep discrete-log tables for multiplication, so q = p^k is
-capped at 2^16 for k > 1; prime fields have no such cap.  ``Poly`` offers
-only the arithmetic the package runs: ``-`` (t^q - t, t^(p^i) - t and the
-GF(2) counterexample), ``*`` by a polynomial or an integer scalar, ``%`` (the
-one division loop; no caller needs a quotient), ``pow_mod``, ``monic`` and
-``poly_gcd``.  These split a polynomial, prove a modulus irreducible and find
-the log tables' generator over GF(p).  Each runs on the one vector kernel
-``FieldCtx.axpy``: a difference, a scalar multiple, each row of a product
-and each step of a division is one axpy on a coefficient slice.  Its results
-are already reduced, so they skip the coercion that the public constructor
-``Poly(field, coeffs)`` applies.
+capped at 2^16 for k > 1; a prime field needs p below the bound up to which
+``is_prime`` decides primality, about 3.2 * 10^23.  Every characteristic is
+admitted, 2 included.
+
+``Poly`` offers only the arithmetic the package runs: ``-`` (t^q - t,
+t^(p^i) - t and the GF(2) counterexample), ``*`` by a polynomial or an
+integer scalar, ``%`` (the one division loop; no caller needs a quotient),
+``pow_mod``, ``monic`` and ``poly_gcd``.  These split a polynomial, prove a
+modulus irreducible and find the log tables' generator over GF(p).  Each
+runs on the one vector kernel ``FieldCtx.axpy``: a difference, a scalar
+multiple, each row of a product and each step of a division is one axpy on
+a coefficient slice.  Its results are already reduced, so they skip the
+coercion that the public constructor ``Poly(field, coeffs)`` applies.
 
 A nonzero f splits over GF(q) exactly when f divides (t^q - t)^deg f.  The
 reason: t^q - t is the product of the q monic linear polynomials, each once,
@@ -32,6 +35,8 @@ import operator
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _MR_BASES
+_MR_LIMIT = 318665857834031151167461
 
 _EXT_TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 10
@@ -39,7 +44,15 @@ _SPLIT_MEMO_SIZE = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for anything near machine-word size."""
+    """Deterministic Miller-Rabin to the twelve prime bases 2..37.
+
+    These bases decide primality exactly for n < 318665857834031151167461
+    = 399165290221 * 798330580441, the least strong pseudoprime to all of
+    them (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+    bases", Math. Comp., 2017).  A larger n raises ValueError.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to test: primality is decided for n < {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -65,21 +78,19 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """A finite field GF(p^k) with all element-level arithmetic.
 
-    Characteristic 2 is admitted only with ``exploratory=True``; the primary
-    decision procedures assume odd characteristic.
+    Every characteristic is admitted, 2 included: no decision procedure
+    branches on it.  Only the survey's report does, counting the non-flag
+    hits that characteristic 2 allows.
     """
 
-    def __init__(self, p, k=1, modulus=None, exploratory=False):
+    def __init__(self, p, k=1, modulus=None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p == 2 and not exploratory:
-            raise ValueError("characteristic 2 requires exploratory=True")
         self.p = p
         self.k = k
         self.q = p**k
-        self.exploratory = bool(exploratory)
         if k == 1:
             if modulus is not None:
                 raise ValueError("modulus only applies to extension fields (k > 1)")
@@ -101,7 +112,7 @@ class FieldCtx:
     # -- construction helpers ------------------------------------------------
 
     def _check_modulus(self, modulus):
-        base = FieldCtx(self.p, exploratory=self.exploratory)
+        base = FieldCtx(self.p)
         coeffs = tuple(c % self.p for c in modulus)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
@@ -264,7 +275,7 @@ class FieldCtx:
         return f"FieldCtx({self.descriptor()})"
 
 
-def parse_field(text, exploratory=False) -> FieldCtx:
+def parse_field(text) -> FieldCtx:
     """Parse a field descriptor: ``GF(p)`` or ``GF(p^k; c0,c1,...,ck)``."""
     s = text.strip()
     if not (s.startswith("GF(") and s.endswith(")")):
@@ -277,10 +288,10 @@ def parse_field(text, exploratory=False) -> FieldCtx:
         p_s, _, k_s = head.partition("^")
         p, k = int(p_s), int(k_s)
         coeffs = tuple(int(c) for c in tail.replace(" ", "").split(",") if c != "")
-        return FieldCtx(p, k, coeffs, exploratory)
+        return FieldCtx(p, k, coeffs)
     if "^" in body:
         raise ValueError(f"bad field descriptor {text!r}: extension field needs a modulus")
-    return FieldCtx(int(body), exploratory=exploratory)
+    return FieldCtx(int(body))
 
 
 class Poly:

@@ -189,7 +189,7 @@ def char2_odd_counterexample(degree: int) -> CounterexampleReport:
     over the two-element field when d is odd."""
     if degree % 2 == 0 or degree < 3:
         raise ValueError("the counterexample construction needs odd degree >= 3")
-    field = FieldCtx(2, exploratory=True)
+    field = FieldCtx(2)
     p = Poly.monomial(field, degree)
     shifted = Poly(field, (1, 1))  # t - 1 == t + 1 over GF(2)
     power = Poly.one(field)

@@ -55,13 +55,32 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .linalg import Mat, span_rows
 from .spaces import MatSpace
 from .triang import nonsplit_classes
 
-# the most entries a chunk table may hold, unless one-digit chunks need more
+# the most entries a chunk table may hold, and the most bytes a goodness
+# table may: ``check_table_sizes`` refuses a quotient that needs more
 _CHUNK_TABLE_LIMIT = 1 << 20
+_GOODNESS_TABLE_LIMIT = 1 << 28
+
+
+def check_table_sizes(q, m, scanned):
+    """Refuse, before any is built, the tables of an m-dimensional quotient
+    over GF(q) that would pass their limits: a ``Quotient`` with m >= 1
+    builds chunk tables of q^2 entries at least (one-digit chunks), and a
+    scan of at least one row reads a goodness table of q^m bytes.  The
+    campaign budget counts candidates and classes, which a large field
+    keeps few while these tables grow past memory."""
+    if m and q * q > _CHUNK_TABLE_LIMIT:
+        raise PreconditionError(
+            f"chunk tables of {q * q} entries over GF({q}) exceed the limit {_CHUNK_TABLE_LIMIT}"
+        )
+    if scanned and q**m > _GOODNESS_TABLE_LIMIT:
+        raise PreconditionError(
+            f"a goodness table of {q**m} bytes exceeds the limit {_GOODNESS_TABLE_LIMIT}"
+        )
 
 
 class Quotient:
@@ -149,7 +168,9 @@ def _chunk_widths(q, m):
     The fewest chunks whose add tables (q^(2h) entries for width h) hold at
     most 2^20 entries and no more than the q^m-entry goodness table, except
     that a two-digit chunk (q^4 entries) is allowed under 2^20 even where the
-    goodness table is smaller.  One-digit chunks are the last resort.
+    goodness table is smaller.  One-digit chunks are the last resort; a
+    campaign refuses, by ``check_table_sizes``, a field where even they
+    would hold more than 2^20 entries.
     """
     if m == 0:
         return ()

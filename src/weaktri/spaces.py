@@ -158,24 +158,30 @@ def format_spacefile(space: MatSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_spacefile(text: str, exploratory=False) -> MatSpace:
+def parse_spacefile(text: str) -> MatSpace:
     """Parse the plain-text space format.
 
-    Dependent or duplicate basis lines are canonicalized away.
+    Dependent or duplicate basis lines are canonicalized away; a second
+    ``field``, ``n`` or ``dim`` directive is an error.
     """
     field = None
     n = None
     declared_dim = None
     mats = []
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in headers:
+            raise SpaceFileError(f"second {key!r} directive", line=lineno)
+        if key != "mat":
+            headers.add(key)
         if key == "field":
             try:
-                field = parse_field(rest, exploratory=exploratory)
+                field = parse_field(rest)
             except ValueError as exc:
                 raise SpaceFileError(str(exc), line=lineno) from None
         elif key == "n":

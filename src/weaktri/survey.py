@@ -14,17 +14,20 @@ dimension at most t_n = n(n+1)/2.  A hit of dimension t_n is verified by
 ``recover_flag``, whose flag gate decides and whose element sweep only
 explains a failed gate: a non-split element is the alarm that the scan
 accepted it, and a weakly triangularizable hit that is not a flag space is
-counted in its own report line over characteristic 2 (exploratory fields,
-where the theorem does not hold) and is a recovery alarm otherwise.  Below
-t_n the element sweep is the whole check; above t_n a hit that survives it
-is a theorem-violation alarm.
+counted in its own report line over characteristic 2, where t_n still
+bounds the dimension but the flag spaces are not the only optimal spaces,
+and is a recovery alarm otherwise.  Below t_n the element sweep is the
+whole check; above t_n a hit that survives it is a theorem-violation
+alarm.
 
 The quotient by F.I, its goodness table and the pruned scan belong to
 ``scan.Quotient``; a campaign builds the table once, unless it scans no
 row (a campaign of dimension 1 through I, or of dimension 0), and one scan
 returns the candidate count, which must equal the Gaussian binomial, and
 the hit spaces, which the report sorts.  The budget bounds the candidates
-and the classes the table decides.
+and the classes the table decides; ``scan.check_table_sizes`` then refuses,
+before any table is built, a quotient whose chunk or goodness tables would
+pass their fixed limits, as over a field of more than 2^10 elements.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx
 from .linalg import Mat
-from .scan import Quotient
+from .scan import Quotient, check_table_sizes
 from .spaces import (
     MatSpace,
     check_budget,
@@ -244,6 +247,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     check_budget(expected, spec.budget, what)
     if rows:
         check_budget((q**m - 1) // (q - 1), spec.budget, table)
+    check_table_sizes(q, m, rows > 0)
     quotient = Quotient(field, n, identity)
     good = quotient.goodness_table() if rows else None
     total, spaces = quotient.scan(good, rows)

@@ -54,7 +54,7 @@ def cycle(field, n):
 def gf2_non_flag_hit():
     """An optimal weakly triangularizable space over GF(2) that is no flag
     space: one of the non-flag hits of the n=3 GF(2) dim-6 campaign on I."""
-    gf2 = FieldCtx(2, exploratory=True)
+    gf2 = FieldCtx(2)
 
     def unit(i, j):
         return Mat.unit(gf2, 3, i, j)

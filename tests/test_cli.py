@@ -9,7 +9,7 @@ from weaktri.flags import Flag, flag_space
 from weaktri.gf import FieldCtx
 from weaktri.linalg import Mat
 from weaktri.spaces import format_spacefile, parse_spacefile
-from weaktri.survey import CampaignSpec, gen_triangular, run_campaign
+from weaktri.survey import CampaignSpec, count_flags, gen_triangular, run_campaign
 
 from conftest import gf2_non_flag_hit, random_invertible, seeded
 
@@ -54,6 +54,44 @@ def test_theorem_violation_exits_3(sl2, monkeypatch, capsys):
 def test_flags_of_a_large_field_exit_0(capsys):
     assert main(["flags", "--n", "3", "--field", "GF(1000003)"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1000011000041000052"
+
+
+def test_flags_over_a_strong_pseudoprime_exit_1(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+    assert main(["flags", "--n", "2", "--field", "GF(318665857834031151167461)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "primality is decided for n < 318665857834031151167461" in captured.err
+
+
+def test_flags_count_just_short_of_the_print_limit(capsys):
+    # 4,275 digits, under Python's default int-to-str limit of 4,300
+    assert main(["flags", "--n", "134", "--field", "GF(3)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# n: 134", "# field: GF(3)"]
+    assert len(lines[2]) == 4275 and lines[2] == str(count_flags(134, FieldCtx(3)))
+
+
+@pytest.mark.parametrize("n", [135, 3000])
+def test_flags_count_past_the_print_limit_is_refused_uncomputed(n, monkeypatch, capsys):
+    # 3^(n(n-1)/2) alone has more than 4,300 digits: refused from that bound
+    def refuse(*args):
+        raise RuntimeError("the flag count was computed")
+
+    monkeypatch.setattr(weaktri.cli, "count_flags", refuse)
+    assert main(["flags", "--n", str(n), "--field", "GF(3)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the flag count has more than 4300 digits, too many to print\n"
+
+
+def test_flags_count_past_the_print_limit_prints_nothing(capsys):
+    # over GF(2), n = 169 passes the bound (4,274 digits) and the count
+    # itself is too long: its digits fail before any line is printed
+    assert main(["flags", "--n", "169", "--field", "GF(2)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
 
 
 @pytest.fixture
@@ -128,7 +166,7 @@ def test_recover_a_failed_gate_prints_its_trace(tmp_path, capsys):
     assert space in [hit.space for hit in report.hits if hit.non_flag]
     path = tmp_path / "nonflag.space"
     path.write_text(format_spacefile(space))
-    assert main(["recover", str(path), "--exploratory"]) == 3
+    assert main(["recover", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -230,7 +268,7 @@ def test_lemma31_over_gf5(capsys):
     "argv, stdout",
     [
         (
-            ["--field", "GF(2^2;1,1,1)", "--degree", "3", "--exploratory"],
+            ["--field", "GF(2^2;1,1,1)", "--degree", "3"],
             "# field: GF(2^2; 1,1,1)\n# degree: 3\n1024 pairs, 40 with split pencils, 0 violations\n",
         ),
         (
@@ -307,6 +345,29 @@ def test_removed_journal_option_is_refused(tmp_path, capsys):
     assert captured.out == ""
     assert "unrecognized arguments: --journal" in captured.err
     assert not journal.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "-"],
+        ["recover", "-"],
+        ["adapted", "-"],
+        ["lemma31", "--field", "GF(2)", "--degree", "3"],
+        ["campaign", "--n", "2", "--field", "GF(2)", "--dim", "3"],
+        ["gen", "--kind", "triangular", "--n", "2", "--field", "GF(2)"],
+        ["flags", "--n", "2", "--field", "GF(2)"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_removed_exploratory_option_is_refused(argv, capsys):
+    # characteristic 2 is an input like any other, so no subcommand has the option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--exploratory"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --exploratory" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["campaign", "--help"]])

@@ -159,7 +159,7 @@ class TestAnnihilator:
     # has dimension n(n-1)/2, and then the two span the same space
     def test_matches_the_gram_radical(self, gf3, gf9):
         rng = seeded(61)
-        fields = (FieldCtx(2, exploratory=True), gf3, gf9, FieldCtx(101))
+        fields = (FieldCtx(2), gf3, gf9, FieldCtx(101))
         spaces = [gf2_non_flag_hit()] + [gen_sl(2, field) for field in fields]
         for field in fields:
             for n in (1, 2, 3, 4, 5):
@@ -246,7 +246,7 @@ class TestGate:
         # so on no optimal space is it the first check to fail: random flag
         # spaces, random spaces of dimension n(n+1)/2 and every hit, flag or
         # not, of the n=3 GF(2) dim-6 campaign on I
-        gf2 = FieldCtx(2, exploratory=True)
+        gf2 = FieldCtx(2)
         rng = seeded(73)
         spaces = []
         for field in (gf2, gf3, gf5):
@@ -282,7 +282,7 @@ class TestKeptChain:
     # it must be the chain that its basis spans, which is P's column chain
     def test_equals_the_chain_of_its_basis(self, gf3, gf5, gf9):
         rng = seeded(79)
-        for field in (FieldCtx(2, exploratory=True), gf3, gf5, gf9):
+        for field in (FieldCtx(2), gf3, gf5, gf9):
             for n in (1, 2, 3, 4, 5):
                 p = random_invertible(field, n, rng)
                 space = gen_triangular(n, field, conjugate_by=p)
@@ -477,7 +477,7 @@ class TestRecoveryContract:
     # non-flag hit over characteristic 2; no other exception escapes
     def test_seeded_random_spaces(self, gf3, gf9):
         outcomes = []
-        for field in (FieldCtx(2, exploratory=True), gf3, gf9):
+        for field in (FieldCtx(2), gf3, gf9):
             for n in (2, 3):
                 for seed in range(40):
                     space = gen_random(n, field, n * (n + 1) // 2, seed)

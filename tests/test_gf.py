@@ -13,6 +13,7 @@ from weaktri.gf import (
     splits_over,
 )
 from weaktri.linalg import char_poly
+from weaktri.spaces import parse_spacefile
 
 from conftest import random_matrix
 from oracles import (
@@ -44,6 +45,27 @@ class TestFieldConstruction:
         with pytest.raises(ValueError, match="not prime"):
             FieldCtx(9)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            399165290221 * 798330580441,  # 318665857834031151167461
+            1287836182261 * 2575672364521,  # 3317044064679887385961981
+            2**89 - 1,  # a Mersenne prime, but past the bound
+        ],
+    )
+    def test_primality_past_the_bound_refused(self, n):
+        # the two composites are strong pseudoprimes to all twelve bases
+        # 2..37, so Miller-Rabin to those bases would call them prime
+        with pytest.raises(ValueError, match="n < 318665857834031151167461"):
+            gf.is_prime(n)
+        with pytest.raises(ValueError, match="n < 318665857834031151167461"):
+            FieldCtx(n)
+
+    def test_primality_below_the_bound(self):
+        assert gf.is_prime(2**61 - 1)
+        assert FieldCtx(2**61 - 1).q == 2**61 - 1
+        assert not gf.is_prime(318665857834031151167461 - 2)  # 3 * 106221952611343717055820
+
     def test_missing_modulus_rejected(self):
         with pytest.raises(ValueError, match="modulus"):
             FieldCtx(3, 2)
@@ -59,7 +81,7 @@ class TestFieldConstruction:
         # the gcd loop alone decides irreducibility: every monic modulus of
         # each degree k against division by every monic polynomial of
         # degree 1..k//2
-        base = FieldCtx(p, exploratory=True)
+        base = FieldCtx(p)
         for k in degrees:
             divisors = [g for d in range(1, k // 2 + 1) for g in monic_polys(base, d)]
             for f in monic_polys(base, k):
@@ -70,10 +92,13 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             FieldCtx(3, 1, (1, 1))
 
-    def test_char2_needs_exploratory(self):
-        with pytest.raises(ValueError, match="exploratory"):
-            FieldCtx(2)
-        assert FieldCtx(2, exploratory=True).exploratory
+    def test_char2_constructs(self):
+        # characteristic 2 is an ordinary input: no option admits it
+        assert FieldCtx(2).q == 2
+        assert FieldCtx(2, 2, (1, 1, 1)).q == 4
+        assert parse_field("GF(2)") == FieldCtx(2)
+        space = parse_spacefile("field GF(2)\nn 2\ndim 1\nmat 1 0 0 1\n")
+        assert (space.field, space.dim) == (FieldCtx(2), 1)
 
     def test_descriptor_round_trip(self):
         for text in ("GF(3)", "GF(7)", "GF(3^2; 1,0,1)", "GF(5^2; 2,0,1)"):
@@ -106,7 +131,7 @@ class TestFieldArithmetic:
     def test_neg_on_every_element(self, gf9):
         # neg reads -a off the log tables; every element of each field is
         # checked against its digit-wise negation
-        gf4 = FieldCtx(2, 2, (1, 1, 1), exploratory=True)
+        gf4 = FieldCtx(2, 2, (1, 1, 1))
         gf25 = FieldCtx(5, 2, (3, 0, 1))
         for f in (gf9, gf4, gf25):
             for a in f.elements():
@@ -151,7 +176,7 @@ POLY_FIELDS = [
     (5,),
     (3, 2, (1, 0, 1)),  # the add-table path
     (3, 7, (1, 0, 2, 0, 0, 0, 0, 1)),  # the digit path
-    (2, 2, (1, 1, 1), True),
+    (2, 2, (1, 1, 1)),
 ]
 
 
@@ -202,7 +227,7 @@ class TestExtensionTables:
     """FieldCtx.mul's log/exp tables against an independent product-mod."""
 
     @pytest.mark.parametrize(
-        "args", [(2, 2, (1, 1, 1), True), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1))],
+        "args", [(2, 2, (1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1))],
         ids=["4", "9", "25"],
     )
     def test_every_pair(self, args):
@@ -220,7 +245,7 @@ class TestExtensionTables:
 
     @pytest.mark.parametrize(
         "args",
-        [(2, 2, (1, 1, 1), True), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1)),
+        [(2, 2, (1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1)),
          (3, 7, (1, 0, 2, 0, 0, 0, 0, 1))],
         ids=["4", "9", "25", "3^7"],
     )
@@ -275,8 +300,8 @@ class TestSplitsOver:
         assert splits_over(power(t - one, 9))
         assert splits_over(power(power(t, 3) - t, 2))
 
-        gf2 = FieldCtx(2, exploratory=True)
-        gf4 = FieldCtx(2, 2, (1, 1, 1), exploratory=True)
+        gf2 = FieldCtx(2)
+        gf4 = FieldCtx(2, 2, (1, 1, 1))
         max_degree = {gf3: 6, gf5: 4, gf7: 4, gf9: 4, gf2: 8, gf4: 4}
         for field, top in max_degree.items():
             for degree in range(1, top + 1):
@@ -315,7 +340,7 @@ ROW_FIELDS = [
     (101,),
     (3, 2, (1, 0, 1)),
     (3, 7, (1, 0, 2, 0, 0, 0, 0, 1)),
-    (2, 2, (1, 1, 1), True),
+    (2, 2, (1, 1, 1)),
 ]
 
 

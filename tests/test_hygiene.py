@@ -20,6 +20,10 @@ entry is stale and the code can go.
 Importing the package loads neither ``multiprocessing`` nor
 ``concurrent.futures``: every command runs in one process, and those imports
 would cost each run tens of milliseconds.
+
+Every package and test file parses with Python 3.10's grammar, the floor
+that ``pyproject.toml`` declares.  That checks syntax only: a call into
+standard library that 3.10 lacks still passes.
 """
 
 import ast
@@ -155,6 +159,21 @@ def test_import_loads_no_process_pool():
 
 def test_modules_found():
     assert {"gf.py", "linalg.py", "survey.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize(
+    "path",
+    MODULES + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_parses_as_python_3_10(path):
+    # grammar only: a standard-library call that 3.10 lacks still parses
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_detects_grammar_newer_than_3_10():
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

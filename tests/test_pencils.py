@@ -14,10 +14,6 @@ GF4 = (2, 2, (1, 1, 1))
 GF8 = (2, 3, (1, 1, 0, 1))
 
 
-def _field(field_args):
-    return FieldCtx(*field_args, exploratory=field_args[0] == 2)
-
-
 def _all_pairs(field, degree):
     """Every monic (p, q) of degrees (d, d-1), p outer and q inner."""
     return [(p, q) for p in monic_polys(field, degree) for q in monic_polys(field, degree - 1)]
@@ -99,7 +95,7 @@ def test_negative_budget_is_refused(capsys):
     ],
 )
 def test_sweep_agrees_with_every_pencil_decided(field_args, degree):
-    field = _field(field_args)
+    field = FieldCtx(*field_args)
     pairs = _all_pairs(field, degree)
     report = verify_pencil_division(field, degree)
     hits = sum(pencil_splits_all(p, q) for p, q in pairs)
@@ -108,7 +104,7 @@ def test_sweep_agrees_with_every_pencil_decided(field_args, degree):
 
 @pytest.mark.parametrize("field_args, degree", [((3,), 3), ((5,), 2), (GF9, 2)])
 def test_only_the_hits_are_divided(field_args, degree, monkeypatch):
-    field = _field(field_args)
+    field = FieldCtx(*field_args)
     pairs = _all_pairs(field, degree)
     hits = [(p.coeffs, q.coeffs) for p, q in pairs if pencil_splits_all(p, q)]
     divided = []
@@ -132,7 +128,7 @@ def test_only_the_hits_are_divided(field_args, degree, monkeypatch):
 def test_violations_come_in_pair_order(field_args, degree, monkeypatch):
     # with every pencil declared split, each pair with q not dividing p violates
     monkeypatch.setattr(pencils, "splits_coeffs", lambda field, coeffs: True)
-    field = _field(field_args)
+    field = FieldCtx(*field_args)
     pairs = _all_pairs(field, degree)
     expected = [(p.coeffs, q.coeffs) for p, q in pairs if not (p % q).is_zero]
     report = verify_pencil_division(field, degree)
@@ -151,7 +147,7 @@ def test_violations_come_in_pair_order(field_args, degree, monkeypatch):
 def test_one_step_division_agrees_with_poly_remainder(field_args):
     # random monic q of degree 1..7 against p = (t + c)*q, which it divides,
     # and against random monic p of one degree more
-    field = _field(field_args)
+    field = FieldCtx(*field_args)
     rng = random.Random(43)
     verdicts = []
     for _ in range(200):

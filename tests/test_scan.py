@@ -9,7 +9,7 @@ import random
 import pytest
 
 from weaktri import scan, triang
-from weaktri.errors import TheoremViolationError
+from weaktri.errors import PreconditionError, TheoremViolationError
 from weaktri.gf import FieldCtx
 from weaktri.scan import (
     _CHUNK_TABLE_LIMIT,
@@ -18,11 +18,12 @@ from weaktri.scan import (
     _chunk_widths,
     _scan_pattern,
     _Torus,
+    check_table_sizes,
 )
 
 from oracles import scan_pattern_by_rows
 
-GF2 = (2, 1, None, True)
+GF2 = (2,)
 GF9 = (3, 2, (1, 0, 1))
 
 
@@ -94,6 +95,20 @@ def test_chunk_tables_stay_within_both_bounds():
             # one chunk fewer would break a bound
             if len(widths) > 1:
                 assert q ** (2 * -(-m // (len(widths) - 1))) > cap, (q, m)
+
+
+def test_table_limits_refuse_only_past_their_bounds():
+    # one-digit chunks over GF(1021) hold 1,042,441 entries, under 2^20;
+    # over GF(1031), 1,062,961; a 0-dimensional quotient builds no chunk
+    check_table_sizes(1021, 3, False)
+    with pytest.raises(PreconditionError, match="chunk tables of 1062961 entries"):
+        check_table_sizes(1031, 1, False)
+    check_table_sizes(1031, 0, True)
+    # a goodness table may hold 2^28 bytes, and none is built for no row
+    check_table_sizes(2, 28, True)
+    with pytest.raises(PreconditionError, match="goodness table of 536870912 bytes"):
+        check_table_sizes(2, 29, True)
+    check_table_sizes(2, 29, False)
 
 
 @pytest.mark.parametrize(

@@ -190,8 +190,8 @@ CONJUGATION_FIELDS = [
     (3, 2, (1, 0, 1)),
     (101,),
     (11,),
-    (2, 1, None, True),
-    (2, 2, (1, 1, 1), True),
+    (2,),
+    (2, 2, (1, 1, 1)),
     (3, 7, (1, 0, 2, 0, 0, 0, 0, 1)),
 ]
 
@@ -321,6 +321,14 @@ class TestSpaceFiles:
     def test_dim_mismatch(self):
         with pytest.raises(SpaceFileError, match="dim says"):
             parse_spacefile("field GF(3)\nn 2\ndim 2\nmat 1 0 0 1\n")
+
+    @pytest.mark.parametrize("tail", ["n 3", "field GF(5)", "field GF(3)", "dim 1"])
+    def test_repeated_header_refused(self, tail):
+        # a second header line is refused, even one that repeats the first,
+        # rather than ignored (n) or obeyed (field)
+        key = tail.split()[0]
+        with pytest.raises(SpaceFileError, match=f"line 5: second '{key}' directive"):
+            parse_spacefile(f"field GF(3)\nn 2\ndim 1\nmat 1 0 0 1\n{tail}\n")
 
     def test_missing_header(self):
         with pytest.raises(SpaceFileError):

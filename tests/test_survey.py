@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import re
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_hits_are_exactly_the_flags(field_args):
 
 @pytest.mark.parametrize(
     "n, field_args",
-    [(2, (3,)), (2, (7,)), (3, (3,)), (3, (5,)), (2, GF9), (3, GF9), (3, (2, 1, None, True))],
+    [(2, (3,)), (2, (7,)), (3, (3,)), (3, (5,)), (2, GF9), (3, GF9), (3, (2,))],
     ids=["2-3", "2-7", "3-3", "3-5", "2-9", "3-9", "3-2"],
 )
 def test_flag_count_agrees_with_chain_enumeration(n, field_args):
@@ -118,7 +119,7 @@ def test_count_flags_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(oracles, "enumerate_subspaces", refuse)
     for name in ("grassmann_count", "Quotient"):
         monkeypatch.setattr(weaktri.survey, name, refuse)
-    assert [count_flags(n, FieldCtx(2, exploratory=True)) for n in (1, 2, 3)] == [1, 3, 21]
+    assert [count_flags(n, FieldCtx(2)) for n in (1, 2, 3)] == [1, 3, 21]
     q = 1000003
     assert count_flags(3, FieldCtx(q)) == (q + 1) * (q * q + q + 1)
 
@@ -216,7 +217,7 @@ def test_campaign_below_the_optimal_dimension(gf3):
 
 
 @pytest.mark.parametrize("identity", [False, True], ids=["none", "identity"])
-@pytest.mark.parametrize("field_args", [(2, 1, None, True), (2, 2, (1, 1, 1), True), (3,)],
+@pytest.mark.parametrize("field_args", [(2,), (2, 2, (1, 1, 1)), (3,)],
                          ids=["2", "4", "3"])
 def test_n2_hits_equal_the_brute_force_hit_sets(field_args, identity):
     # every candidate the campaign rejects is rejected by the oracle too:
@@ -247,7 +248,7 @@ def test_n3_gf2_identity_hits_equal_the_brute_force_hit_sets(dim):
     # end to end: the oracle streams I plus each subspace of its own
     # complement of F.I, not the quotient's section, and compares the spaces
     # as element sets, not as RREF bases
-    field, n = FieldCtx(2, exploratory=True), 3
+    field, n = FieldCtx(2), 3
     splits = leibniz_verdicts(field, n)
     report = run_campaign(CampaignSpec(n=n, field=field, dim=dim, constraints=(Mat.identity(field, n),)))
     assert report.total == report.expected_total and report.alarms == []
@@ -348,7 +349,7 @@ def test_n3_campaign_char_poly_counts(gf3, monkeypatch):
 
 
 GF2_CAMPAIGN = ["campaign", "--n", "3", "--field", "GF(2)", "--dim", "6",
-                "--contains-identity", "--exploratory"]
+                "--contains-identity"]
 
 
 def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys, monkeypatch):
@@ -369,7 +370,7 @@ def test_gf2_optimal_spaces_that_are_not_flag_spaces(capsys, monkeypatch):
 
 
 def test_gf2_n2_report_digest():
-    gf2 = FieldCtx(2, exploratory=True)
+    gf2 = FieldCtx(2)
     report = run_campaign(CampaignSpec(n=2, field=gf2, dim=3))
     assert md5(report.to_text()) == "446817065819ec84eb65380ede53c5ad"
 
@@ -498,6 +499,34 @@ def test_budget_counts_the_classes_of_the_goodness_table(capsys):
     assert captured.err == "budget exceeded: 13 classes exceed the campaign budget 12\n"
     assert main(argv + ["--budget", "13"]) == 0
     assert "# total: 1\n# expected_total: 1\n# hits: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, q, dim, identity, what",
+    [
+        # one candidate, but one-digit chunk tables of q^2 = 4,214,809 entries
+        (1, 2053, 1, False, "chunk tables of 4214809 entries over GF(2053)"),
+        # a scan of no row still builds the chunk tables: 100,140,049 entries
+        (2, 10007, 1, True, "chunk tables of 100140049 entries over GF(10007)"),
+        # 1,019,091 candidates and classes, within the default budget, but
+        # a goodness table of q^3 bytes
+        (2, 1009, 2, True, "a goodness table of 1027243729 bytes"),
+    ],
+)
+def test_campaign_tables_past_their_limits_are_refused_unbuilt(n, q, dim, identity, what,
+                                                               monkeypatch, capsys):
+    def refuse(*args):
+        raise RuntimeError("the quotient was built")
+
+    monkeypatch.setattr(weaktri.survey, "Quotient", refuse)
+    field = FieldCtx(q)
+    constraints = (Mat.identity(field, n),) if identity else ()
+    with pytest.raises(PreconditionError, match=re.escape(what)):
+        run_campaign(CampaignSpec(n=n, field=field, dim=dim, constraints=constraints))
+    argv = ["campaign", "--n", str(n), "--field", f"GF({q})", "--dim", str(dim)]
+    assert main(argv + ["--contains-identity"] * identity) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {what} exceed")
 
 
 @pytest.mark.parametrize("n, dim, identity", [(3, 1, True), (2, 0, False)])

@@ -27,7 +27,7 @@ SWEEP_FIELDS = {
     "GF(3)": FieldCtx(3),
     "GF(5)": FieldCtx(5),
     "GF(9)": FieldCtx(3, 2, (1, 0, 1)),
-    "GF(2)": FieldCtx(2, exploratory=True),
+    "GF(2)": FieldCtx(2),
 }
 
 
