@@ -196,9 +196,14 @@ def cmd_flags(args):
     # too long for Python's int-to-str limit (none before 3.10.7) is refused
     # uncomputed, and the digits are formed before any line is printed
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"the flag count has more than {limit} digits, too many to print"
     if limit and args.n * (args.n - 1) // 2 * math.log10(field.q) >= limit:
-        raise ValueError(f"the flag count has more than {limit} digits, too many to print")
-    count = str(count_flags(args.n, field))
+        raise ValueError(too_long)
+    count = count_flags(args.n, field)
+    try:
+        count = str(count)
+    except ValueError:  # past the limit, though the bound was not
+        raise ValueError(too_long) from None
     print(f"# n: {args.n}")
     print(f"# field: {field.descriptor()}")
     print(count)

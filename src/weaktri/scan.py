@@ -27,12 +27,14 @@ The scan enumerates RREF bases row by row, bottom row first, and returns
 the number of candidates it decided and its hit spaces, in no set order.
 Any candidate whose partial span hits a bad class is rejected together with
 its entire subtree (all such candidates contain that same bad element),
-with skipped counts tracked exactly.  Each node checks forward one level:
-it filters the next level's rows once against its own span, and each row it
-accepts tests the survivors only against the span elements that row adds.
-A level, the rows of one pivot and one set of free columns, is built from
-the goodness table once per scan and shared by every pivot pattern that has
-it.
+with skipped counts tracked exactly.  The scan looks ahead to every level
+(full lookahead, after Haralick and Elliott, Artificial Intelligence 14
+(1980)): each node holds, for every level still to fill, the rows that pass
+against its span, and each row it scans filters those domains only against
+the span elements that row adds.  A row that empties any of them is
+rejected with its subtree at once.  A level, the rows of one pivot and one
+set of free columns, is built chunk by chunk from the goodness table once
+per scan and shared by every pivot pattern that has it.
 
 Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
 matrix entry (i, j) by d_i/d_j, keeps every characteristic polynomial and
@@ -42,7 +44,7 @@ once each row is divided by its pivot entry, and it keeps goodness.  Each
 level of the scan decides one row per orbit of the stabilizer of the rows
 chosen below it (the whole group at the bottom row), the least one, weights
 its rejected subtree by the orbit size and maps its hits onto the other
-rows of the orbit: the stabilizer fixes the span below, so it maps the
+rows of the orbit: the stabilizer fixes the span below, so it maps each
 level's domain onto itself.  A row's images under the whole group are
 computed on its first use and kept with the group, which lives as long as
 its ``Quotient``.
@@ -64,20 +66,25 @@ from .triang import nonsplit_classes
 # table may: ``check_table_sizes`` refuses a quotient that needs more
 _CHUNK_TABLE_LIMIT = 1 << 20
 _GOODNESS_TABLE_LIMIT = 1 << 28
+# the most non-split classes the goodness table marks at once: their
+# multiples are held as lists of ints until they are marked
+_MARK_BATCH = 1 << 12
 
 
 def check_table_sizes(q, m, scanned):
     """Refuse, before any is built, the tables of an m-dimensional quotient
-    over GF(q) that would pass their limits: a ``Quotient`` with m >= 1
-    builds chunk tables of q^2 entries at least (one-digit chunks), and a
-    scan of at least one row reads a goodness table of q^m bytes.  The
-    campaign budget counts candidates and classes, which a large field
-    keeps few while these tables grow past memory."""
+    over GF(q) that would pass their limits: a scan of at least one row
+    builds chunk tables of q^2 entries at least (one-digit chunks) and
+    reads a goodness table of q^m bytes, and a scan of no row builds
+    neither.  The campaign budget counts candidates and classes, which a
+    large field keeps few while these tables grow past memory."""
+    if not scanned:
+        return
     if m and q * q > _CHUNK_TABLE_LIMIT:
         raise PreconditionError(
             f"chunk tables of {q * q} entries over GF({q}) exceed the limit {_CHUNK_TABLE_LIMIT}"
         )
-    if scanned and q**m > _GOODNESS_TABLE_LIMIT:
+    if q**m > _GOODNESS_TABLE_LIMIT:
         raise PreconditionError(
             f"a goodness table of {q**m} bytes exceeds the limit {_GOODNESS_TABLE_LIMIT}"
         )
@@ -93,7 +100,12 @@ class Quotient:
         self.rows = [Mat.identity(field, n).entries] if identity else []
         self.section_cols = list(range(len(self.rows), n * n))
         self.dim = len(self.section_cols)
-        self.chunks = _chunk_tables(field, self.dim)
+
+    @cached_property
+    def chunks(self):
+        """The chunk tables of the quotient's packed vectors, built on first
+        use: a scan of no row builds none."""
+        return _chunk_tables(self.field, self.dim)
 
     @cached_property
     def torus(self):
@@ -128,15 +140,18 @@ class Quotient:
         ``triang.nonsplit_classes`` walks the quotient's unit vectors, whose
         packed index is the class index, and decides each class of nonzero
         multiples once; every nonzero multiple of a class it yields is
-        marked bad.  Class 0 is 0 or F.I, and (t - lambda)^n splits, so it
-        is good.
+        marked bad, ``_MARK_BATCH`` classes at a time through the chunk
+        ``mul`` tables.  Class 0 is 0 or F.I, and (t - lambda)^n splits, so
+        it is good.
         """
         F, n = self.field, self.n
         good = bytearray(b"\x01") * F.q**self.dim
         units = [Mat.unit(F, n, c // n, c % n).entries for c in self.section_cols]
-        for index, _ in nonsplit_classes(F, n, units):
-            for multiple in self.chunks.multiples(index):
-                good[multiple] = 0
+        classes = (index for index, _ in nonsplit_classes(F, n, units))
+        while batch := list(itertools.islice(classes, _MARK_BATCH)):
+            for multiples in self.chunks.multiples(batch):
+                for multiple in multiples:
+                    good[multiple] = 0
         return good
 
     def scan(self, good, k):
@@ -147,11 +162,15 @@ class Quotient:
         ``good`` must be constant on the orbits of ``self.torus``, as a
         goodness table is.  Every level scans one row per orbit of the
         stabilizer of the rows chosen below, which fixes their span and so
-        maps the level's domain onto itself.
+        maps each level's domain onto itself.
 
         Each level, the live rows of one pivot and one set of free columns,
         is built from ``good`` once per call and shared by every pivot
-        pattern that has it, so ``good`` must not change during one call."""
+        pattern that has it, so ``good`` must not change during one call.
+        A scan of no row, whose one candidate is the zero space, reads
+        neither ``good`` nor the chunk tables nor the torus."""
+        if k == 0:
+            return 1, [self.space_from(())]
         built = {}  # (pivot, free columns) -> (live, dead), for this call
         total, spaces = 0, []
         for pattern in itertools.combinations(range(self.dim), k):
@@ -202,16 +221,17 @@ class _ChunkTables:
     mul: list
     test: list
 
-    def split(self, index):
-        return tuple(index // s % z for s, z in zip(self.scales, self.sizes))
-
-    def multiples(self, index):
-        """The packed indices of c times the vector ``index``, c = 1 .. q-1."""
-        split = self.split(index)
-        return [
-            sum(mul[c][v] * s for mul, v, s in zip(self.mul, split, self.scales))
-            for c in range(1, self.q)
-        ]
+    def multiples(self, indices):
+        """For c = 1 .. q-1 in turn, the list of the packed indices of c
+        times each vector of ``indices``, in order; one ``mul`` lookup per
+        chunk of each vector."""
+        parts = [[index // s % z for index in indices] for s, z in zip(self.scales, self.sizes)]
+        for c in range(1, self.q):
+            total = [0] * len(indices)
+            for mul, part, s in zip(self.mul, parts, self.scales):
+                shifted = [v * s for v in mul[c]]
+                total = list(map(operator.add, total, map(shifted.__getitem__, part)))
+            yield total
 
     def coordinates(self, index):
         return tuple(index // self.q**c % self.q for c in range(self.m))
@@ -315,7 +335,7 @@ def _scan_pattern(chunks, good, torus, pattern, built):
 
     ``good`` must be constant on the orbits of the group ``torus``.  Every
     level scans one row per orbit of the stabilizer of the rows chosen
-    below, which maps the level's domain onto itself (see ``_descend``).
+    below, which maps each level's domain onto itself (see ``_descend``).
 
     ``built`` maps (pivot, free columns) to that level's (live, dead), as
     ``_level`` builds it from ``good``; levels missing from it are built and
@@ -337,7 +357,8 @@ def _scan_pattern(chunks, good, torus, pattern, built):
         levels.append((*built[pivot, frees], skip))
         skip *= q ** len(frees)
     group = range(torus.order)
-    bad, hits = _descend(chunks, good, torus, levels, k - 1, [], levels[-1][0], group, ())
+    domains = [live for live, _, _ in levels]
+    bad, hits = _descend(chunks, good, torus, levels, domains, [], group, ())
     got = bad + len(hits)
     if got != skip:
         raise TheoremViolationError(
@@ -350,38 +371,60 @@ def _level(chunks, good, pivot, frees):
     """(live, dead) for the RREF rows with this pivot and these free
     columns: live lists each row whose own class is good as (index, split,
     tabs), its packed index, its chunks and their ``test`` rows; dead
-    counts the others."""
+    counts the others.  Each chunk lists its values, the sums of its
+    digits, once; a row's chunks, ``test`` rows and index come from the
+    product of those lists."""
     q = chunks.q
+    digits = {c: range(q) for c in frees}
+    digits[pivot] = (1,)
+    # per chunk: its values, their test rows and the values shifted into
+    # place; each product varies the last free column fastest
+    values, tests, shifted = [], [], []
+    low = 0
+    for width, scale, test in zip(chunks.widths, chunks.scales, chunks.test):
+        columns = range(low, low + width)
+        sums = [
+            sum(d * q ** (c - low) for c, d in zip(columns, ds))
+            for ds in itertools.product(*(digits.get(c, (0,)) for c in columns))
+        ]
+        values.append(sums)
+        tests.append([test[v] for v in sums])
+        shifted.append([v * scale for v in sums])
+        low += width
     live, dead = [], 0
-    for values in itertools.product(range(q), repeat=len(frees)):
-        index = q**pivot + sum(v * q**c for v, c in zip(values, frees))
-        if not good[index]:
+    rows = zip(itertools.product(*values), itertools.product(*tests))
+    for index, (split, tabs) in zip(map(sum, itertools.product(*shifted)), rows):
+        if good[index]:
+            live.append((index, split, tabs))
+        else:
             dead += 1
-            continue
-        split = chunks.split(index)
-        live.append((index, split, tuple(t[v] for t, v in zip(chunks.test, split))))
     return live, dead
 
 
-def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
-    """Scan the subtree under ``domain``, the live rows of level i that pass
-    against ``span``, the nonzero span of ``chosen``, the rows chosen below;
-    returns (rejected, hits): its rejected candidates, (dead + |live| -
-    |domain|) * skip of them at this level, and each hit's packed rows.
+def _descend(chunks, good, torus, levels, domains, span, group, chosen):
+    """Scan the subtree under ``domains``, for each level j <= i the live
+    rows of level j that pass against ``span``, the nonzero span of
+    ``chosen``, the rows chosen below, with i = len(domains) - 1; returns
+    (rejected, hits): its rejected candidates, (dead + |live| - |domain|)
+    * skip of them at level i, and each hit's packed rows.
 
     ``group`` lists the elements of ``torus`` that fix every row chosen
     below, identity first.  They map the span onto itself and keep
-    goodness, so they map the domain onto itself, and rows of one orbit
-    have isomorphic subtrees.  Only the least row of each orbit is scanned,
-    under its own stabilizer: its rejected candidates count once per row of
-    the orbit, and its hits are mapped by one element per other row.
+    goodness, and each level's rows onto that level's, so they map every
+    domain onto itself, and rows of one orbit have isomorphic subtrees.
+    Only the least row of each orbit of level i is scanned, under its own
+    stabilizer: its rejected candidates count once per row of the orbit,
+    and its hits are mapped by one element per other row.
 
-    A nonempty domain filters level i - 1 against ``span`` once; each
-    scanned row keeps the survivors that pass against the span elements it
-    adds, which are built only when a survivor is left."""
+    The scan looks ahead to every level: each scanned row filters the
+    lower domains against the span elements it adds, level 0 first.  When
+    one comes up empty no row of that level completes the row, so its
+    subtree, ``skip`` candidates, is rejected at its root and the remaining
+    levels are not filtered."""
+    i = len(domains) - 1
     live, dead, skip = levels[i]
+    domain, lower = domains[i], domains[:i]
     bad, hits = (dead + len(live) - len(domain)) * skip, []
-    below = _filter(good, levels[i - 1][0], span) if i and domain else []
     for index, split, _ in domain:
         every = torus.images(index)
         images = [every[g] for g in group]
@@ -393,11 +436,17 @@ def _descend(chunks, good, torus, levels, i, span, domain, group, chosen):
         if i == 0:
             rejected, found = 0, [rows]
         else:
-            new = _grow(chunks, split, span) if below else []
-            kept = _filter(good, below, new)
-            rejected, found = _descend(
-                chunks, good, torus, levels, i - 1, span + new, kept, stabilizer, rows
-            )
+            new = _grow(chunks, split, span)
+            kept = []
+            for rows_j in lower:
+                kept.append(_filter(good, rows_j, new))
+                if not kept[-1]:
+                    rejected, found = skip, []
+                    break
+            else:
+                rejected, found = _descend(
+                    chunks, good, torus, levels, kept, span + new, stabilizer, rows
+                )
         bad += len(orbit) * rejected
         hits += (
             tuple(torus.images(row)[g] for row in hit) for hit in found for g in orbit.values()

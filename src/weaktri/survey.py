@@ -21,13 +21,14 @@ whole check; above t_n a hit that survives it is a theorem-violation
 alarm.
 
 The quotient by F.I, its goodness table and the pruned scan belong to
-``scan.Quotient``; a campaign builds the table once, unless it scans no
-row (a campaign of dimension 1 through I, or of dimension 0), and one scan
-returns the candidate count, which must equal the Gaussian binomial, and
-the hit spaces, which the report sorts.  The budget bounds the candidates
-and the classes the table decides; ``scan.check_table_sizes`` then refuses,
-before any table is built, a quotient whose chunk or goodness tables would
-pass their fixed limits, as over a field of more than 2^10 elements.
+``scan.Quotient``; a campaign builds its chunk and goodness tables once,
+and none when it scans no row (a campaign of dimension 1 through I, or of
+dimension 0), and one scan returns the candidate count, which must equal
+the Gaussian binomial, and the hit spaces, which the report sorts.  The
+budget bounds the candidates and the classes the table decides;
+``scan.check_table_sizes`` then refuses, before any table is built, a scan
+whose chunk or goodness tables would pass their fixed limits, as a scan of
+a row over a field of more than 2^10 elements would.
 """
 
 from __future__ import annotations

@@ -99,11 +99,13 @@ def test_chunk_tables_stay_within_both_bounds():
 
 def test_table_limits_refuse_only_past_their_bounds():
     # one-digit chunks over GF(1021) hold 1,042,441 entries, under 2^20;
-    # over GF(1031), 1,062,961; a 0-dimensional quotient builds no chunk
-    check_table_sizes(1021, 3, False)
+    # over GF(1031), 1,062,961; a 0-dimensional quotient builds no chunk,
+    # and a scan of no row builds none
+    check_table_sizes(1021, 1, True)
     with pytest.raises(PreconditionError, match="chunk tables of 1062961 entries"):
-        check_table_sizes(1031, 1, False)
+        check_table_sizes(1031, 1, True)
     check_table_sizes(1031, 0, True)
+    check_table_sizes(1031, 1, False)
     # a goodness table may hold 2^28 bytes, and none is built for no row
     check_table_sizes(2, 28, True)
     with pytest.raises(PreconditionError, match="goodness table of 536870912 bytes"):
@@ -139,14 +141,15 @@ def test_every_chunk_table_entry(field_args, m):
                 assert (chunks.add[j][a][b], chunks.test[j][a][b]) == (total, total * scale)
             for c in range(q):
                 assert chunks.mul[j][c][a] == packed([field.mul(c, x) for x in da], q)
-    for index in (0, 1, q**m - 1, q ** (m - 1) + q):
-        split = chunks.split(index)
-        assert sum(v * s for v, s in zip(split, chunks.scales)) == index
-        assert chunks.scales[0] == 1 and chunks.sizes == tuple(q**w for w in chunks.widths)
-        digits = chunks.coordinates(index)
-        assert chunks.multiples(index) == [
-            packed([field.mul(c, d) for d in digits], q) for c in range(1, q)
-        ]
+    assert chunks.scales[0] == 1 and chunks.sizes == tuple(q**w for w in chunks.widths)
+    # the batch of every index at once, scaled by each nonzero c
+    indices = list(range(q**m))
+    digits = [[index // q**c % q for c in range(m)] for index in indices]
+    assert [list(chunks.coordinates(index)) for index in indices] == digits
+    scaled = list(chunks.multiples(indices))
+    assert len(scaled) == q - 1
+    for c, multiples in enumerate(scaled, 1):
+        assert multiples == [packed([field.mul(c, d) for d in ds], q) for ds in digits], c
 
 
 # -- the diagonal-conjugation group ---------------------------------------------------
@@ -234,16 +237,72 @@ def test_synthetic_tables_match_the_reference_through_the_torus(
     largest = 0
     descend = scan._descend
 
-    def recording(chunks, good, torus, levels, i, span, domain, group, chosen):
+    def recording(chunks, good, torus, levels, domains, span, group, chosen):
         nonlocal largest
-        if i < len(levels) - 1:
+        if len(domains) < len(levels):
             largest = max(largest, len(group))
-        return descend(chunks, good, torus, levels, i, span, domain, group, chosen)
+        return descend(chunks, good, torus, levels, domains, span, group, chosen)
 
     monkeypatch.setattr(scan, "_descend", recording)
     hits, rejected = assert_scans_agree(field, m, good, range(m + 1), torus)
     assert hits > 1 and rejected > 0
     assert largest > 1
+
+
+def count_cuts(monkeypatch):
+    """Patch the scan to count its ``_descend`` calls per level and the
+    rows it rejects with their subtree at their root; returns (calls, cuts),
+    a Counter by level and a one-item list."""
+    calls, cuts = collections.Counter(), [0]
+    descend, grow = scan._descend, scan._grow
+
+    def counting(chunks, good, torus, levels, domains, *rest):
+        calls[len(domains) - 1] += 1
+        # a call below the bottom level is made by a row that was not cut
+        cuts[0] -= len(domains) < len(levels)
+        return descend(chunks, good, torus, levels, domains, *rest)
+
+    def growing(*args):
+        cuts[0] += 1  # each scanned row above level 0 grows the span once
+        return grow(*args)
+
+    monkeypatch.setattr(scan, "_descend", counting)
+    monkeypatch.setattr(scan, "_grow", growing)
+    return calls, cuts
+
+
+# a group of order 4 that changes the signs of coordinates of F_3^6
+SIGNS = ((1, 1, 1, 1, 1, 1), (1, 2, 1, 2, 1, 2), (1, 1, 2, 2, 1, 1), (1, 2, 2, 1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "factors, density",
+    # through the signs, density 0.2 leaves no hit of two rows
+    [(None, 0.2), (None, 0.3), (None, 0.4), (SIGNS, 0.3), (SIGNS, 0.4)],
+)
+def test_sparse_tables_cut_subtrees_at_their_root(monkeypatch, factors, density):
+    # few good rows: a row that empties some lower level is rejected with
+    # its whole subtree before any level below it is entered
+    field = FieldCtx(3)
+    torus = factors and _Torus(field, factors)
+    _, cuts = count_cuts(monkeypatch)
+    hits = 0
+    for seed in (0, 1):
+        good = synthetic_goodness(3, 6, seed, density, factors)
+        # hits of two rows or more, which the filters of every level let through
+        hits += assert_scans_agree(field, 6, good, range(2, 7), torus)[0]
+    assert hits and cuts[0] > 0
+
+
+def test_sparse_table_scan_calls_per_level(monkeypatch):
+    # one call per pattern at its bottom level and one per scanned row that
+    # every lower level can complete; filtering only the next level calls
+    # more at the levels below the bottom
+    calls, cuts = count_cuts(monkeypatch)
+    good = synthetic_goodness(3, 6, 0, 0.4)
+    assert assert_scans_agree(FieldCtx(3), 6, good, range(7))[0] == 385
+    assert calls == {5: 1, 4: 6, 3: 15, 2: 22, 1: 32, 0: 74}
+    assert cuts == [106]
 
 
 def test_bookkeeping_drift_is_an_alarm(gf3, monkeypatch):
@@ -280,19 +339,18 @@ class CountingTable:
 
 
 def test_n3_identity_scan_goodness_reads(gf3):
-    # each node filters the next level once against its own span, and each
-    # row it accepts tests the survivors only against the elements it adds;
-    # a scan that tests every row against the whole span at every node
-    # reads 229,621.  A row that is not the least of its stabilizer orbit is
-    # skipped and filters nothing above it; with the torus used only at the
-    # bottom row the scan reads 80,632.  Each level reads the rows' own
-    # classes once per scan, not once per pattern that has it; building the
-    # levels of every pattern anew reads 55,142
+    # each scanned row tests the lower levels' survivors only against the
+    # span elements it adds, level 0 first, and stops at the first level it
+    # empties; filtering every lower level reads 50,787, filtering the next
+    # level first 40,014, and filtering only the next level (forward
+    # checking) 54,597.  A row that is not the least of its stabilizer orbit
+    # is skipped and filters nothing.  Each level reads the rows' own
+    # classes once per scan, not once per pattern that has it
     quotient = Quotient(gf3, 3, identity=True)
     good = CountingTable(quotient.goodness_table())
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
-    assert good.reads == 54_597
+    assert good.reads == 36_606
 
 
 def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
@@ -314,8 +372,8 @@ def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
 
 
 def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
-    # 179 rows meet the torus, each mapped by its 4 elements once; mapping
-    # a row each time an orbit test or a hit needs it computes 6,809 images
+    # 160 rows meet the torus, each mapped by its 4 elements once; mapping
+    # a row each time an orbit test or a hit needs it computes 7,456 images
     quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
@@ -329,7 +387,7 @@ def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
     assert set(calls.values()) == {1}
-    assert len(calls) == 716 == 4 * len({index for _, index in calls})
+    assert len(calls) == 640 == 4 * len({index for _, index in calls})
 
 
 def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch):
@@ -350,19 +408,21 @@ def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch
 
 def test_n3_identity_scan_calls_per_level(gf3, monkeypatch):
     # one call per pattern at the bottom level, 4, and one per scanned row
-    # below it.  Every level scans one row per orbit of the stabilizer of
-    # the rows below it: 262 orbits on the 377 level-2 rows that a scan
-    # using the torus only at the bottom row enters
+    # below it that every lower level can complete: a row that empties a
+    # lower level's domain is rejected with its subtree at once.  Filtering
+    # only the next level (forward checking) calls {4: 56, 3: 93, 2: 262,
+    # 1: 1,405, 0: 425}.  Every level scans one row per orbit of the
+    # stabilizer of the rows below it
     quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
     descend = scan._descend
 
-    def counting(chunks, good, torus, levels, i, *rest):
-        calls[i] += 1
-        return descend(chunks, good, torus, levels, i, *rest)
+    def counting(chunks, good, torus, levels, domains, *rest):
+        calls[len(domains) - 1] += 1
+        return descend(chunks, good, torus, levels, domains, *rest)
 
     monkeypatch.setattr(scan, "_descend", counting)
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
-    assert calls == {4: 56, 3: 93, 2: 262, 1: 1_405, 0: 425}
+    assert calls == {4: 56, 3: 75, 2: 84, 1: 44, 0: 22}

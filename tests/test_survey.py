@@ -506,8 +506,6 @@ def test_budget_counts_the_classes_of_the_goodness_table(capsys):
     [
         # one candidate, but one-digit chunk tables of q^2 = 4,214,809 entries
         (1, 2053, 1, False, "chunk tables of 4214809 entries over GF(2053)"),
-        # a scan of no row still builds the chunk tables: 100,140,049 entries
-        (2, 10007, 1, True, "chunk tables of 100140049 entries over GF(10007)"),
         # 1,019,091 candidates and classes, within the default budget, but
         # a goodness table of q^3 bytes
         (2, 1009, 2, True, "a goodness table of 1027243729 bytes"),
@@ -527,6 +525,29 @@ def test_campaign_tables_past_their_limits_are_refused_unbuilt(n, q, dim, identi
     assert main(argv + ["--contains-identity"] * identity) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {what} exceed")
+
+
+def test_a_scan_of_no_row_builds_no_chunk_table(monkeypatch, capsys):
+    # F.I is the one candidate, decided with no table: the chunk tables of
+    # GF(10007), 100,140,049 entries, and the torus are never built
+    def refuse(*args):
+        raise RuntimeError("a scan table was built")
+
+    monkeypatch.setattr(weaktri.scan, "_chunk_tables", refuse)
+    monkeypatch.setattr(weaktri.scan, "_Torus", refuse)
+    field = FieldCtx(10007)
+    spec = CampaignSpec(n=2, field=field, dim=1, constraints=(Mat.identity(field, 2),))
+    report = run_campaign(spec)
+    assert (report.total, report.hit_count, report.alarms) == (1, 1, [])
+    assert report.hits[0].space.dim == 1
+    argv = ["campaign", "--n", "2", "--field", "GF(10007)", "--dim", "1", "--contains-identity"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report.to_text() and captured.err.startswith("elapsed: ")
+    assert captured.out.startswith(
+        "# campaign: n=2 field=GF(10007) dim=1 constraints=identity mode=exhaustive\n"
+        "# total: 1\n# expected_total: 1\n# hits: 1\n"
+    )
 
 
 @pytest.mark.parametrize("n, dim, identity", [(3, 1, True), (2, 0, False)])
