@@ -163,8 +163,7 @@ def cmd_gen(args):
     if kind == "joint":
         if not args.blocks:
             raise ValueError("--kind joint needs --blocks, e.g. --blocks 1,2")
-        sizes = [int(t) for t in args.blocks.split(",")]
-        space = gen_joint([_full_algebra(size, field) for size in sizes])
+        space = gen_joint([_full_algebra(_block_size(t), field) for t in args.blocks.split(",")])
     else:
         if args.n is None:
             raise ValueError(f"--kind {kind} needs --n")
@@ -181,6 +180,13 @@ def cmd_gen(args):
             space = gen_random(args.n, field, args.dim, args.seed)
     sys.stdout.write(format_spacefile(space))
     return 0
+
+
+def _block_size(token):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad --blocks entry {token!r}; use sizes such as 1,2") from None
 
 
 def _full_algebra(n, field):

@@ -286,12 +286,19 @@ def parse_field(text) -> FieldCtx:
         if "^" not in head:
             raise ValueError(f"bad field descriptor {text!r}: modulus without p^k")
         p_s, _, k_s = head.partition("^")
-        p, k = int(p_s), int(k_s)
-        coeffs = tuple(int(c) for c in tail.replace(" ", "").split(",") if c != "")
-        return FieldCtx(p, k, coeffs)
+        p, k = _descriptor_int(p_s, text), _descriptor_int(k_s, text)
+        tokens = (c for c in tail.replace(" ", "").split(",") if c != "")
+        return FieldCtx(p, k, tuple(_descriptor_int(c, text) for c in tokens))
     if "^" in body:
         raise ValueError(f"bad field descriptor {text!r}: extension field needs a modulus")
-    return FieldCtx(int(body))
+    return FieldCtx(_descriptor_int(body, text))
+
+
+def _descriptor_int(token, text):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad field descriptor {text!r}: {token!r} is not an integer") from None
 
 
 class Poly:

@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import PreconditionError, TheoremViolationError
 from .linalg import Mat, span_rows
@@ -71,16 +70,13 @@ _GOODNESS_TABLE_LIMIT = 1 << 28
 _MARK_BATCH = 1 << 12
 
 
-def check_table_sizes(q, m, scanned):
+def check_table_sizes(q, m):
     """Refuse, before any is built, the tables of an m-dimensional quotient
-    over GF(q) that would pass their limits: a scan of at least one row
-    builds chunk tables of q^2 entries at least (one-digit chunks) and
-    reads a goodness table of q^m bytes, and a scan of no row builds
-    neither.  The campaign budget counts candidates and classes, which a
-    large field keeps few while these tables grow past memory."""
-    if not scanned:
-        return
-    if m and q * q > _CHUNK_TABLE_LIMIT:
+    over GF(q) that would pass their limits: its chunk tables hold q^2
+    entries at least (one-digit chunks), and its goodness table q^m bytes.
+    The campaign budget counts candidates and classes, which a large field
+    keeps few while these tables grow past memory."""
+    if q * q > _CHUNK_TABLE_LIMIT:
         raise PreconditionError(
             f"chunk tables of {q * q} entries over GF({q}) exceed the limit {_CHUNK_TABLE_LIMIT}"
         )
@@ -92,7 +88,10 @@ def check_table_sizes(q, m, scanned):
 
 class Quotient:
     """The vectorized n-by-n matrices modulo F.I when ``identity`` holds,
-    else all of them."""
+    else all of them, with the chunk tables and the diagonal torus of its
+    scans.  A campaign builds one only to scan at least one row, so its
+    dimension is at least 1; ``check_table_sizes`` refuses it before any
+    table is built."""
 
     def __init__(self, field, n, identity):
         self.field = field
@@ -100,23 +99,13 @@ class Quotient:
         self.rows = [Mat.identity(field, n).entries] if identity else []
         self.section_cols = list(range(len(self.rows), n * n))
         self.dim = len(self.section_cols)
-
-    @cached_property
-    def chunks(self):
-        """The chunk tables of the quotient's packed vectors, built on first
-        use: a scan of no row builds none."""
-        return _chunk_tables(self.field, self.dim)
-
-    @cached_property
-    def torus(self):
-        """The diagonal torus modulo scalars on the quotient, built on first
-        use."""
-        F, n = self.field, self.n
-        factors = []
+        check_table_sizes(field.q, self.dim)
+        self.chunks = _chunk_tables(field, self.dim)
+        F, factors = field, []
         for d in itertools.product(range(1, F.q), repeat=n - 1):
             d = (1,) + d
             factors.append(tuple(F.mul(d[e // n], F.inv(d[e % n])) for e in self.section_cols))
-        return _Torus(F, tuple(factors))
+        self.torus = _Torus(F, tuple(factors))
 
     def space_from(self, quotient_rows) -> MatSpace:
         """The candidate space with these quotient rows, spanned with I when
@@ -129,7 +118,8 @@ class Quotient:
             for c, v in zip(self.section_cols, qrow):
                 full[c] = v
             lifted.append(full)
-        return MatSpace(F, n, (Mat(F, n, r) for r in span_rows(lifted, F)))
+        # span_rows reduces the rows already: wrap, do not coerce
+        return MatSpace(F, n, (Mat._wrap(F, n, r) for r in span_rows(lifted, F)))
 
     def goodness_table(self):
         """good[packed class] is 1 when the characteristic polynomial of
@@ -156,8 +146,9 @@ class Quotient:
 
     def scan(self, good, k):
         """(candidates_decided, hit_spaces) over every k-dimensional
-        subspace of the quotient, scanned against the goodness table
-        ``good``; the hits are lifted by ``space_from``, in no set order.
+        subspace of the quotient, k >= 1, scanned against the goodness
+        table ``good``; the hits are lifted by ``space_from``, in no set
+        order.
 
         ``good`` must be constant on the orbits of ``self.torus``, as a
         goodness table is.  Every level scans one row per orbit of the
@@ -166,11 +157,7 @@ class Quotient:
 
         Each level, the live rows of one pivot and one set of free columns,
         is built from ``good`` once per call and shared by every pivot
-        pattern that has it, so ``good`` must not change during one call.
-        A scan of no row, whose one candidate is the zero space, reads
-        neither ``good`` nor the chunk tables nor the torus."""
-        if k == 0:
-            return 1, [self.space_from(())]
+        pattern that has it, so ``good`` must not change during one call."""
         built = {}  # (pivot, free columns) -> (live, dead), for this call
         total, spaces = 0, []
         for pattern in itertools.combinations(range(self.dim), k):
@@ -182,17 +169,15 @@ class Quotient:
 
 def _chunk_widths(q, m):
     """Balanced widths, in base-q digits and low chunk first, that split the
-    packed index of a vector of F^m into chunks.
+    packed index of a vector of F^m, m >= 1, into chunks.
 
     The fewest chunks whose add tables (q^(2h) entries for width h) hold at
     most 2^20 entries and no more than the q^m-entry goodness table, except
     that a two-digit chunk (q^4 entries) is allowed under 2^20 even where the
-    goodness table is smaller.  One-digit chunks are the last resort; a
-    campaign refuses, by ``check_table_sizes``, a field where even they
+    goodness table is smaller.  One-digit chunks are the last resort;
+    ``Quotient`` refuses, by ``check_table_sizes``, a field where even they
     would hold more than 2^20 entries.
     """
-    if m == 0:
-        return ()
     cap = min(_CHUNK_TABLE_LIMIT, max(q**m, q**4))
     count = next((c for c in range(1, m + 1) if q ** (2 * -(-m // c)) <= cap), m)
     width, extra = divmod(m, count)
@@ -320,9 +305,9 @@ class _Torus:
 
 
 def _scan_pattern(chunks, good, torus, pattern, built):
-    """Exhaustively decide all candidates whose RREF pivots are ``pattern``;
-    returns (candidates_decided, hit_row_lists), the hits in no set order,
-    each a tuple of coordinate rows, top row first.
+    """Exhaustively decide all candidates whose RREF pivots are ``pattern``,
+    one pivot at least; returns (candidates_decided, hit_row_lists), the
+    hits in no set order, each a tuple of coordinate rows, top row first.
 
     Rows are assigned bottom-up, and every vector is its packed class index,
     held as its tuple of base-q chunks.  A row whose own class is bad is
@@ -343,9 +328,6 @@ def _scan_pattern(chunks, good, torus, pattern, built):
     candidates of the pattern number q to its free positions, the final
     ``skip``, and the rejected and accepted ones must add up to it.
     """
-    k = len(pattern)
-    if k == 0:
-        return 1, [()]
     q, m = chunks.q, chunks.m
     pivot_set = set(pattern)
     levels = []

@@ -21,14 +21,15 @@ whole check; above t_n a hit that survives it is a theorem-violation
 alarm.
 
 The quotient by F.I, its goodness table and the pruned scan belong to
-``scan.Quotient``; a campaign builds its chunk and goodness tables once,
-and none when it scans no row (a campaign of dimension 1 through I, or of
-dimension 0), and one scan returns the candidate count, which must equal
-the Gaussian binomial, and the hit spaces, which the report sorts.  The
-budget bounds the candidates and the classes the table decides;
-``scan.check_table_sizes`` then refuses, before any table is built, a scan
-whose chunk or goodness tables would pass their fixed limits, as a scan of
-a row over a field of more than 2^10 elements would.
+``scan.Quotient``, which a campaign builds once, and only when it has at
+least one row to scan: a campaign of dimension 1 through I, or of
+dimension 0, has one candidate, F.I or the zero space, and builds no
+``Quotient``.  One scan returns the candidate count, which must equal the
+Gaussian binomial, and the hit spaces, which the report sorts.  The budget
+bounds the candidates and the classes the table decides; ``Quotient`` then
+refuses, before any table is built, a quotient whose chunk or goodness
+tables would pass their fixed limits, as one over a field of more than
+2^10 elements would.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import PreconditionError, TheoremViolationError
 from .flags import Flag, flag_space, recover_flag
 from .gf import FieldCtx
 from .linalg import Mat
-from .scan import Quotient, check_table_sizes
+from .scan import Quotient
 from .spaces import (
     MatSpace,
     check_budget,
@@ -234,24 +235,24 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     k = int(identity)
     if not k <= spec.dim <= n * n:
         raise PreconditionError(f"target dimension {spec.dim} outside [{k}, {n * n}]")
-    # refused before the quotient builds its chunk tables; the Gaussian
-    # binomial of j-subspaces of F^m is at least q^(j(m-j)).  A scan of
-    # j >= 1 rows reads the goodness table, whose (q^m - 1)/(q - 1) decided
-    # classes are at least q^(m-1) and, unless j = m, at most the candidates
+    # refused before the quotient builds its tables; the Gaussian binomial
+    # of j-subspaces of F^m is at least q^(j(m-j)).  A scan of j >= 1 rows
+    # reads the goodness table, whose (q^m - 1)/(q - 1) decided classes are
+    # at least q^(m-1) and, unless j = m, at most the candidates
     q, m, rows = field.q, n * n - k, spec.dim - k
-    what, table = "candidates exceed the campaign budget", "classes exceed the campaign budget"
+    what = "candidates exceed the campaign budget"
     bits = q.bit_length() - 1
     check_budget_floor(rows * (m - rows) * bits, spec.budget, what)
-    if rows:
-        check_budget_floor((m - 1) * bits, spec.budget, table)
     expected = grassmann_count(m, rows, q)
     check_budget(expected, spec.budget, what)
     if rows:
+        table = "classes exceed the campaign budget"
+        check_budget_floor((m - 1) * bits, spec.budget, table)
         check_budget((q**m - 1) // (q - 1), spec.budget, table)
-    check_table_sizes(q, m, rows > 0)
-    quotient = Quotient(field, n, identity)
-    good = quotient.goodness_table() if rows else None
-    total, spaces = quotient.scan(good, rows)
+        quotient = Quotient(field, n, identity)
+        total, spaces = quotient.scan(quotient.goodness_table(), rows)
+    else:  # the one candidate is F.I or the zero space
+        total, spaces = 1, [MatSpace.from_span(spec.constraints, field=field, n=n)]
     report = CampaignReport(spec.summary_line(), total, expected, counts_non_flag=field.p == 2)
     if total != expected:
         report.alarms.append(

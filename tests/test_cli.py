@@ -455,6 +455,27 @@ def test_malformed_check_mode_exits_1(sl2, mode, capsys):
     assert captured.err == f"error: bad --mode {mode!r}; use exhaustive or sample:N:SEED\n"
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["flags", "--n", "2", "--field", "GF(x)"], None,
+         "bad field descriptor 'GF(x)': 'x' is not an integer"),
+        (["check", "-"], "field GF(3^2; 1,0,x)\nn 1\n",
+         "line 1: bad field descriptor 'GF(3^2; 1,0,x)': 'x' is not an integer"),
+        (["gen", "--field", "GF(3)", "--kind", "joint", "--blocks", "1,x"], None,
+         "bad --blocks entry 'x'; use sizes such as 1,2"),
+    ],
+    ids=["flags-field", "spacefile-field", "gen-blocks"],
+)
+def test_malformed_number_exits_1_naming_it(argv, stdin, message, monkeypatch, capsys):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_sample_count_is_bounded_by_the_budget(t3, capsys):
     assert main(["check", t3, "--mode", "sample:5:1", "--budget", "5"]) == 0
     assert capsys.readouterr().out == (

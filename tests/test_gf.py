@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,11 @@ class TestFieldConstruction:
     def test_bad_descriptors(self):
         for text in ("GF(4)", "GF 3", "GF(3^2)", "GF(3; 1,1)"):
             with pytest.raises(ValueError):
+                parse_field(text)
+        # a malformed number is named, not passed on from int()
+        for text, token in [("GF(x)", "x"), ("GF(3^a; 1,0,1)", "a"), ("GF(3^2; 1,0,x)", "x")]:
+            message = f"bad field descriptor {text!r}: {token!r} is not an integer"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_field(text)
 
 

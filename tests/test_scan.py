@@ -38,8 +38,8 @@ def trivial_group(field, m):
 def assert_scans_agree(field, m, good, ks, torus=None):
     """The packed scan through the group ``torus`` (the trivial group by
     default) and the row-list reference return the same candidate count and
-    the same hit rows, in any order, on every pattern with k rows, k in
-    ``ks``; returns the hit and rejection totals."""
+    the same hit rows, in any order, on every pattern with k >= 1 rows, k
+    in ``ks``; returns the hit and rejection totals."""
     chunks = _chunk_tables(field, m)
     torus = torus or trivial_group(field, m)
     hits = rejected = 0
@@ -99,18 +99,14 @@ def test_chunk_tables_stay_within_both_bounds():
 
 def test_table_limits_refuse_only_past_their_bounds():
     # one-digit chunks over GF(1021) hold 1,042,441 entries, under 2^20;
-    # over GF(1031), 1,062,961; a 0-dimensional quotient builds no chunk,
-    # and a scan of no row builds none
-    check_table_sizes(1021, 1, True)
+    # over GF(1031), 1,062,961
+    check_table_sizes(1021, 1)
     with pytest.raises(PreconditionError, match="chunk tables of 1062961 entries"):
-        check_table_sizes(1031, 1, True)
-    check_table_sizes(1031, 0, True)
-    check_table_sizes(1031, 1, False)
-    # a goodness table may hold 2^28 bytes, and none is built for no row
-    check_table_sizes(2, 28, True)
+        check_table_sizes(1031, 1)
+    # a goodness table may hold 2^28 bytes
+    check_table_sizes(2, 28)
     with pytest.raises(PreconditionError, match="goodness table of 536870912 bytes"):
-        check_table_sizes(2, 29, True)
-    check_table_sizes(2, 29, False)
+        check_table_sizes(2, 29)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +191,7 @@ def test_n2_identity_campaign_patterns_match_the_reference(field_args):
     field = FieldCtx(*field_args)
     quotient = Quotient(field, 2, identity=True)
     good = quotient.goodness_table()
-    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(4), quotient.torus)
+    hits, rejected = assert_scans_agree(field, quotient.dim, good, range(1, 4), quotient.torus)
     assert hits and rejected
 
 
@@ -215,7 +211,7 @@ def test_n3_identity_campaign_patterns_match_the_reference(gf3):
 def test_synthetic_tables_match_the_reference(q, m, chunk_count, density, seed):
     assert len(_chunk_widths(q, m)) == chunk_count
     good = synthetic_goodness(q, m, seed, density)
-    hits, rejected = assert_scans_agree(FieldCtx(q), m, good, range(m + 1))
+    hits, rejected = assert_scans_agree(FieldCtx(q), m, good, range(1, m + 1))
     assert hits > 1 and rejected > 0
 
 
@@ -244,7 +240,7 @@ def test_synthetic_tables_match_the_reference_through_the_torus(
         return descend(chunks, good, torus, levels, domains, span, group, chosen)
 
     monkeypatch.setattr(scan, "_descend", recording)
-    hits, rejected = assert_scans_agree(field, m, good, range(m + 1), torus)
+    hits, rejected = assert_scans_agree(field, m, good, range(1, m + 1), torus)
     assert hits > 1 and rejected > 0
     assert largest > 1
 
@@ -300,7 +296,7 @@ def test_sparse_table_scan_calls_per_level(monkeypatch):
     # more at the levels below the bottom
     calls, cuts = count_cuts(monkeypatch)
     good = synthetic_goodness(3, 6, 0, 0.4)
-    assert assert_scans_agree(FieldCtx(3), 6, good, range(7))[0] == 385
+    assert assert_scans_agree(FieldCtx(3), 6, good, range(1, 7))[0] == 384
     assert calls == {5: 1, 4: 6, 3: 15, 2: 22, 1: 32, 0: 74}
     assert cuts == [106]
 
@@ -323,7 +319,7 @@ def test_bookkeeping_drift_is_an_alarm(gf3, monkeypatch):
 
 def test_plain_list_table_is_accepted(gf3):
     good = list(map(bool, synthetic_goodness(3, 4, 0, 0.9)))
-    assert assert_scans_agree(gf3, 4, good, range(5))[0] > 1
+    assert assert_scans_agree(gf3, 4, good, range(1, 5))[0] > 1
 
 
 class CountingTable:

@@ -514,9 +514,10 @@ def test_budget_counts_the_classes_of_the_goodness_table(capsys):
 def test_campaign_tables_past_their_limits_are_refused_unbuilt(n, q, dim, identity, what,
                                                                monkeypatch, capsys):
     def refuse(*args):
-        raise RuntimeError("the quotient was built")
+        raise RuntimeError("a scan table was built")
 
-    monkeypatch.setattr(weaktri.survey, "Quotient", refuse)
+    monkeypatch.setattr(weaktri.scan, "_chunk_tables", refuse)
+    monkeypatch.setattr(weaktri.scan, "_Torus", refuse)
     field = FieldCtx(q)
     constraints = (Mat.identity(field, n),) if identity else ()
     with pytest.raises(PreconditionError, match=re.escape(what)):
@@ -527,14 +528,17 @@ def test_campaign_tables_past_their_limits_are_refused_unbuilt(n, q, dim, identi
     assert captured.out == "" and captured.err.startswith(f"error: {what} exceed")
 
 
-def test_a_scan_of_no_row_builds_no_chunk_table(monkeypatch, capsys):
-    # F.I is the one candidate, decided with no table: the chunk tables of
-    # GF(10007), 100,140,049 entries, and the torus are never built
+def refuse_the_quotient(monkeypatch):
     def refuse(*args):
-        raise RuntimeError("a scan table was built")
+        raise RuntimeError("a quotient was built")
 
-    monkeypatch.setattr(weaktri.scan, "_chunk_tables", refuse)
-    monkeypatch.setattr(weaktri.scan, "_Torus", refuse)
+    monkeypatch.setattr(weaktri.survey, "Quotient", refuse)
+
+
+def test_a_scan_of_no_row_builds_no_chunk_table(monkeypatch, capsys):
+    # F.I is the one candidate, decided with no quotient: the chunk tables
+    # of GF(10007), 100,140,049 entries, and the torus are never built
+    refuse_the_quotient(monkeypatch)
     field = FieldCtx(10007)
     spec = CampaignSpec(n=2, field=field, dim=1, constraints=(Mat.identity(field, 2),))
     report = run_campaign(spec)
@@ -550,18 +554,17 @@ def test_a_scan_of_no_row_builds_no_chunk_table(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("n, dim, identity", [(3, 1, True), (2, 0, False)])
+@pytest.mark.parametrize(
+    "n, dim, identity", [(1, 1, True), (3, 1, True), (1, 0, False), (2, 0, False)]
+)
 def test_a_scan_of_no_row_builds_no_table(n, dim, identity, monkeypatch):
-    # its one candidate, F.I or the zero space, is decided without the table
-    def refuse(quotient):
-        raise RuntimeError("the goodness table was built")
-
-    monkeypatch.setattr(Quotient, "goodness_table", refuse)
+    # its one candidate, F.I or the zero space, is decided with no quotient
+    refuse_the_quotient(monkeypatch)
     field = FieldCtx(5)
     constraints = (Mat.identity(field, n),) if identity else ()
     report = run_campaign(CampaignSpec(n=n, field=field, dim=dim, constraints=constraints, budget=1))
     assert (report.total, report.hit_count, report.alarms) == (1, 1, [])
-    assert report.hits[0].space.dim == dim
+    assert list(report.hits[0].space.basis) == list(constraints)
 
 
 def test_non_split_hit_below_the_optimal_dimension_is_a_sweep_alarm(gf3, monkeypatch):
