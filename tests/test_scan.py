@@ -183,6 +183,80 @@ def test_group_keeps_goodness(field_args, n):
             assert good[image] == good[index]
 
 
+# -- the span kernels ----------------------------------------------------------------
+
+
+class RecordingTable:
+    """A goodness table that records the index of each read, in order."""
+
+    def __init__(self, good):
+        self.good = good
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return self.good[index]
+
+
+@pytest.mark.parametrize(
+    "field_args, m, chunk_count", [((5,), 2, 1), ((3,), 6, 2), (GF9, 3, 2), ((3,), 5, 3)]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grow_and_filter_against_coordinates(field_args, m, chunk_count, seed):
+    # the kernels on random vectors, checked against the field's own add and
+    # mul on coordinates; the span need not be a span for either kernel
+    field = FieldCtx(*field_args)
+    q = field.q
+    chunks = _chunk_tables(field, m)
+    assert len(chunks.widths) == chunk_count
+    rng = random.Random(seed)
+
+    def split(digits):
+        index = packed(digits, q)
+        return tuple(index // s % z for s, z in zip(chunks.scales, chunks.sizes))
+
+    def columns(vectors):
+        return [list(column) for column in zip(*map(split, vectors))] or [[]] * chunk_count
+
+    def plus(u, v):
+        return [field.add(a, b) for a, b in zip(u, v)]
+
+    def vector():
+        return [rng.randrange(q) for _ in range(m)]
+
+    span = [vector() for _ in range(rng.randrange(1, 9))]
+    # _grow: c * row, then c * row + w for each w of the span, for c = 1 .. q-1
+    row = vector()
+    expected = []
+    for c in range(1, q):
+        scaled = [field.mul(c, d) for d in row]
+        expected += [scaled] + [plus(scaled, w) for w in span]
+    new = scan._grow(chunks, split(row), columns(span))
+    assert len(new) == chunk_count
+    assert new == columns(expected)
+    assert scan._grow(chunks, split(row), [[]] * chunk_count) == columns(expected[:: len(span) + 1])
+    # _filter: the rows with row + w good for every w, read row by row and
+    # element by element, each row up to its first bad sum
+    good = bytearray(rng.random() < 0.85 for _ in range(q**m))
+    vectors = [vector() for _ in range(40)]
+    rows = [
+        (packed(v, q), split(v), tuple(t[a] for t, a in zip(chunks.test, split(v))))
+        for v in vectors
+    ]
+    reads, kept = [], []
+    for v, row in zip(vectors, rows):
+        for w in span:
+            reads.append(packed(plus(v, w), q))
+            if not good[reads[-1]]:
+                break
+        else:
+            kept.append(row)
+    table = RecordingTable(good)
+    assert scan._filter(table, rows, columns(span)) == kept
+    assert table.reads == reads
+    assert 0 < len(kept) < len(rows)
+
+
 # -- the packed scan against the reference ------------------------------------------
 
 
@@ -215,6 +289,21 @@ def test_synthetic_tables_match_the_reference(q, m, chunk_count, density, seed):
     assert hits > 1 and rejected > 0
 
 
+def record_largest_group(monkeypatch):
+    """Patch the scan to record the largest group a call below the bottom
+    level receives; returns it as a one-item list."""
+    largest = [0]
+    descend = scan._descend
+
+    def recording(chunks, good, torus, levels, domains, span, group, chosen):
+        if len(domains) < len(levels):
+            largest[0] = max(largest[0], len(group))
+        return descend(chunks, good, torus, levels, domains, span, group, chosen)
+
+    monkeypatch.setattr(scan, "_descend", recording)
+    return largest
+
+
 @pytest.mark.parametrize(
     "q, n, identity",
     # m = 4 with a torus of order 4, and m = 3 with one of order 6
@@ -228,21 +317,44 @@ def test_synthetic_tables_match_the_reference_through_the_torus(
     field = FieldCtx(q)
     quotient = Quotient(field, n, identity)
     torus, m = quotient.torus, quotient.dim
+    assert len(quotient.chunks.widths) == 2
     good = synthetic_goodness(q, m, seed, density, factors=torus.factors)
-    # the largest group a call below the bottom level receives
-    largest = 0
-    descend = scan._descend
-
-    def recording(chunks, good, torus, levels, domains, span, group, chosen):
-        nonlocal largest
-        if len(domains) < len(levels):
-            largest = max(largest, len(group))
-        return descend(chunks, good, torus, levels, domains, span, group, chosen)
-
-    monkeypatch.setattr(scan, "_descend", recording)
+    largest = record_largest_group(monkeypatch)
     hits, rejected = assert_scans_agree(field, m, good, range(1, m + 1), torus)
     assert hits > 1 and rejected > 0
-    assert largest > 1
+    assert largest[0] > 1
+
+
+# groups of order 2 and 4 that change the signs of coordinates of F_5^2,
+# F_3^5 and F_5^5: one chunk, then three
+SIGNS_5_2 = ((1, 1), (1, 4))
+SIGNS_3_5 = ((1, 1, 1, 1, 1), (1, 2, 1, 2, 1), (1, 1, 2, 2, 1), (1, 2, 2, 1, 1))
+SIGNS_5_5 = ((1, 1, 1, 1, 1), (1, 4, 1, 4, 1), (1, 1, 4, 4, 1), (1, 4, 4, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "q, factors, chunk_count, densities",
+    # in F^2 only the whole space has two rows, a hit only when every class
+    # is good: the all-good table sends the group below the bottom level,
+    # the other one rejects
+    [(5, SIGNS_5_2, 1, (0.6, 1.0)), (3, SIGNS_3_5, 3, (0.85,)), (5, SIGNS_5_5, 3, (0.97,))],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synthetic_tables_match_the_reference_through_a_sign_group(
+    monkeypatch, q, factors, chunk_count, densities, seed
+):
+    # one and three chunks take the per-element loop of ``_filter``
+    field, m = FieldCtx(q), len(factors[0])
+    assert len(_chunk_widths(q, m)) == chunk_count
+    torus = _Torus(field, factors)
+    largest = record_largest_group(monkeypatch)
+    hits = rejected = 0
+    for density in densities:
+        good = synthetic_goodness(q, m, seed, density, factors)
+        found = assert_scans_agree(field, m, good, range(1, m + 1), torus)
+        hits, rejected = hits + found[0], rejected + found[1]
+    assert hits > 1 and rejected > 0
+    assert largest[0] > 1
 
 
 def count_cuts(monkeypatch):
