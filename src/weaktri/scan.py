@@ -28,29 +28,32 @@ shifts, does not split.  The package's one class walk,
 class of nonzero multiples once, by its element whose top nonzero digit is
 1, and the table marks every nonzero multiple of each class it yields bad.
 
-The scan enumerates RREF bases row by row, bottom row first, and returns
-the number of candidates it decided and its hit spaces, in no set order.
-Any candidate whose partial span hits a bad class is rejected together with
-its entire subtree (all such candidates contain that same bad element),
-with skipped counts tracked exactly.  The scan looks ahead to every level
-(full lookahead, after Haralick and Elliott, Artificial Intelligence 14
-(1980)): each node holds, for every level still to fill, the rows that pass
-against its span, and each row it scans filters those domains only against
-the span elements that row adds.  A row that empties any of them is
-rejected with its subtree at once.  A level, the rows of one pivot and one
-set of free columns, is built chunk by chunk from the goodness table once
-per scan and shared by every pivot pattern that has it.
+The scan enumerates RREF bases one row at a time, a level being the rows
+of one pivot, and returns the number of candidates it decided and its hit
+spaces, in no set order.  Any candidate whose partial span hits a bad class
+is rejected together with its entire subtree (all such candidates contain
+that same bad element), with skipped counts tracked exactly.  The scan
+looks ahead to every level (full lookahead, after Haralick and Elliott,
+Artificial Intelligence 14 (1980)): each node holds, for every level still
+to fill, the rows that pass against its span, and each row it scans
+filters those domains only against the span elements that row adds.  A row
+that empties any of them is rejected with its subtree at once.  Each node
+fills the level with the fewest rows left (fail-first, the same paper's
+other half), which decides the same candidates as any fixed order.  A
+level, the rows of one pivot and one set of free columns, is built digit by
+digit from the goodness table once per scan and shared by every pivot
+pattern that has it.
 
 Conjugation by an invertible diagonal matrix D = diag(d_0 .. d_{n-1}) scales
 matrix entry (i, j) by d_i/d_j, keeps every characteristic polynomial and
 fixes I.  So the torus modulo scalars, (q-1)^(n-1) elements with d_0 = 1,
 acts on the quotient by scaling each coordinate; it keeps pivot patterns
 once each row is divided by its pivot entry, and it keeps goodness.  Each
-level of the scan decides one row per orbit of the stabilizer of the rows
-chosen below it (the whole group at the bottom row), the least one, weights
-its rejected subtree by the orbit size and maps its hits onto the other
-rows of the orbit: the stabilizer fixes the span below, so it maps each
-level's domain onto itself.  A row's images under the whole group are
+node of the scan decides one row per orbit of the stabilizer of the rows
+chosen before it (the whole group at the root), the least one, weights its
+rejected subtree by the orbit size and maps its hits onto the other rows of
+the orbit: the stabilizer fixes the span of the chosen rows, so it maps
+each level's domain onto itself.  A row's images under the whole group are
 computed on its first use and kept with the group, which lives as long as
 its ``Quotient``.
 """
@@ -58,6 +61,7 @@ its ``Quotient``.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -156,9 +160,9 @@ class Quotient:
         order.
 
         ``good`` must be constant on the orbits of ``self.torus``, as a
-        goodness table is.  Every level scans one row per orbit of the
-        stabilizer of the rows chosen below, which fixes their span and so
-        maps each level's domain onto itself.
+        goodness table is.  Every node scans one row per orbit of the
+        stabilizer of the rows chosen before it, which fixes their span and
+        so maps each level's domain onto itself.
 
         Each level, the live rows of one pivot and one set of free columns,
         is built from ``good`` once per call and shared by every pivot
@@ -314,68 +318,76 @@ def _scan_pattern(chunks, good, torus, pattern, built):
     one pivot at least; returns (candidates_decided, hit_row_lists), the
     hits in no set order, each a tuple of coordinate rows, top row first.
 
-    Rows are assigned bottom-up, and every vector is its packed class index,
-    held as its base-q chunks: a row as its tuple of chunks, the span of the
-    rows below it as columns, one list per chunk.  A row whose own class is
-    bad is dropped from its level once.  A row is accepted when ``good``
-    holds at row + w for every w in the nonzero span of the rows below it:
-    one ``test`` lookup per chunk gives the packed index, and one more reads
-    ``good``; ``_descend`` says which rows are tested against which span
-    elements.  A rejected row takes every completion of the rows above it
-    along.
+    Level j holds the rows with pivot pattern[j], and a candidate is one row
+    per level.  Every vector is its packed class index, held as its base-q
+    chunks: a row as its tuple of chunks, the span of the rows chosen so far
+    as columns, one list per chunk.  A row whose own class is bad is dropped
+    from its level once.  A row is accepted when ``good`` holds at row + w
+    for every w in the nonzero span of the rows chosen before it: one
+    ``test`` lookup per chunk gives the packed index, and one more reads
+    ``good``; ``_descend`` says in which order the levels are filled and
+    which rows are tested against which span elements.  A rejected row takes
+    every completion of the levels still unfilled along.
 
     ``good`` must be constant on the orbits of the group ``torus``.  Every
-    level scans one row per orbit of the stabilizer of the rows chosen
-    below, which maps each level's domain onto itself (see ``_descend``).
+    node scans one row per orbit of the stabilizer of the rows chosen
+    before it, which maps each level's domain onto itself (see
+    ``_descend``).
 
     ``built`` maps (pivot, free columns) to that level's (live, dead), as
     ``_level`` builds it from ``good``; levels missing from it are built and
     added, so patterns scanned with one dict share their levels.  The
-    candidates of the pattern number q to its free positions, the final
-    ``skip``, and the rejected and accepted ones must add up to it.
+    candidates of the pattern number q to its free positions, and the
+    rejected and accepted ones, counted through the sizes the levels
+    report, must add up to it.
     """
     q, m = chunks.q, chunks.m
     pivot_set = set(pattern)
     levels = []
-    skip = 1  # candidates one row rejects: the completions of the rows above it
+    total = 1  # q to the free positions, counted apart from the levels
     for pivot in pattern:
         frees = tuple(c for c in range(pivot + 1, m) if c not in pivot_set)
         if (pivot, frees) not in built:
             built[pivot, frees] = _level(chunks, good, pivot, frees)
-        levels.append((*built[pivot, frees], skip))
-        skip *= q ** len(frees)
+        live, dead = built[pivot, frees]
+        levels.append((live, dead, len(live) + dead))
+        total *= q ** len(frees)
     group = range(torus.order)
-    domains = [live for live, _, _ in levels]
+    domains = [(j, live) for j, (live, _, _) in enumerate(levels)]
     span = [[] for _ in chunks.widths]  # no element yet, in every chunk
-    bad, hits = _descend(chunks, good, torus, levels, domains, span, group, ())
+    chosen = (None,) * len(levels)
+    bad, hits = _descend(chunks, good, torus, levels, domains, span, group, chosen)
     got = bad + len(hits)
-    if got != skip:
+    if got != total:
         raise TheoremViolationError(
-            f"scan bookkeeping drift on pattern {pattern}: {got} != {skip}"
+            f"scan bookkeeping drift on pattern {pattern}: {got} != {total}"
         )
-    return skip, [tuple(map(chunks.coordinates, hit)) for hit in hits]
+    return total, [tuple(map(chunks.coordinates, hit)) for hit in hits]
 
 
 def _level(chunks, good, pivot, frees):
     """(live, dead) for the RREF rows with this pivot and these free
-    columns: live lists each row whose own class is good as (index, split,
+    columns, in the order of their digits at the free columns, the last one
+    fastest: live lists each row whose own class is good as (index, split,
     tabs), its packed index, its chunks and their ``test`` rows; dead
-    counts the others.  Each chunk lists its values, the sums of its
-    digits, once; a row's chunks, ``test`` rows and index come from the
-    product of those lists."""
+    counts the others.  Each chunk lists its values once, grown one column
+    at a time (q^(c-low) added at the pivot column, d * q^(c-low) for each
+    digit d at a free one); a row's chunks, ``test`` rows and index come
+    from the product of those lists."""
     q = chunks.q
-    digits = {c: range(q) for c in frees}
-    digits[pivot] = (1,)
     # per chunk: its values, their test rows and the values shifted into
     # place; each product varies the last free column fastest
     values, tests, shifted = [], [], []
     low = 0
     for width, scale, test in zip(chunks.widths, chunks.scales, chunks.test):
-        columns = range(low, low + width)
-        sums = [
-            sum(d * q ** (c - low) for c, d in zip(columns, ds))
-            for ds in itertools.product(*(digits.get(c, (0,)) for c in columns))
-        ]
+        sums = [0]
+        for c in range(low, low + width):
+            step = q ** (c - low)
+            if c == pivot:
+                sums = [s + step for s in sums]
+            elif c in frees:
+                steps = [d * step for d in range(q)]
+                sums = [s + t for s in sums for t in steps]
         values.append(sums)
         tests.append([test[v] for v in sums])
         shifted.append([v * scale for v in sums])
@@ -391,34 +403,47 @@ def _level(chunks, good, pivot, frees):
 
 
 def _descend(chunks, good, torus, levels, domains, span, group, chosen):
-    """Scan the subtree under ``domains``, for each level j <= i the live
-    rows of level j that pass against ``span``, the nonzero span of
-    ``chosen``, the rows chosen below, with i = len(domains) - 1; returns
-    (rejected, hits): its rejected candidates, (dead + |live| - |domain|)
-    * skip of them at level i, and each hit's packed rows.
+    """Scan the subtree under ``domains``, a (level, rows) pair for each
+    unfilled level in level order, its rows the live rows of that level
+    that pass against ``span``, the nonzero span of the rows filled so far;
+    ``chosen`` holds those rows by level, None where unfilled.  Returns
+    (rejected, hits): its rejected candidates and each hit's packed rows,
+    top row first.
 
-    ``group`` lists the elements of ``torus`` that fix every row chosen
-    below, identity first.  They map the span onto itself and keep
-    goodness, and each level's rows onto that level's, so they map every
-    domain onto itself, and rows of one orbit have isomorphic subtrees.
-    Only the least row of each orbit of level i is scanned, under its own
-    stabilizer: its rejected candidates count once per row of the orbit,
-    and its hits are mapped by one element per other row.
+    Fail-first (Bitner and Reingold, CACM 18 (1975)): the node fills the
+    unfilled level whose domain has the fewest rows, on a tie the highest
+    level.  Any fill order is exact: once the pivots are fixed a candidate
+    is one row per level, and "every span element is good" treats its rows
+    alike.  A rejected row takes along ``skip``, the product of the full
+    sizes (live plus dead) of the other unfilled levels, and the filled
+    level's rows that are dead or failed against the span count
+    (dead + |live| - |domain|) * skip.
 
-    The scan looks ahead to every level: each scanned row filters the
-    lower domains against the span elements it adds, level 0 first.  When
-    one comes up empty no row of that level completes the row, so its
+    ``group`` lists the elements of ``torus`` that fix every row chosen so
+    far, identity first.  They map the span onto itself and keep goodness,
+    and each level's rows onto that level's, so they map every domain onto
+    itself, whatever order filled the chosen rows, and rows of one orbit
+    have isomorphic subtrees.  Only the least row of each orbit of the
+    filled level is scanned, under its own stabilizer: its rejected
+    candidates count once per row of the orbit, and its hits are mapped by
+    one element per other row.
+
+    The scan looks ahead to every level: each scanned row filters the other
+    unfilled domains against the span elements it adds, in level order.
+    When one comes up empty no row of that level completes the row, so its
     subtree, ``skip`` candidates, is rejected at its root and the remaining
-    levels are not filtered.
+    domains are not filtered.
 
     ``span`` holds its elements as columns, one list of chunk values per
-    chunk (empty lists at the bottom row), so ``_grow`` extends each chunk
-    with one ``add`` lookup per element and ``_filter`` reads the chunks of
-    one element side by side; a row that is not rejected passes its span,
-    each column extended by the elements it adds, to the level above."""
-    i = len(domains) - 1
-    live, dead, skip = levels[i]
-    domain, lower = domains[i], domains[:i]
+    chunk (empty lists at the root), so ``_grow`` extends each chunk with
+    one ``add`` lookup per element and ``_filter`` reads the chunks of one
+    element side by side; a row that is not rejected passes its span, each
+    column extended by the elements it adds, to the next node."""
+    j = min(reversed(range(len(domains))), key=lambda i: len(domains[i][1]))
+    level, domain = domains[j]
+    others = domains[:j] + domains[j + 1 :]
+    live, dead, _ = levels[level]
+    skip = math.prod(levels[other][2] for other, _ in others)
     bad, hits = (dead + len(live) - len(domain)) * skip, []
     for index, split, _ in domain:
         every = torus.images(index)
@@ -427,17 +452,18 @@ def _descend(chunks, good, torus, levels, domains, span, group, chosen):
             continue
         orbit = dict(zip(images, group))  # one element per row of the orbit
         stabilizer = [g for g, image in zip(group, images) if image == index]
-        rows = (index,) + chosen
-        if i == 0:
+        rows = chosen[:level] + (index,) + chosen[level + 1 :]
+        if not others:
             rejected, found = 0, [rows]
         else:
             new = _grow(chunks, split, span)
             kept = []
-            for rows_j in lower:
-                kept.append(_filter(good, rows_j, new))
-                if not kept[-1]:
+            for other, rows_j in others:
+                rows_j = _filter(good, rows_j, new)
+                if not rows_j:
                     rejected, found = skip, []
                     break
+                kept.append((other, rows_j))
             else:
                 grown = [old + added for old, added in zip(span, new)]
                 rejected, found = _descend(

@@ -257,6 +257,32 @@ def test_grow_and_filter_against_coordinates(field_args, m, chunk_count, seed):
     assert 0 < len(kept) < len(rows)
 
 
+@pytest.mark.parametrize("q, m, chunk_count", [(5, 2, 1), (3, 8, 2), (3, 5, 3)])
+def test_level_against_coordinates(q, m, chunk_count):
+    # every pivot with all, none, the even and the odd columns above it
+    # free: the rows come in the order of their free digits, the last free
+    # column fastest, and a row is live when its own class is good
+    chunks = _chunk_tables(FieldCtx(q), m)
+    assert len(chunks.widths) == chunk_count
+    good = synthetic_goodness(q, m, 0, 0.7)
+    for pivot in range(m):
+        above = range(pivot + 1, m)
+        for frees in (tuple(above), (), above[::2], above[1::2]):
+            live, dead = [], 0
+            for free_digits in itertools.product(range(q), repeat=len(frees)):
+                digits = [0] * m
+                digits[pivot] = 1
+                for c, d in zip(frees, free_digits):
+                    digits[c] = d
+                index = packed(digits, q)
+                split = tuple(index // s % z for s, z in zip(chunks.scales, chunks.sizes))
+                if good[index]:
+                    live.append((index, split, tuple(map(list.__getitem__, chunks.test, split))))
+                else:
+                    dead += 1
+            assert scan._level(chunks, good, pivot, tuple(frees)) == (live, dead), (pivot, frees)
+
+
 # -- the packed scan against the reference ------------------------------------------
 
 
@@ -290,8 +316,8 @@ def test_synthetic_tables_match_the_reference(q, m, chunk_count, density, seed):
 
 
 def record_largest_group(monkeypatch):
-    """Patch the scan to record the largest group a call below the bottom
-    level receives; returns it as a one-item list."""
+    """Patch the scan to record the largest group a call with a row already
+    chosen receives; returns it as a one-item list."""
     largest = [0]
     descend = scan._descend
 
@@ -358,20 +384,21 @@ def test_synthetic_tables_match_the_reference_through_a_sign_group(
 
 
 def count_cuts(monkeypatch):
-    """Patch the scan to count its ``_descend`` calls per level and the
-    rows it rejects with their subtree at their root; returns (calls, cuts),
-    a Counter by level and a one-item list."""
+    """Patch the scan to count its ``_descend`` calls by depth, the number
+    of rows already chosen, and the rows it rejects with their subtree at
+    their root; returns (calls, cuts), a Counter by depth and a one-item
+    list."""
     calls, cuts = collections.Counter(), [0]
     descend, grow = scan._descend, scan._grow
 
     def counting(chunks, good, torus, levels, domains, *rest):
-        calls[len(domains) - 1] += 1
-        # a call below the bottom level is made by a row that was not cut
+        calls[len(levels) - len(domains)] += 1
+        # a call with a row already chosen is made by a row that was not cut
         cuts[0] -= len(domains) < len(levels)
         return descend(chunks, good, torus, levels, domains, *rest)
 
     def growing(*args):
-        cuts[0] += 1  # each scanned row above level 0 grows the span once
+        cuts[0] += 1  # each scanned row with a level left to fill grows the span once
         return grow(*args)
 
     monkeypatch.setattr(scan, "_descend", counting)
@@ -403,14 +430,58 @@ def test_sparse_tables_cut_subtrees_at_their_root(monkeypatch, factors, density)
 
 
 def test_sparse_table_scan_calls_per_level(monkeypatch):
-    # one call per pattern at its bottom level and one per scanned row that
-    # every lower level can complete; filtering only the next level calls
-    # more at the levels below the bottom
+    # one call per pattern at depth 0 and one per scanned row that every
+    # other unfilled level can complete.  Filling the levels bottom row
+    # first called {5: 1, 4: 6, 3: 15, 2: 22, 1: 32, 0: 74} by the number of
+    # levels left after the call's own, and cut 106 rows; filtering only the
+    # next level calls more
     calls, cuts = count_cuts(monkeypatch)
     good = synthetic_goodness(3, 6, 0, 0.4)
     assert assert_scans_agree(FieldCtx(3), 6, good, range(1, 7))[0] == 384
-    assert calls == {5: 1, 4: 6, 3: 15, 2: 22, 1: 32, 0: 74}
-    assert cuts == [106]
+    assert calls == {0: 63, 1: 77}
+    assert cuts == [35]
+
+
+def record_fills(monkeypatch):
+    """Patch the scan to record, for each ``_descend`` call that makes
+    another, the sizes of its domains by level and the level it fills: the
+    one its callee no longer has unfilled.  Returns the list of
+    (sizes, level) pairs."""
+    fills, callers = [], []
+    descend = scan._descend
+
+    def recording(chunks, good, torus, levels, domains, *rest):
+        sizes = {level: len(rows) for level, rows in domains}
+        if callers:
+            (filled,) = set(callers[-1]) - set(sizes)
+            fills.append((callers[-1], filled))
+        callers.append(sizes)
+        try:
+            return descend(chunks, good, torus, levels, domains, *rest)
+        finally:
+            callers.pop()
+
+    monkeypatch.setattr(scan, "_descend", recording)
+    return fills
+
+
+@pytest.mark.parametrize("factors", [None, SIGNS])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fail_first_leaves_the_static_order(monkeypatch, factors, seed):
+    # each node fills the unfilled level with the fewest rows, the highest
+    # one on a tie, and some node fills another than the highest (the level
+    # a bottom-row-first scan would fill); any fill order decides the same
+    # candidates and hits as the row-list reference, which fills bottom up
+    field = FieldCtx(3)
+    torus = factors and _Torus(field, factors)
+    fills = record_fills(monkeypatch)
+    good = synthetic_goodness(3, 6, seed, 0.85, factors)
+    hits, rejected = assert_scans_agree(field, 6, good, range(1, 7), torus)
+    assert hits > 1 and rejected > 0
+    for sizes, filled in fills:
+        fewest = min(sizes.values())
+        assert filled == max(level for level, size in sizes.items() if size == fewest)
+    assert any(filled != max(sizes) for sizes, filled in fills)
 
 
 def test_bookkeeping_drift_is_an_alarm(gf3, monkeypatch):
@@ -447,18 +518,20 @@ class CountingTable:
 
 
 def test_n3_identity_scan_goodness_reads(gf3):
-    # each scanned row tests the lower levels' survivors only against the
-    # span elements it adds, level 0 first, and stops at the first level it
-    # empties; filtering every lower level reads 50,787, filtering the next
-    # level first 40,014, and filtering only the next level (forward
-    # checking) 54,597.  A row that is not the least of its stabilizer orbit
-    # is skipped and filters nothing.  Each level reads the rows' own
-    # classes once per scan, not once per pattern that has it
+    # each scanned row tests the other unfilled levels' survivors only
+    # against the span elements it adds, in level order, and stops at the
+    # first level it empties.  Filling the level with the fewest rows next
+    # reads 25,693; filling bottom row first read 36,606, filtering every
+    # lower level 50,787, filtering the next level first 40,014, and
+    # filtering only the next level (forward checking) 54,597.  A row that
+    # is not the least of its stabilizer orbit is skipped and filters
+    # nothing.  Each level reads the rows' own classes once per scan, not
+    # once per pattern that has it
     quotient = Quotient(gf3, 3, identity=True)
     good = CountingTable(quotient.goodness_table())
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
-    assert good.reads == 36_606
+    assert good.reads == 25_693
 
 
 def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
@@ -480,8 +553,9 @@ def test_n3_identity_scan_builds_each_level_once(gf3, monkeypatch):
 
 
 def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
-    # 160 rows meet the torus, each mapped by its 4 elements once; mapping
-    # a row each time an orbit test or a hit needs it computes 7,456 images
+    # 129 rows meet the torus, each mapped by its 4 elements once (160 rows,
+    # 640 images, when the levels were filled bottom row first); mapping a
+    # row each time an orbit test or a hit needs it computed 7,456 images
     quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
@@ -495,7 +569,7 @@ def test_n3_identity_scan_computes_each_image_once(gf3, monkeypatch):
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
     assert set(calls.values()) == {1}
-    assert len(calls) == 640 == 4 * len({index for _, index in calls})
+    assert len(calls) == 516 == 4 * len({index for _, index in calls})
 
 
 def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch):
@@ -515,22 +589,24 @@ def test_n3_identity_goodness_table_decides_each_char_poly_once(gf3, monkeypatch
 
 
 def test_n3_identity_scan_calls_per_level(gf3, monkeypatch):
-    # one call per pattern at the bottom level, 4, and one per scanned row
-    # below it that every lower level can complete: a row that empties a
-    # lower level's domain is rejected with its subtree at once.  Filtering
-    # only the next level (forward checking) calls {4: 56, 3: 93, 2: 262,
-    # 1: 1,405, 0: 425}.  Every level scans one row per orbit of the
-    # stabilizer of the rows below it
+    # calls by depth, the number of rows already chosen: one per pattern at
+    # depth 0, and one per scanned row that every other unfilled level can
+    # complete; a row that empties another level's domain is rejected with
+    # its subtree at once.  Every call scans one row per orbit of the
+    # stabilizer of the rows already chosen.  Filling the levels bottom row
+    # first called, by level, {4: 56, 3: 75, 2: 84, 1: 44, 0: 22}, and
+    # filtering only the next level (forward checking) {4: 56, 3: 93,
+    # 2: 262, 1: 1,405, 0: 425}
     quotient = Quotient(gf3, 3, identity=True)
     good = quotient.goodness_table()
     calls = collections.Counter()
     descend = scan._descend
 
     def counting(chunks, good, torus, levels, domains, *rest):
-        calls[len(domains) - 1] += 1
+        calls[len(levels) - len(domains)] += 1
         return descend(chunks, good, torus, levels, domains, *rest)
 
     monkeypatch.setattr(scan, "_descend", counting)
     _, spaces = quotient.scan(good, 5)
     assert len(spaces) == 52
-    assert calls == {4: 56, 3: 75, 2: 84, 1: 44, 0: 22}
+    assert calls == {0: 56, 1: 82, 2: 64, 3: 39, 4: 22}
